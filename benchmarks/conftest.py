@@ -4,9 +4,10 @@ Every ``bench_*.py`` module regenerates one figure or table of the paper
 (see the experiment index in DESIGN.md) and is written as a pytest-benchmark
 test: the ``benchmark`` fixture times the experiment driver, and plain
 assertions check that the *shape* of the result matches the paper
-(orderings, approximate factors, crossovers).  Run with::
+(orderings, approximate factors, crossovers).  pytest collects only
+``test_*.py`` files by default, so name the modules explicitly::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q
 """
 
 import pytest

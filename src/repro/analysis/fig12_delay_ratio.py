@@ -18,6 +18,11 @@ are in the 100 kOhm-1 MOhm range; the default here (250 kOhm per line, both
 contacts combined) sits in that range and reproduces the paper's levels.  The
 contact resistance is an explicit parameter so its effect can be ablated
 (``benchmarks/bench_ablation_contact_resistance.py``).
+
+Execution note: the 90 paper-default transients run as one stack through
+the batched kernel (:mod:`repro.circuit.batched`), whose results are bit for
+bit those of one transient per line; there is one enumeration of the lines,
+:func:`fig12_records_batch`, and :func:`fig12_records` is its one-study case.
 """
 
 from __future__ import annotations
@@ -25,10 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis._compat import warn_legacy
-from repro.circuit.delay import (
-    measure_inverter_line_delay,
-    measure_inverter_line_delay_batch,
-)
+from repro.circuit.delay import measure_inverter_line_delay_batch
 from repro.circuit.technology import NODE_45NM, TechnologyNode
 from repro.core.doping import DopingProfile
 from repro.core.line import InterconnectLine
@@ -88,10 +90,8 @@ def _line(study: DelayRatioStudy, diameter_nm: float, length_um: float, channels
     return InterconnectLine(tube, n_segments=study.n_segments)
 
 
-def _delay(study: DelayRatioStudy, line: InterconnectLine) -> float:
-    if study.use_transient:
-        measurement = measure_inverter_line_delay(line, technology=study.technology)
-        return measurement.propagation_delay
+def _elmore_delay(study: DelayRatioStudy, line: InterconnectLine) -> float:
+    """Fast-mode delay (``use_transient=False``): the Elmore estimate."""
     from repro.circuit.inverter import Inverter
 
     driver = Inverter("drv", "a", "b", technology=study.technology)
@@ -107,44 +107,26 @@ def fig12_records(study: DelayRatioStudy | None = None) -> list[dict]:
 
     Returns one record per (diameter, length, Nc) with the absolute delay and
     the delay ratio relative to the pristine (Nc = 2) line of the same
-    diameter and length.
+    diameter and length.  This is :func:`fig12_records_batch` of the one
+    study: all of its transients run as one stack.
     """
-    study = study or DelayRatioStudy()
-    records: list[dict] = []
-    for diameter in study.diameters_nm:
-        for length in study.lengths_um:
-            pristine_delay = _delay(study, _line(study, diameter, length, 2.0))
-            for channels in study.channel_counts:
-                if channels == 2.0:
-                    delay = pristine_delay
-                else:
-                    delay = _delay(study, _line(study, diameter, length, channels))
-                records.append(
-                    {
-                        "diameter_nm": diameter,
-                        "length_um": length,
-                        "channels_per_shell": channels,
-                        "delay_ps": delay * 1e12,
-                        "delay_ratio": delay / pristine_delay,
-                        "delay_reduction_percent": 100.0 * (1.0 - delay / pristine_delay),
-                    }
-                )
-    return records
+    return fig12_records_batch([study or DelayRatioStudy()])[0]
 
 
 def fig12_records_batch(studies: list[DelayRatioStudy]) -> list[list[dict]]:
     """Run several Fig. 12 studies with their transients batched together.
 
-    The records of each study are float-identical to :func:`fig12_records`
-    of the same study: the exact set of lines the serial loop would simulate
-    is enumerated first (one pristine line per (diameter, length) -- reused
-    for ``Nc = 2`` exactly like the serial loop reuses it -- plus one line
-    per doped channel count), all transients are evaluated through
-    :func:`repro.circuit.delay.measure_inverter_line_delay_batch` (grouped
-    by technology, since the driver/receiver cells depend on it), and the
-    record arithmetic is then replayed from the measured delays.  This is
-    what the engine's ``batch`` executor calls when several ``fig12`` sweep
-    points are pending at once.
+    The set of distinct lines is enumerated first (one pristine line per
+    (diameter, length), which also serves ``Nc = 2``, plus one line per doped
+    channel count).  All transients are evaluated through
+    :func:`repro.circuit.delay.measure_inverter_line_delay_batch`, grouped by
+    technology since the driver/receiver cells depend on it, and the records
+    are then built from the measured delays.  The stacked kernel is bit for
+    bit the per-line :func:`repro.circuit.delay.measure_inverter_line_delay`,
+    so each study's records equal a line-by-line run of it.  Both the paper
+    default (:func:`fig12_records`, ``Engine().run("fig12")``) and the
+    engine's ``batch`` executor, which stacks several pending sweep points,
+    come through here.
     """
     requests: dict[tuple, None] = {}
     for study_index, study in enumerate(studies):
@@ -162,7 +144,7 @@ def fig12_records_batch(studies: list[DelayRatioStudy]) -> list[list[dict]]:
         if study.use_transient:
             transient_keys.setdefault(study.technology, []).append(key)
         else:
-            delays[key] = _delay(study, _line(study, *key[1:]))
+            delays[key] = _elmore_delay(study, _line(study, *key[1:]))
     for technology, keys in transient_keys.items():
         lines = [
             _line(studies[study_index], diameter, length, channels)

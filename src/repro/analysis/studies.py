@@ -54,7 +54,7 @@ from repro.analysis.fig10_tcad import fig10_capacitance_summary
 from repro.api.experiment import Consumes, OutputSpec, ParamSpec, register_experiment
 from repro.api.study import register_study
 from repro.api.sweep import SweepSpec
-from repro.circuit.delay import measure_inverter_line_delay
+from repro.circuit.delay import measure_inverter_line_delay_batch
 from repro.core.line import DistributedRC
 from repro.characterization.electromigration import em_stress_test
 from repro.characterization.tlm import tlm_round_trip
@@ -466,7 +466,7 @@ def _variability_delay(
         outer_diameter=nm(outer_diameter_nm), length=um(length_um)
     )
     capacitance = device.capacitance_per_length * um(length_um)
-    records: list[dict] = []
+    populations: list[tuple[str, dict[str, float]]] = []
     for row in variability_result.require_columns(
         "population", "mean_kohm", "std_kohm"
     ).to_records():
@@ -477,21 +477,30 @@ def _variability_delay(
             "mean": mean_ohm,
             "slow": mean_ohm + n_sigma * sigma_ohm,
         }
-        delays = {
-            corner: measure_inverter_line_delay(
+        populations.append((row["population"], corners))
+
+    # Every corner of every population in one stacked transient batch.
+    measurements = iter(
+        measure_inverter_line_delay_batch(
+            [
                 DistributedRC(
                     total_resistance=resistance,
                     total_capacitance=capacitance,
                     n_segments=n_segments,
-                ),
-                n_time_steps=n_time_steps,
-            ).propagation_delay
-            for corner, resistance in corners.items()
-        }
+                )
+                for _, corners in populations
+                for resistance in corners.values()
+            ],
+            n_time_steps=n_time_steps,
+        )
+    )
+    records: list[dict] = []
+    for population, corners in populations:
+        delays = {corner: next(measurements).propagation_delay for corner in corners}
         for corner in ("fast", "mean", "slow"):
             records.append(
                 {
-                    "population": row["population"],
+                    "population": population,
                     "corner": corner,
                     "resistance_kohm": corners[corner] / 1e3,
                     "delay_ps": delays[corner] * 1e12,

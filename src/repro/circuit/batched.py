@@ -10,21 +10,32 @@ whole batch of such circuits in lockstep instead:
   conductances, voltage-source rows) is built **once** into a stacked
   ``(n_jobs, size, size)`` array -- the per-step / per-iteration Python
   re-stamp the serial path does disappears entirely;
+* the MOSFET linearisation runs once per Newton iteration over an
+  ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`),
+  and its stamps are added device by device in the dense assembler's order;
 * the linear solve of every job becomes one stacked LAPACK call
   (``np.linalg.solve`` over the leading batch axis);
-* only the genuinely scalar work -- MOSFET linearisation and source waveform
-  evaluation -- still runs per job, exactly like the serial path.
+* the Newton bookkeeping (per-row max |delta|, damping, the set of rows
+  still iterating) and the companion-state update are array operations;
+* only source waveform evaluation still runs per job.
+
+This is the paper-default path: :func:`repro.analysis.fig12_delay_ratio.fig12_records`
+and the ``variability_delay`` experiment run all their transients as one
+stack through :func:`repro.circuit.delay.measure_inverter_line_delay_batch`.
 
 **Bitwise identity is a hard contract.**  The batched kernel replays the
 exact floating-point statement sequence of the dense reference
 (:class:`repro.circuit.mna.MNAAssembler` + :func:`~repro.circuit.mna.newton_solve`
 as driven by :func:`repro.circuit.transient.transient_analysis`), vectorised
-over the batch axis: elementwise numpy arithmetic performs the same IEEE
-operations as the scalar statements, a stacked ``np.linalg.solve`` is
-bitwise-identical to per-slice solves, and per-job Newton damping /
-convergence decisions are taken with the same scalar arithmetic in the same
-order.  Batched results therefore carry the same content hashes as serial
-per-point runs -- the engine's cache and the CI identity checks rely on it.
+over the batch axis.  Arithmetic ``+ - * /`` runs as numpy ufuncs, which
+perform the same IEEE operations as the scalar statements; ``exp``,
+``log1p`` and ``**2`` stay per element through :mod:`math` and Python's
+``**``, because numpy's SIMD ``exp``/``log1p`` and its ``v * v`` squaring
+differ from libm in the last bit of some values.  A stacked
+``np.linalg.solve`` is bitwise-identical to per-slice solves, and each
+matrix entry accumulates its terms in the scalar order.  Batched results
+therefore carry the same content hashes as serial per-point runs -- the
+engine's cache and the CI identity checks rely on it.
 
 Jobs are grouped by a structural signature (matrix size, element topology,
 zero-capacitance pattern, step count, method, Newton budget); singleton
@@ -42,6 +53,7 @@ import numpy as np
 
 from repro.circuit.dc import dc_operating_point
 from repro.circuit.mna import GMIN, CompanionState, MNAAssembler
+from repro.circuit.mosfet import evaluate_stack, parameter_stack
 from repro.circuit.netlist import Circuit
 from repro.circuit.compiled import resolve_backend
 from repro.circuit.transient import TransientResult, transient_analysis
@@ -165,6 +177,12 @@ class _Batch:
         self.mos_idx = [
             (index(m.drain), index(m.gate), index(m.source)) for m in circuit.mosfets
         ]
+        self.mos_params = parameter_stack(
+            [[m.parameters for m in job.circuit.mosfets] for job in jobs]
+        )
+        self.mos_terminals = self._padded_columns(self.mos_idx, 3)
+        self.cap_terminals = self._padded_columns(self.cap_idx, 2)
+        self.ind_terminals = self._padded_columns(self.ind_idx, 2)
 
         # Per-element value vectors across the batch axis.  The derived
         # conductances repeat the scalar expressions of MNAAssembler.assemble
@@ -173,23 +191,22 @@ class _Batch:
             1.0 / np.array([job.circuit.resistors[p].resistance for job in jobs])
             for p in range(len(circuit.resistors))
         ]
-        self.cap_c = [
-            np.array([job.circuit.capacitors[p].capacitance for job in jobs])
-            for p in range(len(circuit.capacitors))
-        ]
+        # Capacitor and inductor values are (elements x jobs) arrays.
+        self.cap_c = np.array(
+            [[c.capacitance for c in job.circuit.capacitors] for job in jobs]
+        ).T
         self.cap_zero = [c.capacitance == 0.0 for c in circuit.capacitors]
         if self.trapezoidal:
-            self.cap_geq = [2.0 * c / self.dt for c in self.cap_c]
+            self.cap_geq = 2.0 * self.cap_c / self.dt
         else:
-            self.cap_geq = [c / self.dt for c in self.cap_c]
-        self.ind_l = [
-            np.array([job.circuit.inductors[p].inductance for job in jobs])
-            for p in range(len(circuit.inductors))
-        ]
+            self.cap_geq = self.cap_c / self.dt
+        self.ind_l = np.array(
+            [[l.inductance for l in job.circuit.inductors] for job in jobs]
+        ).T
         if self.trapezoidal:
-            self.ind_geq = [self.dt / (2.0 * l) for l in self.ind_l]
+            self.ind_geq = self.dt / (2.0 * self.ind_l)
         else:
-            self.ind_geq = [self.dt / l for l in self.ind_l]
+            self.ind_geq = self.dt / self.ind_l
 
         # Static stacked matrix: everything MNAAssembler.assemble stamps
         # before the MOSFET loop, in the same statement order.  Matrix and
@@ -215,31 +232,51 @@ class _Batch:
                 matrices[:, row, n] -= 1.0
         self.static_matrices = matrices
 
+    def _padded_columns(self, terminals: list[tuple], width: int) -> list[np.ndarray]:
+        """Per-terminal node columns into a ground-padded solution.
+
+        Ground maps to the extra slot ``size``, which always holds the 0.0
+        the dense assembler uses for a grounded terminal.
+        """
+        return [
+            np.array(
+                [self.size if nodes[i] is None else nodes[i] for nodes in terminals],
+                dtype=np.intp,
+            )
+            for i in range(width)
+        ]
+
+    @staticmethod
+    def _branch_voltages(padded: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+        """``v(a) - v(b)`` of every two-terminal element, (elements x jobs)."""
+        a, b = columns
+        return (padded[:, a] - padded[:, b]).T
+
     # --- per-step right-hand side (everything before the MOSFET loop) ------
 
     def _base_rhs(self, step: int, cap_v, cap_i, ind_i, ind_v) -> np.ndarray:
         rhs = np.zeros((self.n_jobs, self.size))
+        if self.trapezoidal:
+            cap_ieq = self.cap_geq * cap_v + cap_i
+        else:
+            cap_ieq = self.cap_geq * cap_v
         for p, (a, b) in enumerate(self.cap_idx):
             if self.cap_zero[p]:
                 continue
-            if self.trapezoidal:
-                ieq = self.cap_geq[p] * cap_v[p] + cap_i[p]
-            else:
-                ieq = self.cap_geq[p] * cap_v[p]
             # _stamp_current(rhs, b, a, ieq): rhs[b] -= ieq; rhs[a] += ieq.
             if b is not None:
-                rhs[:, b] -= ieq
+                rhs[:, b] -= cap_ieq[p]
             if a is not None:
-                rhs[:, a] += ieq
+                rhs[:, a] += cap_ieq[p]
+        if self.trapezoidal:
+            ind_ieq = ind_i + self.ind_geq * ind_v
+        else:
+            ind_ieq = ind_i
         for p, (a, b) in enumerate(self.ind_idx):
-            if self.trapezoidal:
-                ieq = ind_i[p] + self.ind_geq[p] * ind_v[p]
-            else:
-                ieq = ind_i[p]
             if a is not None:
-                rhs[:, a] -= ieq
+                rhs[:, a] -= ind_ieq[p]
             if b is not None:
-                rhs[:, b] += ieq
+                rhs[:, b] += ind_ieq[p]
         for p, (a, b) in enumerate(self.iso_idx):
             values = np.array(
                 [
@@ -261,34 +298,48 @@ class _Batch:
         return rhs
 
     def _stamp_mosfets(
-        self, matrices: np.ndarray, rhs: np.ndarray, rows: list[int], solutions: np.ndarray
+        self,
+        matrices: np.ndarray,
+        rhs: np.ndarray,
+        parameters: np.ndarray,
+        guess: np.ndarray,
     ) -> None:
-        """Scalar MOSFET linearisation per job, mirroring the dense stamps."""
-        for local, k in enumerate(rows):
-            guess = solutions[k]
-            for p, (d, g, s) in enumerate(self.mos_idx):
-                mosfet = self.jobs[k].circuit.mosfets[p]
-                v_d = 0.0 if d is None else guess[d]
-                v_g = 0.0 if g is None else guess[g]
-                v_s = 0.0 if s is None else guess[s]
-                i_ds, gm, gds = mosfet.evaluate(v_g - v_s, v_d - v_s)
-                i_eq = i_ds - gm * (v_g - v_s) - gds * (v_d - v_s)
-                if d is not None:
-                    if g is not None:
-                        matrices[local, d, g] += gm
-                    matrices[local, d, d] += gds
-                    if s is not None:
-                        matrices[local, d, s] -= gm + gds
+        """Linearise every MOSFET of every row at once and stamp it.
+
+        The model runs once over the ``(rows x devices)`` array
+        (:func:`repro.circuit.mosfet.evaluate_stack`, bit for bit the scalar
+        :meth:`~repro.circuit.mosfet.MOSFET.evaluate`).  The stamps are then
+        added device by device in the dense assembler's order, so every matrix
+        and right-hand-side entry accumulates the same terms in the same
+        sequence as the per-job path.
+        """
+        padded = np.zeros((guess.shape[0], self.size + 1))
+        padded[:, : self.size] = guess
+        v_d, v_g, v_s = (padded[:, column] for column in self.mos_terminals)
+        v_gs = v_g - v_s
+        v_ds = v_d - v_s
+        i_ds, gm, gds = evaluate_stack(parameters, v_gs, v_ds)
+        i_eq = (i_ds - gm * v_gs - gds * v_ds).T
+        g_sum = (gm + gds).T
+        gm = gm.T
+        gds = gds.T
+        for p, (d, g, s) in enumerate(self.mos_idx):
+            if d is not None:
+                if g is not None:
+                    matrices[:, d, g] += gm[p]
+                matrices[:, d, d] += gds[p]
                 if s is not None:
-                    if g is not None:
-                        matrices[local, s, g] -= gm
-                    if d is not None:
-                        matrices[local, s, d] -= gds
-                    matrices[local, s, s] += gm + gds
+                    matrices[:, d, s] -= g_sum[p]
+            if s is not None:
+                if g is not None:
+                    matrices[:, s, g] -= gm[p]
                 if d is not None:
-                    rhs[local, d] -= i_eq
-                if s is not None:
-                    rhs[local, s] += i_eq
+                    matrices[:, s, d] -= gds[p]
+                matrices[:, s, s] += g_sum[p]
+            if d is not None:
+                rhs[:, d] -= i_eq[p]
+            if s is not None:
+                rhs[:, s] += i_eq[p]
 
     # --- full run ----------------------------------------------------------
 
@@ -325,10 +376,12 @@ class _Batch:
                 ind_i[:, k] = 0.0
                 ind_v[:, k] = 0.0
 
+        padded = np.zeros((n_jobs, size + 1))
+        matrix_buffer = np.empty_like(self.static_matrices)
         trace = np.empty((n_jobs, self.n_steps + 1, size))
         trace[:, 0] = solutions
 
-        all_rows = list(range(n_jobs))
+        all_rows = np.arange(n_jobs)
         for step in range(1, self.n_steps + 1):
             base_rhs = self._base_rhs(step, cap_v, cap_i, ind_i, ind_v)
             if not self.nonlinear:
@@ -338,55 +391,50 @@ class _Batch:
                     self.static_matrices, base_rhs[..., None]
                 )[..., 0]
             else:
+                # Per-row Newton with newton_solve's damping and stopping
+                # rule; a row leaves the active set once it converges.
                 active = all_rows
                 for _ in range(self.max_iterations):
-                    matrices = self.static_matrices[active]
+                    guess = solutions[active]
+                    matrices = matrix_buffer[: active.size]
+                    np.take(self.static_matrices, active, axis=0, out=matrices)
                     rhs = base_rhs[active]
-                    self._stamp_mosfets(matrices, rhs, active, solutions)
+                    self._stamp_mosfets(matrices, rhs, self.mos_params[:, active], guess)
                     new_solutions = np.linalg.solve(matrices, rhs[..., None])[..., 0]
 
-                    still_active: list[int] = []
-                    for local, k in enumerate(active):
-                        delta = new_solutions[local] - solutions[k]
-                        max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-                        if max_delta > NEWTON_DAMPING_LIMIT:
-                            delta *= NEWTON_DAMPING_LIMIT / max_delta
-                            solutions[k] = solutions[k] + delta
-                        else:
-                            solutions[k] = new_solutions[local]
-                        if not max_delta < NEWTON_TOLERANCE:
-                            still_active.append(k)
-                    active = still_active
-                    if not active:
+                    delta = new_solutions - guess
+                    max_delta = np.max(np.abs(delta), axis=1)
+                    damped = max_delta > NEWTON_DAMPING_LIMIT
+                    if damped.any():
+                        scale = NEWTON_DAMPING_LIMIT / max_delta[damped]
+                        new_solutions[damped] = guess[damped] + delta[damped] * scale[:, None]
+                    solutions[active] = new_solutions
+                    active = active[~(max_delta < NEWTON_TOLERANCE)]
+                    if not active.size:
                         break
-                if active:
+                if active.size:
                     time = self.times[active[0]][step]
                     raise RuntimeError(
                         f"Newton iteration did not converge at t={time} "
                         f"after {self.max_iterations} iterations"
                     )
 
-            # State update: vector twin of MNAAssembler.update_state.
-            for p, (a, b) in enumerate(self.cap_idx):
-                v_now = (0.0 if a is None else solutions[:, a]) - (
-                    0.0 if b is None else solutions[:, b]
-                )
-                if self.trapezoidal:
-                    i_now = 2.0 * self.cap_c[p] / self.dt * (v_now - cap_v[p]) - cap_i[p]
-                else:
-                    i_now = self.cap_c[p] / self.dt * (v_now - cap_v[p])
-                cap_v[p] = v_now
-                cap_i[p] = i_now
-            for p, (a, b) in enumerate(self.ind_idx):
-                v_now = (0.0 if a is None else solutions[:, a]) - (
-                    0.0 if b is None else solutions[:, b]
-                )
-                if self.trapezoidal:
-                    i_now = ind_i[p] + self.dt / (2.0 * self.ind_l[p]) * (v_now + ind_v[p])
-                else:
-                    i_now = ind_i[p] + self.dt / self.ind_l[p] * v_now
-                ind_i[p] = i_now
-                ind_v[p] = v_now
+            # State update: vector twin of MNAAssembler.update_state, whose
+            # coefficients 2C/dt, C/dt, dt/2L and dt/L are the cap_geq and
+            # ind_geq values.
+            padded[:, :size] = solutions
+            cap_now = self._branch_voltages(padded, self.cap_terminals)
+            if self.trapezoidal:
+                cap_i = self.cap_geq * (cap_now - cap_v) - cap_i
+            else:
+                cap_i = self.cap_geq * (cap_now - cap_v)
+            cap_v = cap_now
+            ind_now = self._branch_voltages(padded, self.ind_terminals)
+            if self.trapezoidal:
+                ind_i = ind_i + self.ind_geq * (ind_now + ind_v)
+            else:
+                ind_i = ind_i + self.ind_geq * ind_now
+            ind_v = ind_now
 
             trace[:, step] = solutions
 

@@ -10,8 +10,11 @@ converge quickly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -178,3 +181,96 @@ class MOSFET:
         if i_on <= 0:
             return float("inf")
         return 0.75 * v_dd / i_on
+
+
+# --- stacked model ------------------------------------------------------------------
+
+def parameter_stack(devices: list[list[MOSFETParameters]]) -> np.ndarray:
+    """Model parameters of a ``(jobs x devices)`` grid as one array.
+
+    Returns shape ``(5, n_jobs, n_devices)``: polarity sign, threshold
+    voltage, ``beta``, channel-length modulation and sub-threshold slope.
+    The values are the exact scalars :meth:`MOSFET.evaluate` uses (``beta``
+    included), so :func:`evaluate_stack` never recomputes them.
+    """
+    return np.array(
+        [
+            [[float(p.polarity) for p in row] for row in devices],
+            [[p.threshold_voltage for p in row] for row in devices],
+            [[p.beta for p in row] for row in devices],
+            [[p.channel_length_modulation for p in row] for row in devices],
+            [[p.subthreshold_slope for p in row] for row in devices],
+        ],
+        dtype=float,
+    )
+
+
+def _per_element(function, values: np.ndarray) -> np.ndarray:
+    """``function`` of each element, called on Python floats."""
+    flat = values.ravel().tolist()
+    return np.fromiter(map(function, flat), float, len(flat)).reshape(values.shape)
+
+
+_square = functools.partial(pow, exp=2)
+"""Python's ``v**2`` (libm ``pow``), without a Python-level call per element."""
+
+
+def evaluate_stack(
+    parameters: np.ndarray, v_gs: np.ndarray, v_ds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`MOSFET.evaluate` over an array of devices, bit for bit.
+
+    ``parameters`` comes from :func:`parameter_stack` (or a row selection of
+    it); ``v_gs`` and ``v_ds`` have its trailing shape.  Every ``+ - * /``
+    runs as a numpy ufunc, which performs the same IEEE operation as the
+    scalar statement it replaces.  ``exp``, ``log1p`` and ``**2`` stay per
+    element through :mod:`math` and Python's ``**``: numpy's SIMD ``exp`` and
+    ``log1p`` and its ``x * x`` squaring differ from libm in the last bit of
+    some values, which would break the content hashes of every circuit
+    result.  Both branches of each region test are computed and the scalar
+    path's branch is selected, so the answer is the scalar one element by
+    element.
+    """
+    sign, threshold, beta, lam, slope = parameters
+    with np.errstate(all="ignore"):
+        vgs_n = sign * v_gs
+        vds_n = sign * v_ds
+        # Reverse conduction: drain and source swap roles (see evaluate).
+        reverse = ~(vds_n >= 0.0)
+        vgs = np.where(reverse, vgs_n - vds_n, vgs_n)
+        vds = np.where(reverse, -vds_n, vds_n)
+
+        # Softplus effective overdrive (see _normal_mode).  Every
+        # transcendental argument the scalar path would not evaluate is
+        # replaced by 0.0 first, so no math call can overflow.
+        overdrive = vgs - threshold
+        x = overdrive / slope
+        high = x > 30.0
+        low = x < -30.0
+        middle = ~(high | low)
+        e_pos = _per_element(math.exp, np.where(high, 0.0, x))
+        e_neg = _per_element(math.exp, np.where(middle, -x, 0.0))
+        v_eff = np.where(
+            high, overdrive, slope * np.where(low, e_pos, _per_element(math.log1p, e_pos))
+        )
+        dv_eff = np.where(high, 1.0, np.where(low, e_pos, 1.0 / (1.0 + e_neg)))
+
+        triode = vds < v_eff
+        squared = _per_element(_square, np.where(triode, vds, v_eff))
+        clm = 1.0 + lam * vds
+
+        core = v_eff * vds - 0.5 * squared
+        i_f = np.where(triode, beta * core * clm, 0.5 * beta * squared * clm)
+        d_vg = np.where(
+            triode, beta * vds * clm * dv_eff, beta * v_eff * clm * dv_eff
+        )
+        d_vd = np.where(
+            triode,
+            beta * (v_eff - vds) * clm + beta * core * lam,
+            0.5 * beta * squared * lam,
+        )
+
+        i_n = np.where(reverse, -i_f, i_f)
+        d_vgs_n = np.where(reverse, -d_vg, d_vg)
+        d_vds_n = np.where(reverse, d_vg + d_vd, d_vd)
+        return sign * i_n, d_vgs_n, d_vds_n

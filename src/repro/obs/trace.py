@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -56,6 +57,12 @@ TRACE_HEADER = "X-Repro-Trace"
 _SINK_PATH: str | None = None
 _SINK_FD: int | None = None
 _SINK_PID: int | None = None
+
+# Blocks inside activate_carrier that use a carrier's sink adopted because
+# none was configured.  Threads of one process share that sink, so it is
+# cleared when the last of them exits, not when the adopting one does.
+_ADOPT_LOCK = threading.Lock()
+_ADOPTED = 0
 
 # (trace_id, span_id) of the innermost open span; context-local so
 # concurrent threads (thread executor, HTTP handler threads) each see
@@ -253,11 +260,13 @@ def activate_carrier(carrier: Mapping[str, Any] | None) -> Iterator[None]:
     """Adopt a remote carrier: spans in the block join its trace.
 
     If this process has no sink configured, the carrier's sink is used
-    for the duration of the block (and restored afterwards) -- that is
-    how daemon and pool-worker processes end up writing into the
-    submitting client's trace file.  ``None`` or malformed carriers are
-    ignored, so call sites never need to guard.
+    for the duration of the block and cleared afterwards -- that is how
+    daemon and pool-worker processes end up writing into the submitting
+    client's trace file.  Concurrent blocks on several threads share the
+    adopted sink until the last of them exits.  ``None`` or malformed
+    carriers are ignored, so call sites never need to guard.
     """
+    global _ADOPTED
     if (
         not isinstance(carrier, Mapping)
         or not carrier.get("trace_id")
@@ -265,18 +274,26 @@ def activate_carrier(carrier: Mapping[str, Any] | None) -> Iterator[None]:
     ):
         yield
         return
-    restore_sink = False
-    previous_sink: str | None = None
-    if _SINK_PATH is None and carrier.get("sink"):
-        previous_sink = configure_tracing(str(carrier["sink"]))
-        restore_sink = True
+    adopted = False
+    if carrier.get("sink"):
+        with _ADOPT_LOCK:
+            if _SINK_PATH is None:
+                configure_tracing(str(carrier["sink"]))
+                adopted = True
+            elif _ADOPTED:
+                adopted = True
+            if adopted:
+                _ADOPTED += 1
     token = _CONTEXT.set((str(carrier["trace_id"]), str(carrier["span_id"])))
     try:
         yield
     finally:
         _CONTEXT.reset(token)
-        if restore_sink:
-            configure_tracing(previous_sink)
+        if adopted:
+            with _ADOPT_LOCK:
+                _ADOPTED -= 1
+                if not _ADOPTED:
+                    configure_tracing(None)
 
 
 def carrier_to_header(carrier: Mapping[str, Any]) -> str:

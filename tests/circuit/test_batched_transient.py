@@ -7,11 +7,15 @@ path produces for the same job, so batching can never perturb a result,
 a content hash, or a cache key.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.batched import (
     TransientJob,
+    _Batch,
     batched_transient_analysis,
     topology_signature,
 )
@@ -21,9 +25,13 @@ from repro.circuit.delay import (
 )
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import MNAAssembler
+from repro.circuit.mosfet import MOSFETParameters
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
-from repro.core.line import DistributedRC
+from repro.core.doping import DopingProfile
+from repro.core.line import DistributedRC, InterconnectLine
+from repro.core.mwcnt import MWCNTInterconnect
+from repro.units import nm, um
 
 
 def _line(contact_resistance: float, n_segments: int = 8) -> DistributedRC:
@@ -65,6 +73,22 @@ def _assert_results_identical(batched, serial):
             assert np.array_equal(got.voltage(node), want.voltage(node)), node
 
 
+def _assert_stacked_kernel_matches_serial(jobs):
+    """The stacked kernel itself (no serial fallback), byte for byte."""
+    for got, job in zip(_Batch(jobs, None).run(), jobs):
+        want = transient_analysis(
+            job.circuit,
+            job.stop_time,
+            job.time_step,
+            method=job.method,
+            use_dc_start=job.use_dc_start,
+        )
+        for node in want.node_voltages:
+            assert got.voltage(node).tobytes() == want.voltage(node).tobytes(), node
+        for source in want.source_currents:
+            assert got.current(source).tobytes() == want.current(source).tobytes()
+
+
 class TestBatchedTransient:
     def test_bitwise_identical_to_serial(self):
         contacts = [1e3, 5e3, 2e4, 1e5]
@@ -74,6 +98,54 @@ class TestBatchedTransient:
             for job in _jobs(contacts)
         ]
         _assert_results_identical(batched, serial)
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    @pytest.mark.parametrize("capacitors", [True, False])
+    @pytest.mark.parametrize("inductor", [True, False])
+    def test_stacked_kernel_covers_every_element(self, method, capacitors, inductor):
+        """Every element kind and both integration methods."""
+
+        def circuit(resistance):
+            c = Circuit("element probe")
+            add_supply(c, NODE_45NM)
+            c.add_voltage_source("vin", "in", "0", Step(0.0, 1.0, rise_time=5e-12))
+            c.add_current_source("ib", "n3", "0", Step(0.0, 1e-6, rise_time=5e-12))
+            Inverter("drv", "in", "n1", technology=NODE_45NM).add_to(c)
+            c.add_resistor("r1", "n1", "n2", resistance)
+            if inductor:
+                c.add_inductor("l1", "n2", "n3", 1e-10)
+            else:
+                c.add_resistor("r2", "n2", "n3", resistance)
+            if capacitors:
+                c.add_capacitor("c1", "n3", "0", 1e-15)
+                c.add_capacitor("c0", "n2", "0", 0.0)
+            c.add_resistor("rl", "n3", "0", 1e5)
+            return c
+
+        _assert_stacked_kernel_matches_serial(
+            [
+                TransientJob(circuit(resistance), 1e-10, 1e-12, method=method)
+                for resistance in (1e3, 2e3, 5e3)
+            ]
+        )
+
+    def test_stacked_kernel_damped_newton(self):
+        """A cold start on a 3 V supply drives damped Newton updates in some rows."""
+
+        def circuit(load):
+            c = Circuit("damping probe")
+            c.add_voltage_source("supply", "vdd", "0", 3.0)
+            c.add_voltage_source("vin", "in", "0", Step(3.0, 0.0, rise_time=5e-12))
+            Inverter("drv", "in", "out", technology=NODE_45NM).add_to(c)
+            c.add_capacitor("cl", "out", "0", load)
+            return c
+
+        _assert_stacked_kernel_matches_serial(
+            [
+                TransientJob(circuit(load), 5e-11, 1e-12, use_dc_start=False)
+                for load in (1e-15, 3e-15)
+            ]
+        )
 
     def test_mixed_topologies_grouped_independently(self):
         """Different segment counts land in different stacks, same answers."""
@@ -136,6 +208,184 @@ class TestBatchedDelay:
                 n_segments=6,
             ),
         ]
-        batched = fig12_records_batch(studies)
-        serial = [fig12_records(study) for study in studies]
-        assert batched == serial
+        oracle = [_fig12_serial_oracle(study) for study in studies]
+        assert fig12_records_batch(studies) == oracle
+        assert [fig12_records(study) for study in studies] == oracle
+
+    def test_variability_delay_matches_serial_oracle(self):
+        from repro.api import Engine
+
+        params = {"length_um": 10.0, "n_segments": 4, "n_time_steps": 120}
+        engine = Engine()
+        got = engine.run("variability_delay", **params).to_records()
+
+        upstream = engine.run("variability", length_um=params["length_um"])
+        device = MWCNTInterconnect(outer_diameter=nm(10.0), length=um(10.0))
+        capacitance = device.capacitance_per_length * um(10.0)
+        want = []
+        for row in upstream.to_records():
+            mean = row["mean_kohm"] * 1e3
+            sigma = row["std_kohm"] * 1e3
+            corners = {
+                "fast": max(mean - sigma, 0.05 * mean),
+                "mean": mean,
+                "slow": mean + sigma,
+            }
+            delays = {
+                corner: measure_inverter_line_delay(
+                    DistributedRC(
+                        total_resistance=resistance,
+                        total_capacitance=capacitance,
+                        n_segments=params["n_segments"],
+                    ),
+                    n_time_steps=params["n_time_steps"],
+                ).propagation_delay
+                for corner, resistance in corners.items()
+            }
+            for corner in ("fast", "mean", "slow"):
+                want.append(
+                    {
+                        "population": row["population"],
+                        "corner": corner,
+                        "resistance_kohm": corners[corner] / 1e3,
+                        "delay_ps": delays[corner] * 1e12,
+                        "delay_spread": delays[corner] / delays["mean"],
+                    }
+                )
+        assert len(want) == 6
+        assert got == want
+
+
+def _fig12_serial_oracle(study) -> list[dict]:
+    """Fig. 12 records from one dense transient per line, line by line.
+
+    The reference the stacked enumeration must reproduce bit for bit: it
+    walks the grid in record order through the unbatched
+    :func:`measure_inverter_line_delay`, reusing the pristine delay for
+    ``Nc = 2``.
+    """
+
+    def delay(diameter, length, channels):
+        doping = (
+            DopingProfile.pristine()
+            if channels == 2.0
+            else DopingProfile.from_channels(channels)
+        )
+        tube = MWCNTInterconnect(
+            outer_diameter=diameter * 1e-9,
+            length=length * 1e-6,
+            doping=doping,
+            contact_resistance=study.contact_resistance,
+        )
+        line = InterconnectLine(tube, n_segments=study.n_segments)
+        return measure_inverter_line_delay(
+            line, technology=study.technology
+        ).propagation_delay
+
+    records = []
+    for diameter in study.diameters_nm:
+        for length in study.lengths_um:
+            pristine = delay(diameter, length, 2.0)
+            for channels in study.channel_counts:
+                value = pristine if channels == 2.0 else delay(diameter, length, channels)
+                records.append(
+                    {
+                        "diameter_nm": diameter,
+                        "length_um": length,
+                        "channels_per_shell": channels,
+                        "delay_ps": value * 1e12,
+                        "delay_ratio": value / pristine,
+                        "delay_reduction_percent": 100.0 * (1.0 - value / pristine),
+                    }
+                )
+    return records
+
+def _probe_parameters(polarity: int, beta_scale: float = 1.0):
+    # Binary-exact threshold and slope, so x = (V_gs - V_th) / slope lands
+    # exactly on the +-30 softplus branch points for the probe voltages.
+    return MOSFETParameters(
+        polarity=polarity,
+        threshold_voltage=0.25,
+        transconductance=4e-4 * beta_scale,
+        width=1e-7,
+        length=5e-8,
+        subthreshold_slope=0.0625,
+    )
+
+
+def _stamp_probe_circuit(beta_scale: float) -> Circuit:
+    """NMOS and PMOS devices, with a grounded drain, gate and source each."""
+    n = _probe_parameters(+1, beta_scale)
+    p = _probe_parameters(-1, beta_scale)
+    circuit = Circuit("fused stamp probe")
+    circuit.add_mosfet("mn", "a", "b", "c", n)
+    circuit.add_mosfet("mp", "c", "b", "a", p)
+    circuit.add_mosfet("mn_d0", "0", "a", "b", n)
+    circuit.add_mosfet("mp_g0", "a", "0", "c", p)
+    circuit.add_mosfet("mn_s0", "b", "c", "0", n)
+    circuit.add_mosfet("mp_d0", "0", "c", "b", p)
+    circuit.add_mosfet("mp_s0", "c", "a", "0", p)
+    for node in ("a", "b", "c"):
+        circuit.add_resistor(f"r_{node}", node, "0", 1e3)
+    return circuit
+
+
+class TestFusedMosfetStamp:
+    """The stacked MOSFET stamp equals scalar ``evaluate`` + dense stamps."""
+
+    # Overdrives of exactly 30 and -30 softplus slopes (V_gs = 2.125 and
+    # -1.625 with V_th = 0.25, slope = 1/16), one ulp either side, for both
+    # polarities; signed zeros for V_ds = 0.0 / -0.0; plain values that give
+    # reverse conduction; and values whose square by ``**2`` (libm pow)
+    # differs from ``v * v`` in the last bit, as a triode V_ds and as a
+    # saturation V_eff = V_gs - V_th.
+    EDGES = (2.125, -1.625)
+    SQUARE_PROBES = (
+        next(v for v in np.linspace(0.5, 0.7, 2001).tolist() if v**2 != v * v),
+        next(
+            v
+            for v in np.linspace(1.9, 2.1, 2001).tolist()
+            if (v - 0.25) ** 2 != (v - 0.25) * (v - 0.25)
+        ),
+    )
+    VOLTAGES = sorted(
+        {
+            value
+            for edge in EDGES
+            for signed in (edge, -edge)
+            for value in (
+                signed,
+                float(np.nextafter(signed, np.inf)),
+                float(np.nextafter(signed, -np.inf)),
+            )
+        }
+        | {0.6, -0.4}
+        | set(SQUARE_PROBES)
+    ) + [0.0, -0.0]
+
+    def test_probe_voltages_hit_the_branch_points(self):
+        n = _probe_parameters(+1)
+        assert (2.125 - n.threshold_voltage) / n.subthreshold_slope == 30.0
+        assert (-1.625 - n.threshold_voltage) / n.subthreshold_slope == -30.0
+
+    def test_bitwise_equal_to_scalar_assembly(self):
+        circuits = [_stamp_probe_circuit(1.0), _stamp_probe_circuit(3.0)]
+        batch = _Batch([TransientJob(circuit, 1e-10, 1e-12) for circuit in circuits], None)
+        assert batch.size == 3
+
+        guesses = np.array(list(itertools.product(self.VOLTAGES, repeat=3)))
+        jobs = np.arange(len(guesses)) % len(circuits)
+        assert any(np.signbit(row).any() and (row == 0.0).any() for row in guesses)
+
+        matrices = batch.static_matrices[jobs]
+        rhs = np.zeros((len(guesses), batch.size))
+        batch._stamp_mosfets(matrices, rhs, batch.mos_params[:, jobs], guesses)
+
+        assemblers = [MNAAssembler(circuit) for circuit in circuits]
+        for row, (guess, job) in enumerate(zip(guesses, jobs)):
+            want_matrix, want_rhs = assemblers[job].assemble(
+                0.0, guess, capacitors_open=True
+            )
+            # Bytes, not a tolerance: signed zeros and the last bit count.
+            assert matrices[row].tobytes() == want_matrix.tobytes(), guess
+            assert rhs[row].tobytes() == want_rhs.tobytes(), guess

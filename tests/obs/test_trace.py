@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -137,6 +140,92 @@ class TestCarriers:
         spans = {span["name"]: span for span in _read_spans(sink)}
         assert spans["receiver"]["trace_id"] == sender.trace_id
         assert spans["receiver"]["parent_id"] == sender.span_id
+
+    def test_adopted_sink_outlives_the_first_thread_to_exit(self, tmp_path):
+        """Two threads adopt one carrier; the adopter exits first.
+
+        The second thread's span must still reach the sink, and the sink
+        is cleared only once both blocks have exited.
+        """
+        sink = str(tmp_path / "trace.jsonl")
+        with tracing(sink):
+            with trace_span("sender") as sender:
+                carrier = current_carrier()
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        errors: list[BaseException] = []
+
+        def first():
+            try:
+                with activate_carrier(carrier):
+                    first_in.set()
+                    assert second_in.wait(10)
+                    with trace_span("first"):
+                        pass
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                first_out.set()
+
+        def second():
+            try:
+                assert first_in.wait(10)
+                with activate_carrier(carrier):
+                    second_in.set()
+                    assert first_out.wait(10)
+                    assert trace_sink() == os.path.abspath(sink)
+                    with trace_span("second"):
+                        pass
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                second_in.set()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert not errors, errors
+        assert trace_sink() is None
+        spans = {span["name"]: span for span in _read_spans(sink)}
+        assert {"first", "second"} <= set(spans)
+        for name in ("first", "second"):
+            assert spans[name]["trace_id"] == sender.trace_id
+            assert spans[name]["parent_id"] == sender.span_id
+
+    def test_adopted_sink_under_thread_churn(self, tmp_path):
+        """Many threads entering and leaving one carrier lose no span."""
+        sink = str(tmp_path / "trace.jsonl")
+        with tracing(sink):
+            with trace_span("sender"):
+                carrier = current_carrier()
+        n_threads, n_rounds = 8, 25
+        start = threading.Barrier(n_threads)
+
+        def worker(index):
+            start.wait(10)
+            for round_ in range(n_rounds):
+                with activate_carrier(carrier):
+                    time.sleep(0.0005)  # let other threads enter and leave
+                    with trace_span(f"w{index}-{round_}"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,)) for index in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert trace_sink() is None
+        names = {span["name"] for span in _read_spans(sink)} - {"sender"}
+        assert len(names) == n_threads * n_rounds
 
     def test_activate_tolerates_none_and_garbage(self):
         for carrier in (None, {}, {"trace_id": "x"}, "junk", 17):
