@@ -1,9 +1,8 @@
 """Engine fan-out baseline: serial vs parallel sweep execution.
 
 Times the same Fig. 12 contact-resistance sweep (MNA transient mode,
-8 points) through the experiment engine's serial, thread-pool and
-process-pool executors, so future scaling PRs have a like-for-like perf
-baseline::
+8 points) through the experiment engine's serial and process-pool
+executors, so future scaling PRs have a like-for-like perf baseline::
 
     pytest benchmarks/bench_engine_parallel.py --benchmark-only
 
@@ -44,11 +43,6 @@ def test_engine_sweep_serial(once, benchmark):
     result = once(benchmark, _sweep, "serial")
     assert len(result) == len(SPEC) * 1 * 2 * 2  # points x D x L x Nc
     assert result.meta["executor"] == "serial"
-
-
-def test_engine_sweep_thread_pool(once, benchmark, serial_reference):
-    result = once(benchmark, _sweep, "thread", 4)
-    assert result == serial_reference
 
 
 def test_engine_sweep_process_pool(once, benchmark, serial_reference):

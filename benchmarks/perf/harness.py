@@ -10,9 +10,9 @@ The fast sides layer the optimisation rounds: PR 3 introduced the compiled
 sparse MNA path and the vectorised Monte Carlo; PR 8 adds Newton
 factorization reuse (``SolverOptions(newton="freeze")``, the
 ``newton_reuse`` case and the delay/crosstalk fast sides), stacked
-same-topology transient batching (``batched_sweep``), the engine's
-``batch`` executor (``engine_sweep``) and batched lease claims in the
-worker loop (``dist_workers``).
+same-topology transient batching (``batched_sweep``), stacked engine
+sweeps (``engine_sweep``) and batched lease claims in the worker loop
+(``dist_workers``).
 
 Modes
 -----
@@ -69,7 +69,7 @@ SPEEDUP_FLOORS = {
 """Acceptance floors (full mode only): ISSUE 3 for the first two, ISSUE 8
 for the rest.  ``engine_sweep`` and ``dist_workers`` run on whatever the
 host gives them (possibly one core), so their floors only assert that the
-batch executor / batched worker never *lose* to serial dispatch."""
+stacked sweep / batched worker never *lose* to per-point dispatch."""
 
 
 @dataclass
@@ -267,16 +267,26 @@ def case_crosstalk(smoke: bool) -> CaseResult:
 
 
 def case_engine_sweep(smoke: bool) -> CaseResult:
-    """Engine fan-out: serial dispatch vs the ``batch`` executor.
+    """Engine fan-out: one ``Engine.run`` per point vs a stacked sweep.
 
-    The same transient-heavy Fig. 12 sweep the PR-1 baseline used, but the
-    fast side now runs ``Engine(executor="batch")``: every pending point
-    feeds one stacked evaluation through the experiment's ``batch_fn``
-    (same-topology transients solve together), so the win does not depend
-    on spare cores.  Content-hash identity between the serial and batched
-    sweeps is the invariant -- the records must be float-identical, not
+    The same transient-heavy Fig. 12 sweep as the engine baseline.  The
+    reference side is the per-point work: one ``Engine().run("fig12", ...)``
+    per sweep point, its records tagged with the point as a sweep would.
+    The fast side is a default ``Engine().sweep``, which feeds every
+    pending point to one stacked evaluation through the experiment's
+    ``batch_fn`` (same-topology transients solve together), so the win
+    does not depend on spare cores.  It runs traced, and the case reports
+    how many points the ``engine.batch`` spans covered, which shows the
+    stacked path actually ran.  Content-hash identity between the two
+    sides is the invariant -- the records must be float-identical, not
     just close.
     """
+    import json
+    import tempfile
+
+    from repro.api import ResultSet
+    from repro.obs.trace import tracing
+
     contacts = [100e3, 250e3] if smoke else [50e3, 100e3, 150e3, 200e3, 300e3, 400e3]
     spec = SweepSpec.grid(contact_resistance=contacts)
     base = {
@@ -290,13 +300,28 @@ def case_engine_sweep(smoke: bool) -> CaseResult:
     # Warm-up: pay the one-time registry import outside the timed region.
     Engine().run("fig12", use_transient=False, **{k: v for k, v in base.items() if k != "use_transient"})
 
-    legacy_s, reference = _timed(lambda: Engine().sweep("fig12", spec, base_params=base))
-    fast_s, candidate = _timed(
-        lambda: Engine(executor="batch").sweep("fig12", spec, base_params=base)
+    def per_point_runs() -> ResultSet:
+        records = []
+        for point in spec.points():
+            result = Engine().run("fig12", {**base, **point})
+            records += [{**point, **record} for record in result.to_records()]
+        return ResultSet.from_records(records)
+
+    legacy_s, reference = _timed(per_point_runs)
+    with tempfile.TemporaryDirectory() as scratch:
+        sink = os.path.join(scratch, "trace.jsonl")
+        with tracing(sink):
+            fast_s, candidate = _timed(
+                lambda: Engine().sweep("fig12", spec, base_params=base)
+            )
+        with open(sink) as handle:
+            spans = [json.loads(line) for line in handle if line.strip()]
+    stacked_points = sum(
+        span["attrs"]["n_points"] for span in spans if span["name"] == "engine.batch"
     )
     if candidate.content_hash != reference.content_hash:
         raise AssertionError(
-            "batch-executor sweep is not content-hash identical to serial: "
+            "stacked sweep is not content-hash identical to per-point runs: "
             f"{candidate.content_hash} != {reference.content_hash}"
         )
     parity = 0.0 if candidate == reference else float("inf")
@@ -307,7 +332,7 @@ def case_engine_sweep(smoke: bool) -> CaseResult:
         parity_max_rel=parity,
         detail={
             "n_points": len(spec),
-            "executor": "batch",
+            "stacked_points": stacked_points,
             "content_hash": candidate.content_hash[:16],
         },
     )

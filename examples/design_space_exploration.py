@@ -10,8 +10,8 @@ phrased as declarative sweeps over the registered ``energy`` experiment:
    Cu-CNT composite) gives the best delay / energy / energy-delay product once
    each line is optimally repeated?
 2. How sensitive is the ranking to the metal-CNT contact resistance?  (A
-   ``SweepSpec.grid`` over the contact-resistance axis, fanned out over a
-   thread pool and answered from one columnar ResultSet.)
+   ``SweepSpec.grid`` over the contact-resistance axis, answered from one
+   columnar ResultSet.)
 3. How do Cu, CNT-bundle and composite through-silicon vias compare for 3-D
    integration (resistance, ampacity, thermal resistance)?
 
@@ -19,8 +19,7 @@ Run with ``python examples/design_space_exploration.py``.  The equivalent
 shell commands::
 
     python -m repro run energy -p lengths_um=100,500,1000,2000
-    python -m repro sweep energy --grid contact_resistance=5e3,20e3,100e3 \\
-        --executor thread
+    python -m repro sweep energy --grid contact_resistance=5e3,20e3,100e3
 """
 
 from repro.analysis.energy import best_material_per_length
@@ -31,7 +30,7 @@ from repro.core.tsv import tsv_comparison
 
 def main() -> None:
     lengths = (100.0, 500.0, 1000.0, 2000.0)
-    engine = Engine(executor="thread")
+    engine = Engine()
 
     print("1) Optimally repeated wires (45 nm node drivers)")
     result = engine.run("energy", lengths_um=lengths)

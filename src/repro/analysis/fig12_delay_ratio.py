@@ -125,8 +125,8 @@ def fig12_records_batch(studies: list[DelayRatioStudy]) -> list[list[dict]]:
     bit the per-line :func:`repro.circuit.delay.measure_inverter_line_delay`,
     so each study's records equal a line-by-line run of it.  Both the paper
     default (:func:`fig12_records`, ``Engine().run("fig12")``) and the
-    engine's ``batch`` executor, which stacks several pending sweep points,
-    come through here.
+    engine's sweeps, which stack several pending sweep points, come through
+    here.
     """
     requests: dict[tuple, None] = {}
     for study_index, study in enumerate(studies):

@@ -32,7 +32,7 @@ experiment with a typed parameter surface.  Any of them runs through the
 engine and its on-disk cache:
 
     python -m repro run <name> [-p key=value ...] [--cache-dir .repro-cache]
-    python -m repro sweep <name> --grid key=v1,v2 [--executor thread|process]
+    python -m repro sweep <name> --grid key=v1,v2 [--executor process]
     python -m repro study run <study>    # composite pipelines (consumes DAGs)
     python -m repro campaign run <name> --objective col   # adaptive search
     python -m repro cache stats          # inspect the memoisation cache

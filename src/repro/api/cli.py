@@ -12,7 +12,8 @@ Subcommands
     ``--csv`` / ``--json`` write the ResultSet to files.
 ``sweep NAME (--grid | --zip) key=v1,v2 ...``
     Expand a declarative sweep and fan it out, optionally in parallel
-    (``--executor thread|process --workers N``).  Per-point progress is
+    (``--executor process --workers N``); the points of an experiment with
+    a ``batch_fn`` run as stacked evaluations.  Per-point progress is
     streamed to stderr as results land; failed points keep the completed
     ones (partial results are printed and exported, exit code 1).
     ``--shards N --shard-index i`` runs one deterministic slice of the
@@ -250,12 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("name", help="experiment name (see `list`)")
     add_sweep_axes(sweep)
     sweep.add_argument("--executor", choices=EXECUTORS, default="serial")
-    sweep.add_argument("--workers", type=int, default=None, help="pool size for parallel executors")
-    sweep.add_argument(
-        "--profile", action="store_true",
-        help="record per-point wall/solve/dispatch timings into each point's "
-        "meta (and a sweep-level aggregate), queryable via `repro query`",
-    )
+    sweep.add_argument("--workers", type=int, default=None, help="process pool size")
     sweep.add_argument(
         "--no-progress", action="store_true",
         help="suppress the per-point progress lines on stderr",
@@ -479,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_run.add_argument("--executor", choices=EXECUTORS, default="serial")
     study_run.add_argument(
-        "--workers", type=int, default=None, help="pool size for parallel executors"
+        "--workers", type=int, default=None, help="process pool size"
     )
     study_run.add_argument(
         "--no-progress", action="store_true",
@@ -842,7 +838,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=_resolved_store(args),
         executor=args.executor,
         max_workers=args.workers,
-        profile=args.profile,
     ) as engine:
         try:
             result = engine.sweep(

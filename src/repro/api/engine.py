@@ -1,4 +1,4 @@
-"""Execution engine: serial / pooled experiment runs with on-disk memoisation.
+"""Execution engine: serial / process-pool experiment runs with on-disk memoisation.
 
 The :class:`Engine` is the single entry point that turns a registered
 :class:`~repro.api.experiment.Experiment` plus parameters into a
@@ -6,12 +6,12 @@ The :class:`Engine` is the single entry point that turns a registered
 
 * ``run(name, **params)`` -- one experiment execution,
 * ``sweep(name, spec)`` -- fan a :class:`~repro.api.sweep.SweepSpec` out over
-  the experiment, serially, through a ``concurrent.futures`` thread/process
-  pool with per-point future submission (optionally chunked), or through the
-  ``batch`` executor, which hands all pending points of an experiment that
-  declares a ``batch_fn`` to one stacked evaluation
-  (:meth:`~repro.api.experiment.Experiment.run_batch`) and falls back to
-  point-by-point execution otherwise,
+  the experiment, in the coordinating process (``serial``) or through a warm
+  process pool (``process``).  Either way the pending points of an
+  experiment that declares a ``batch_fn`` are stacked into
+  :meth:`~repro.api.experiment.Experiment.run_batch` calls -- one stack
+  inline, at most ``max_workers`` stacks on the pool, per-point fallback if
+  a stack raises -- and every other point runs on its own,
 * ``iter_sweep(name, spec)`` -- the streaming form of ``sweep``: a generator
   yielding one :class:`SweepPoint` per sweep point *as it completes* (cache
   hits first, then executed points in completion order), so callers can
@@ -57,7 +57,7 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -77,14 +77,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.dist.shards import ShardPlan
     from repro.dist.store import ResultStore
 
-EXECUTORS = ("serial", "thread", "process", "batch")
-
-TARGET_CHUNK_SECONDS = 0.25
-"""Per-pool-task compute budget ``chunk_size="auto"`` aims for.
-
-Large enough that a chunk's pickling/dispatch overhead (sub-millisecond) is
-noise, small enough that streaming consumers still see results at a useful
-cadence and the pool stays load-balanced."""
+EXECUTORS = ("serial", "process")
 
 # Per-stage parameter overrides, keyed by experiment name (a Study's params).
 StageParams = Mapping[str, Mapping[str, Any]]
@@ -112,11 +105,9 @@ def cache_key(
 
 
 # One executed sweep point before tagging: (records, error message, wall
-# time, profile block or None).  ``records`` is None exactly when ``error``
-# is set; capturing the error as a string keeps the tuple picklable across
-# process-pool boundaries.  The profile block (``profile=True`` engines
-# only) carries the point's ``wall_s`` / ``solve_s`` / ``dispatch_s`` split.
-_Outcome = tuple[list[dict[str, Any]] | None, str | None, float, dict[str, float] | None]
+# time).  ``records`` is None exactly when ``error`` is set; capturing the
+# error as a string keeps the tuple picklable across process-pool boundaries.
+_Outcome = tuple[list[dict[str, Any]] | None, str | None, float]
 
 # One executable unit: (resolved params, injected upstream artifacts).
 _Task = tuple[dict[str, Any], dict[str, Any]]
@@ -139,61 +130,63 @@ def upstream_meta(
 
 
 def _run_outcomes(
-    run_with_inputs: Callable[..., list[dict[str, Any]]],
+    experiment: Experiment,
     tasks: list[_Task],
-    profile: bool = False,
     carrier: Mapping[str, Any] | None = None,
-    experiment: str = "",
 ) -> list[_Outcome]:
-    """Run sweep tasks one by one, capturing per-task failures.
+    """Run one group of sweep tasks, capturing per-task failures.
 
-    An exception in one point must not poison its siblings (that is the
-    partial-failure guarantee of ``sweep``), so each point's error is caught
-    and reported as data rather than raised.  With ``profile=True`` each
-    execution is wrapped in :func:`repro.circuit.compiled.profiled_solves`
-    so the outcome carries the point's solver wall time.
+    A group of several tasks is a stack (see :meth:`Engine._groups`): it runs
+    as one :meth:`Experiment.run_batch` call under an ``engine.batch`` span,
+    each point charged an equal share of the wall time.  If that call
+    raises, the group falls back to per-point runs, so each point's error is
+    attributed individually and a buggy batch function can cost speed but
+    never change results.
+
+    Each per-point run records an ``engine.point`` span.  An exception in one
+    point must not poison its siblings (that is the partial-failure guarantee
+    of ``sweep``), so each point's error is caught and reported as data
+    rather than raised.
 
     ``carrier`` is the tracing context of the submitting process
-    (:func:`repro.obs.current_carrier`): contextvars do not cross pool
-    boundaries -- thread or process -- so the span ancestry rides along
-    in the call instead, and each point records an ``engine.point`` span
-    under the submitter's sweep span.
+    (:func:`repro.obs.current_carrier`): contextvars do not cross the
+    process-pool boundary, so the span ancestry rides along in the call
+    instead and the spans nest under the submitter's sweep span.
     """
-    outcomes: list[_Outcome] = []
     with activate_carrier(carrier):
-        for params, inputs in tasks:
-            prof: dict[str, float] | None = None
+        if len(tasks) > 1:
             start = time.perf_counter()
-            with trace_span("engine.point", experiment=experiment) as span:
+            try:
+                with trace_span(
+                    "engine.batch", experiment=experiment.name, n_points=len(tasks)
+                ):
+                    records_list = experiment.run_batch([params for params, _ in tasks])
+            except Exception:
+                pass  # fall back to per-point runs below
+            else:
+                share = (time.perf_counter() - start) / len(tasks)
+                return [(records, None, share) for records in records_list]
+        outcomes: list[_Outcome] = []
+        for params, inputs in tasks:
+            start = time.perf_counter()
+            with trace_span("engine.point", experiment=experiment.name) as span:
                 try:
-                    if profile:
-                        from repro.circuit.compiled import profiled_solves
-
-                        with profiled_solves() as accumulator:
-                            records = run_with_inputs(inputs, params)
-                        prof = dict(accumulator)
-                    else:
-                        records = run_with_inputs(inputs, params)
+                    records = experiment.run_with_inputs(inputs, params)
                 except Exception as error:
                     message = f"{type(error).__name__}: {error}"
                     span.set("error", message)
-                    outcomes.append(
-                        (None, message, time.perf_counter() - start, None)
-                    )
+                    outcomes.append((None, message, time.perf_counter() - start))
                 else:
-                    outcomes.append(
-                        (records, None, time.perf_counter() - start, prof)
-                    )
+                    outcomes.append((records, None, time.perf_counter() - start))
     return outcomes
 
 
-def _execute_chunk(
+def _execute_group(
     name: str,
     tasks: list[_Task],
-    profile: bool = False,
     carrier: Mapping[str, Any] | None = None,
 ) -> list[_Outcome]:
-    """Run a chunk of sweep tasks in one pool task (amortises dispatch cost).
+    """Run one group of sweep tasks as a process-pool task.
 
     Importable (not a closure) so process pools can pickle it; the worker
     rebuilds the registry by name via :func:`ensure_registered`.  Injected
@@ -201,13 +194,7 @@ def _execute_chunk(
     columns + meta), so pool workers never touch the cache.
     """
     ensure_registered()
-    return _run_outcomes(
-        get_experiment(name).run_with_inputs,
-        tasks,
-        profile=profile,
-        carrier=carrier,
-        experiment=name,
-    )
+    return _run_outcomes(get_experiment(name), tasks, carrier)
 
 
 @dataclass(frozen=True)
@@ -292,40 +279,22 @@ class Engine:
         :class:`~repro.dist.sqlstore.SqliteStore`, a directory path a
         :class:`~repro.dist.store.SharedStore`.
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"`` or ``"batch"``
-        -- how sweep points are fanned out.  ``"batch"`` executes in the
-        coordinating process like ``"serial"``, but routes every pending
-        point of an experiment that declares a ``batch_fn`` through one
-        stacked :meth:`~repro.api.experiment.Experiment.run_batch` call
-        (points of experiments without one, and points needing injected
-        upstream artifacts, run point by point).  Single ``run`` calls
+        ``"serial"`` (default) or ``"process"`` -- where sweep points run.
+        ``"serial"`` executes in the coordinating process; ``"process"``
+        fans out over a process pool.  Under both, the pending points of an
+        experiment that declares a ``batch_fn`` (and needs no injected
+        upstream artifacts) are stacked into
+        :meth:`~repro.api.experiment.Experiment.run_batch` calls: one stack
+        inline, at most ``max_workers`` stacks on the pool.  Every other
+        point runs on its own (one pool future per point), which is what
+        lets :meth:`iter_sweep` stream point by point.  Single ``run`` calls
         always execute inline.
     max_workers:
-        Pool size for the parallel executors (default: ``os.cpu_count()``).
-    chunk_size:
-        Sweep points per pool task.  ``None`` (default) submits one future
-        per point, which is what lets :meth:`iter_sweep` stream
-        point-granularly under the pooled executors (the process pool
-        pre-imports the registry through a worker initializer, so the
-        per-task dispatch cost stays small).  Set a larger value to batch
-        very cheap points and amortise pickling overhead, or ``"auto"`` to
-        size chunks from the measured per-point cost (targeting
-        :data:`TARGET_CHUNK_SECONDS` of compute per pool task, capped so
-        every worker still gets several chunks).  Under the ``batch``
-        executor ``None``/``"auto"`` stack *all* pending batchable points
-        into one evaluation and an integer caps the stack size.
-    profile:
-        When True, every executed point's ResultSet records a
-        ``meta["profile"]`` block splitting the point's cost into
-        ``wall_s`` (experiment execution), ``solve_s`` (time inside the
-        compiled MNA solver; in-process executors only) and ``dispatch_s``
-        (executor queueing/dispatch overhead share), and ``sweep`` adds an
-        aggregated block to the combined ResultSet's meta.  Profile blocks
-        live in meta, so content hashes and cache keys are unaffected.
+        Process pool size (default: ``os.cpu_count()``).
 
-    Pools are kept warm: consecutive sweeps through one engine reuse the
-    executor pool instead of re-spawning workers per call.  ``close()``
-    (or using the engine as a context manager) shuts the pools down.
+    The pool is kept warm: consecutive sweeps through one engine reuse it
+    instead of re-spawning workers per call.  ``close()`` (or using the
+    engine as a context manager) shuts it down.
     """
 
     def __init__(
@@ -333,21 +302,12 @@ class Engine:
         cache_dir: str | None = None,
         executor: str = "serial",
         max_workers: int | None = None,
-        chunk_size: int | str | None = None,
         store: "ResultStore | str | None" = None,
-        profile: bool = False,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; use one of {EXECUTORS}")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive")
-        if isinstance(chunk_size, str):
-            if chunk_size != "auto":
-                raise ValueError(
-                    f"chunk_size must be a positive int, None or 'auto', got {chunk_size!r}"
-                )
-        elif chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if store is not None and cache_dir is not None:
             raise ValueError("pass either cache_dir or store, not both")
         if isinstance(store, str):
@@ -364,24 +324,19 @@ class Engine:
         self.cache_dir = None if store is None else store.directory
         self.executor = executor
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunk_size = chunk_size
-        self.profile = profile
         self.cache_hits = 0
         self.cache_misses = 0
-        # Warm executor pools, keyed by kind ("thread"/"process"), with the
-        # worker count they were created at; see _get_pool.
-        self._pools: dict[str, tuple[Any, int]] = {}
-        # Exponential moving average of the per-point wall time, feeding
-        # chunk_size="auto".
-        self._point_cost_ema: float | None = None
+        # The warm process pool and the worker count it was created at; see
+        # _get_pool.
+        self._pool: tuple[ProcessPoolExecutor, int] | None = None
 
     # --- pool lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down any warm executor pools (idempotent)."""
-        pools, self._pools = self._pools, {}
-        for pool, _ in pools.values():
-            pool.shutdown(wait=True, cancel_futures=True)
+        """Shut down the warm process pool (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool[0].shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "Engine":
         return self
@@ -391,13 +346,13 @@ class Engine:
 
     def __del__(self) -> None:
         try:
-            for pool, _ in self._pools.values():
-                pool.shutdown(wait=False, cancel_futures=True)
+            if self._pool is not None:
+                self._pool[0].shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
 
-    def _get_pool(self, workers: int) -> Any:
-        """The warm pool for the current executor, (re)built when too small.
+    def _get_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The warm process pool, (re)built when too small.
 
         Re-dispatching through one long-lived pool is what removes the
         per-sweep worker spawn cost (process fork + registry import) that
@@ -405,42 +360,16 @@ class Engine:
         execution.  A cached pool is reused whenever it has at least the
         requested worker count; a too-small one is replaced.
         """
-        cached = self._pools.get(self.executor)
-        if cached is not None and cached[1] >= workers:
-            return cached[0]
-        if cached is not None:
-            cached[0].shutdown(wait=False, cancel_futures=True)
-        if self.executor == "thread":
-            pool: Any = ThreadPoolExecutor(max_workers=workers)
-        else:
-            # Import the registry once per worker at startup instead of per
-            # submitted task -- with per-point futures the task count equals
-            # the point count, so per-task work must stay minimal.
-            pool = ProcessPoolExecutor(max_workers=workers, initializer=ensure_registered)
-        self._pools[self.executor] = (pool, workers)
+        if self._pool is not None and self._pool[1] >= workers:
+            return self._pool[0]
+        if self._pool is not None:
+            self._pool[0].shutdown(wait=False, cancel_futures=True)
+        # Import the registry once per worker at startup instead of per
+        # submitted task -- non-stacked points get one future each, so
+        # per-task work must stay minimal.
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=ensure_registered)
+        self._pool = (pool, workers)
         return pool
-
-    def _observe_point_cost(self, elapsed: float) -> None:
-        """Feed one executed point's wall time into the auto-chunk EMA."""
-        if self._point_cost_ema is None:
-            self._point_cost_ema = elapsed
-        else:
-            self._point_cost_ema = 0.5 * self._point_cost_ema + 0.5 * elapsed
-
-    def _finalize_outcome(self, outcome: _Outcome, dispatch_s: float) -> _Outcome:
-        """Record the point cost and attach the profile block (if profiling)."""
-        records, error, elapsed, prof = outcome
-        self._observe_point_cost(elapsed)
-        metrics.counter("repro_points_executed_total", executor=self.executor).inc()
-        metrics.histogram("repro_point_wall_seconds").observe(elapsed)
-        if not self.profile:
-            return (records, error, elapsed, None)
-        profile = {
-            "wall_s": elapsed,
-            "solve_s": (prof or {}).get("solve_s", 0.0),
-            "dispatch_s": dispatch_s,
-        }
-        return (records, error, elapsed, profile)
 
     # --- cache ------------------------------------------------------------
 
@@ -772,21 +701,6 @@ class Engine:
 
         meta = self._meta(experiment, dict(base_params or {}), elapsed)
         meta["sweep"] = spec.to_meta()
-        if self.profile:
-            blocks = [
-                completed[index].result.meta["profile"]
-                for index in selected
-                if completed[index].ok
-                and not completed[index].cache_hit
-                and completed[index].result is not None
-                and "profile" in completed[index].result.meta
-            ]
-            meta["profile"] = {
-                "points_profiled": len(blocks),
-                "wall_s": sum(block.get("wall_s", 0.0) for block in blocks),
-                "solve_s": sum(block.get("solve_s", 0.0) for block in blocks),
-                "dispatch_s": sum(block.get("dispatch_s", 0.0) for block in blocks),
-            }
         if shard is not None:
             meta["shard"] = {
                 "n_shards": shard.n_shards,
@@ -817,11 +731,11 @@ class Engine:
         """Stream a sweep: yield one :class:`SweepPoint` per point as it lands.
 
         Cache hits are yielded first (in sweep order, they are free), then
-        executed points in completion order -- under the thread and process
-        executors a fast point is yielded while slower ones are still
-        running.  A failed point is yielded with ``error`` set instead of
-        aborting the generator, so consumers always see every point exactly
-        once; ``SweepPoint.index`` maps it back to ``spec.points()`` order.
+        executed points in completion order -- under the process executor a
+        fast point is yielded while slower ones are still running (the
+        points of one ``batch_fn`` stack land together).  A failed point is
+        yielded with ``error`` set instead of aborting the generator, so
+        consumers always see every point exactly once; ``SweepPoint.index`` maps it back to ``spec.points()`` order.
         With ``shard`` set, only the shard's slice of the sweep is streamed
         (indices still refer to the full ``spec.points()`` order).
 
@@ -928,7 +842,7 @@ class Engine:
             }
             for index in pending
         }
-        for index, (records, error, elapsed, prof) in self._execute_pending(
+        for index, (records, error, elapsed) in self._execute_pending(
             experiment, tasks, pending
         ):
             if error is not None:
@@ -943,8 +857,6 @@ class Engine:
             meta = self._meta(
                 experiment, resolved_points[index], elapsed, upstream_by_index[index]
             )
-            if prof is not None:
-                meta["profile"] = prof
             result = ResultSet.from_records(records, meta=meta)
             self._cache_store(paths[index], result)
             yield SweepPoint(
@@ -969,8 +881,8 @@ class Engine:
         upstream invocations, recurse (so transitively deeper stages run
         first) and fan the still-unmemoised invocations out through
         :meth:`_execute_pending` -- the exact machinery downstream points
-        use, so a thread/process engine parallelises every stage, not just
-        the last one.  Failures are *not* raised here: the per-point
+        use, so a process engine parallelises every stage, not just the
+        last one.  Failures are *not* raised here: the per-point
         injection pass re-resolves and attributes the error to exactly the
         dependent downstream points.
         """
@@ -1028,7 +940,7 @@ class Engine:
             if pending:
                 self._count_cache("miss", len(pending))
 
-            for slot, (records, error, elapsed, prof) in self._execute_pending(
+            for slot, (records, error, elapsed) in self._execute_pending(
                 upstream, stage_tasks, pending
             ):
                 if error is not None:
@@ -1039,47 +951,47 @@ class Engine:
                 stage_meta = self._meta(
                     upstream, stage_tasks[slot][0], elapsed, stage_upstream[slot]
                 )
-                if prof is not None:
-                    stage_meta["profile"] = prof
                 result = ResultSet.from_records(records, meta=stage_meta)
                 self._cache_store(stage_paths[slot], result)
                 memo[memo_keys[slot]] = result
 
     # --- helpers ----------------------------------------------------------
 
-    def _auto_chunk_size(self, n_pending: int) -> int:
-        """Chunk size targeting :data:`TARGET_CHUNK_SECONDS` per pool task.
+    def _groups(
+        self, experiment: Experiment, tasks: dict[int, _Task], pending: list[int]
+    ) -> list[list[int]]:
+        """Split pending point indices into execution groups.
 
-        Derived from the measured per-point cost EMA (1 until anything has
-        been measured), and capped so every worker still receives at least
-        two chunks -- a single giant chunk would serialise the sweep behind
-        one worker no matter how cheap the points are.
+        The points of an experiment with a ``batch_fn`` that need no
+        injected inputs form stacks -- one under ``serial``, at most
+        ``max_workers`` contiguous ones under ``process`` -- that
+        :func:`_run_outcomes` evaluates through one ``run_batch`` call each.
+        Every other point is a group of its own, so its result streams back
+        the moment it finishes.
         """
-        cost = self._point_cost_ema
-        if cost is None or cost <= 0.0:
-            return 1
-        by_cost = int(TARGET_CHUNK_SECONDS / cost)
-        balance_cap = n_pending // (2 * self.max_workers)
-        return max(1, min(by_cost, max(1, balance_cap)))
-
-    def _chunks(self, pending: list[int]) -> list[list[int]]:
-        """Split pending point indices into pool tasks.
-
-        With ``chunk_size=None`` every point is its own task: a fast point's
-        result streams back the moment it finishes instead of waiting for
-        chunk-mates, which is the point-granular latency :meth:`iter_sweep`
-        promises.  An explicit ``chunk_size`` restores batched submission
-        for workloads whose per-point cost is dwarfed by dispatch overhead;
-        ``"auto"`` picks that size from the measured point cost.
-        """
-        if self.chunk_size is None:
-            return [[index] for index in pending]
-        size = (
-            self._auto_chunk_size(len(pending))
-            if self.chunk_size == "auto"
-            else self.chunk_size
+        batchable = (
+            [index for index in pending if not tasks[index][1]]
+            if experiment.batch_fn is not None
+            else []
         )
-        return [pending[i : i + size] for i in range(0, len(pending), size)]
+        stacked = set(batchable)
+        groups = [[index] for index in pending if index not in stacked]
+        if batchable:
+            n_stacks = 1 if self.executor == "serial" else self.max_workers
+            size = -(-len(batchable) // n_stacks)
+            groups += [
+                batchable[i : i + size] for i in range(0, len(batchable), size)
+            ]
+        return groups
+
+    def _observed(
+        self, group: list[int], outcomes: list[_Outcome]
+    ) -> Iterator[tuple[int, _Outcome]]:
+        """Pair a group's outcomes with its point indices, counting each point."""
+        for index, outcome in zip(group, outcomes):
+            metrics.counter("repro_points_executed_total", executor=self.executor).inc()
+            metrics.histogram("repro_point_wall_seconds").observe(outcome[2])
+            yield index, outcome
 
     def _execute_pending(
         self,
@@ -1091,179 +1003,70 @@ class Engine:
 
         ``tasks`` maps each pending index to its ``(resolved params,
         injected inputs)`` pair -- inputs are empty for self-contained
-        experiments.  Serial execution yields in sweep order; the pooled
-        executors submit one future per point by default (see
-        :meth:`_chunks`) and yield each future's points as it completes,
-        which is what makes :meth:`iter_sweep` stream point-granularly under
-        parallel execution.
+        experiments.  The points run in the groups of :meth:`_groups`:
+        inline in group order, or one pool task per group under the
+        ``process`` executor, yielded as each task completes -- which is
+        what makes :meth:`iter_sweep` stream under parallel execution.
         """
         if not pending:
             return
-        if self.executor == "batch":
-            yield from self._execute_batched(experiment, tasks, pending)
-            return
-        if self.executor == "serial" or len(pending) == 1:
+        groups = self._groups(experiment, tasks, pending)
+        if self.executor == "serial" or len(groups) == 1:
             # Execute through the instance itself so ad-hoc (unregistered)
             # Experiment objects behave exactly like in run().
-            for index in pending:
-                outcome = _run_outcomes(
-                    experiment.run_with_inputs,
-                    [tasks[index]],
-                    profile=self.profile,
-                    experiment=experiment.name,
-                )[0]
-                yield index, self._finalize_outcome(outcome, 0.0)
+            for group in groups:
+                outcomes = _run_outcomes(experiment, [tasks[i] for i in group])
+                yield from self._observed(group, outcomes)
             return
 
-        if self.executor == "process":
-            # Process workers rebuild the registry by name; an instance that
-            # is not the registered one would silently execute the wrong
-            # function (and poison the cache), so refuse early.
-            ensure_registered()
-            from repro.api.experiment import _REGISTRY
+        # Process workers rebuild the registry by name; an instance that is
+        # not the registered one would silently execute the wrong function
+        # (and poison the cache), so refuse early.
+        ensure_registered()
+        from repro.api.experiment import _REGISTRY
 
-            if _REGISTRY.get(experiment.name) is not experiment:
-                raise ValueError(
-                    f"the process executor needs a registered experiment; "
-                    f"{experiment.name!r} is not the registered instance "
-                    "(use executor='thread'/'serial' for ad-hoc experiments)"
-                )
+        if _REGISTRY.get(experiment.name) is not experiment:
+            raise ValueError(
+                f"the process executor needs a registered experiment; "
+                f"{experiment.name!r} is not the registered instance "
+                "(use executor='serial' for ad-hoc experiments)"
+            )
 
-        chunks = self._chunks(pending)
-        pool = self._get_pool(min(self.max_workers, len(chunks)))
-        # Pool workers (threads included) start with an empty contextvars
-        # context, so the trace ancestry rides along explicitly.  The
-        # profile flag rides the same way: pool-side execution is where
-        # solve_s accrues, so dropping it there zeroed every pooled
-        # point's solver share.
+        pool = self._get_pool(min(self.max_workers, len(groups)))
+        # Pool workers start with an empty contextvars context, so the trace
+        # ancestry rides along explicitly.
         carrier = current_carrier()
-        if self.executor == "thread":
-            # Threads share the interpreter: execute through the instance
-            # (ad-hoc experiments included), no registry round-trip.
-            def submit(chunk_tasks):
-                return pool.submit(
-                    _run_outcomes,
-                    experiment.run_with_inputs,
-                    chunk_tasks,
-                    self.profile,
-                    carrier,
-                    experiment.name,
-                )
-
-        else:
-            def submit(chunk_tasks):
-                return pool.submit(
-                    _execute_chunk, experiment.name, chunk_tasks, self.profile, carrier
-                )
-
-        future_to_chunk: dict[Any, list[int]] = {}
+        future_to_group: dict[Any, list[int]] = {}
         submitted_at: dict[Any, float] = {}
-        for chunk in chunks:
+        for group in groups:
             start = time.perf_counter()
-            future = submit([tasks[i] for i in chunk])
-            future_to_chunk[future] = chunk
+            future = pool.submit(
+                _execute_group, experiment.name, [tasks[i] for i in group], carrier
+            )
+            future_to_group[future] = group
             submitted_at[future] = start
         try:
-            for future in as_completed(future_to_chunk):
-                chunk = future_to_chunk[future]
+            for future in as_completed(future_to_group):
+                group = future_to_group[future]
                 outcomes = future.result()
                 # ``received`` is taken *after* result(): everything between
-                # this chunk's own submission and holding its results that
+                # this group's own submission and holding its results that
                 # was not experiment compute -- pickling, queueing behind
-                # other chunks, result transfer/retrieval -- is dispatch
-                # overhead, shared evenly across the chunk's points, so
-                # wall_s + dispatch_s approximates the point's true cost.
+                # other groups, result transfer/retrieval -- is dispatch
+                # overhead.
                 received = time.perf_counter()
                 compute = sum(outcome[2] for outcome in outcomes)
-                dispatch = max(0.0, received - submitted_at[future] - compute) / len(
-                    chunk
-                )
                 metrics.counter(
                     "repro_dispatch_overhead_seconds_total", executor=self.executor
-                ).inc(dispatch * len(chunk))
-                for index, outcome in zip(chunk, outcomes):
-                    yield index, self._finalize_outcome(outcome, dispatch)
+                ).inc(max(0.0, received - submitted_at[future] - compute))
+                yield from self._observed(group, outcomes)
         finally:
             # A streaming consumer may abandon the generator mid-sweep
-            # (GeneratorExit lands here); cancel the queued chunks so the
+            # (GeneratorExit lands here); cancel the queued groups so the
             # warm pool stops computing the rest of the sweep for nobody.
             # The pool itself stays alive for the next sweep (see close()).
-            for future in future_to_chunk:
+            for future in future_to_group:
                 future.cancel()
-
-    def _execute_batched(
-        self,
-        experiment: Experiment,
-        tasks: dict[int, _Task],
-        pending: list[int],
-    ) -> Iterator[tuple[int, _Outcome]]:
-        """The ``batch`` executor: stacked evaluation of batchable points.
-
-        Points of an experiment with a ``batch_fn`` and no injected inputs
-        are stacked into :meth:`Experiment.run_batch` calls (all pending
-        points at once for ``chunk_size=None``/``"auto"``, capped stacks for
-        an integer ``chunk_size``); everything else runs point by point like
-        the serial executor.  A failing batch falls back to per-point
-        execution, so each point's error is attributed individually and a
-        buggy batch function can never change sweep results.
-        """
-        batchable = (
-            [index for index in pending if not tasks[index][1]]
-            if experiment.batch_fn is not None
-            else []
-        )
-        batch_set = set(batchable)
-        for index in pending:
-            if index in batch_set:
-                continue
-            outcome = _run_outcomes(
-                experiment.run_with_inputs,
-                [tasks[index]],
-                profile=self.profile,
-                experiment=experiment.name,
-            )[0]
-            yield index, self._finalize_outcome(outcome, 0.0)
-
-        if isinstance(self.chunk_size, int):
-            chunks = [
-                batchable[i : i + self.chunk_size]
-                for i in range(0, len(batchable), self.chunk_size)
-            ]
-        else:
-            chunks = [batchable] if batchable else []
-        for chunk in chunks:
-            start = time.perf_counter()
-            solve_share = 0.0
-            try:
-                with trace_span(
-                    "engine.batch", experiment=experiment.name, n_points=len(chunk)
-                ):
-                    if self.profile:
-                        from repro.circuit.compiled import profiled_solves
-
-                        with profiled_solves() as accumulator:
-                            records_list = experiment.run_batch(
-                                [tasks[index][0] for index in chunk]
-                            )
-                        solve_share = accumulator["solve_s"] / len(chunk)
-                    else:
-                        records_list = experiment.run_batch(
-                            [tasks[index][0] for index in chunk]
-                        )
-            except Exception:
-                for index in chunk:
-                    outcome = _run_outcomes(
-                        experiment.run_with_inputs,
-                        [tasks[index]],
-                        profile=self.profile,
-                        experiment=experiment.name,
-                    )[0]
-                    yield index, self._finalize_outcome(outcome, 0.0)
-                continue
-            elapsed = (time.perf_counter() - start) / len(chunk)
-            for index, records in zip(chunk, records_list):
-                prof = {"solve_s": solve_share} if self.profile else None
-                yield index, self._finalize_outcome((records, None, elapsed, prof), 0.0)
 
     def _meta(
         self,

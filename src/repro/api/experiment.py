@@ -273,9 +273,9 @@ class Experiment:
         Optional batched evaluator: a callable taking a *list* of resolved
         parameter dicts and returning one record list per dict, each
         float-identical to what ``fn`` would return for that dict alone.
-        The engine's ``batch`` executor routes pending sweep points through
-        it (see :meth:`run_batch`); experiments without one always run
-        point by point.  Only self-contained experiments (empty
+        Engine sweeps route their pending points through it in stacks (see
+        :meth:`run_batch`); experiments without one always run point by
+        point.  Only self-contained experiments (empty
         ``consumes``) may declare a ``batch_fn``.
     description:
         One-line summary for ``python -m repro list``.
@@ -400,7 +400,7 @@ class Experiment:
         normalised and validated exactly like a :meth:`run_with_inputs`
         return value.  Raises :class:`PipelineError` when no ``batch_fn``
         is declared or when it returns the wrong number of results --
-        callers (the engine's ``batch`` executor) fall back to per-point
+        callers (engine sweeps) fall back to per-point
         execution on any exception, so a buggy batch function can cost
         performance but never correctness.
         """

@@ -18,7 +18,7 @@ executable pipelines:
   ``python -m repro study run``.
 
 Execution is staged: the engine runs each upstream stage's distinct
-invocations first (through its usual serial/thread/process executors), then
+invocations first (through its usual serial/process executors), then
 injects the resulting :class:`~repro.api.results.ResultSet`\\ s into the
 downstream calls.  Cache keys chain through upstream *content hashes*, so
 changing an upstream parameter invalidates exactly the dependent stages while

@@ -61,8 +61,6 @@ knob through every signature.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
-from time import perf_counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -214,34 +212,6 @@ class SolverStats:
             "steps": self.steps,
             "refreshes": self.refreshes,
         }
-
-
-# Context-local so concurrently profiled blocks (one per thread-pool worker
-# under Engine(executor="thread", profile=True)) each accumulate their own
-# solver time instead of clobbering a shared module global.
-_PROFILE_ACCUMULATOR: ContextVar[dict[str, float] | None] = ContextVar(
-    "repro_profile_accumulator", default=None
-)
-
-
-@contextmanager
-def profiled_solves() -> Iterator[dict[str, float]]:
-    """Accumulate compiled-solver wall time for the duration of the block.
-
-    Yields a dict whose ``"solve_s"`` entry collects the wall-clock seconds
-    spent inside :meth:`CompiledMNA.solve_step` (assembly, factorization and
-    triangular solves) while the block is active.  The engine's ``profile``
-    mode wraps each experiment execution in this to split a sweep point's
-    wall time into solver vs. everything-else; when no block is active the
-    solver pays a single ``is None`` check per step.  The accumulator is
-    context-local (see above), so profiled blocks running concurrently in
-    pool threads stay independent.
-    """
-    token = _PROFILE_ACCUMULATOR.set({"solve_s": 0.0})
-    try:
-        yield _PROFILE_ACCUMULATOR.get()
-    finally:
-        _PROFILE_ACCUMULATOR.reset(token)
 
 
 def _gather(solution: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -618,30 +588,6 @@ class CompiledMNA:
         nonlinear circuits the resolved :class:`SolverOptions` decide between
         exact Newton and the frozen-factorization update.
         """
-        accumulator = _PROFILE_ACCUMULATOR.get()
-        if accumulator is not None:
-            start = perf_counter()
-            try:
-                return self._solve_step_impl(
-                    time, initial_guess, state, max_iterations, tolerance,
-                    damping_limit, options,
-                )
-            finally:
-                accumulator["solve_s"] += perf_counter() - start
-        return self._solve_step_impl(
-            time, initial_guess, state, max_iterations, tolerance, damping_limit, options
-        )
-
-    def _solve_step_impl(
-        self,
-        time: float,
-        initial_guess: np.ndarray,
-        state: ArrayState,
-        max_iterations: int,
-        tolerance: float,
-        damping_limit: float,
-        options: SolverOptions | None,
-    ) -> np.ndarray:
         self.stats.steps += 1
         if not self.nonlinear:
             _, rhs = self.assemble(time, initial_guess, state)

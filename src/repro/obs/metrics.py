@@ -17,9 +17,9 @@ the full table):
 name                                   kind       labels
 =====================================  =========  =============================
 repro_cache_events_total               counter    outcome=hit|miss
-repro_points_executed_total            counter    executor
+repro_points_executed_total            counter    executor=serial|process
 repro_point_wall_seconds               histogram  --
-repro_dispatch_overhead_seconds_total  counter    executor
+repro_dispatch_overhead_seconds_total  counter    executor=process
 repro_solver_steps_total               counter    --
 repro_solver_iterations_total          counter    --
 repro_solver_factorizations_total      counter    --

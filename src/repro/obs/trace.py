@@ -65,7 +65,7 @@ _ADOPT_LOCK = threading.Lock()
 _ADOPTED = 0
 
 # (trace_id, span_id) of the innermost open span; context-local so
-# concurrent threads (thread executor, HTTP handler threads) each see
+# concurrent threads (HTTP handler threads, worker heartbeats) each see
 # their own ancestry.
 _CONTEXT: contextvars.ContextVar[tuple[str, str] | None] = contextvars.ContextVar(
     "repro_trace_context", default=None

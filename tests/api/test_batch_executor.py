@@ -1,15 +1,21 @@
-"""Tests for the engine's ``batch`` executor and experiment ``batch_fn``.
+"""Tests for automatic ``batch_fn`` stacking in engine sweeps.
 
-The batch executor stacks same-experiment sweep points into one
-``Experiment.run_batch`` call.  Its contract: results, streaming
-behaviour, cache entries and content hashes are indistinguishable from
-the serial executor -- batching is purely a wall-clock optimisation.
+Every sweep stacks the pending points of an experiment that declares a
+``batch_fn`` into ``Experiment.run_batch`` calls: one stack inline under
+the default ``serial`` executor, at most ``max_workers`` stacks under
+``process``.  Its contract: results, streaming behaviour, cache entries and
+content hashes are indistinguishable from per-point ``Engine.run`` calls --
+stacking is purely a wall-clock optimisation.
 """
+
+import json
 
 import pytest
 
 from repro.api import Engine, ParamSpec, SweepSpec, register_experiment, unregister_experiment
+from repro.api.cli import main
 from repro.api.experiment import Consumes, PipelineError, get_experiment
+from repro.obs.trace import tracing
 
 BATCH_CALLS = {"batched": 0, "single": 0}
 
@@ -40,26 +46,42 @@ def batched_experiment():
 
 class TestBatchExecutor:
     def test_matches_serial_records_and_hash(self, batched_experiment):
+        """The stacked sweep equals one ``Engine.run`` per point, bit for bit."""
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0])
-        serial = Engine().sweep(batched_experiment, spec)
-        batch = Engine(executor="batch").sweep(batched_experiment, spec)
-        assert batch.to_records() == serial.to_records()
-        assert batch.content_hash == serial.content_hash
+        engine = Engine()
+        points = list(engine.iter_sweep(batched_experiment, spec))
+        assert BATCH_CALLS["batched"] == 1
+        for point in points:
+            alone = engine.run(batched_experiment, point.params)
+            assert point.result.to_records() == alone.to_records()
+            assert point.result.content_hash == alone.content_hash
 
     def test_points_are_stacked(self, batched_experiment):
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
-        Engine(executor="batch").sweep(batched_experiment, spec)
+        Engine().sweep(batched_experiment, spec)
         assert BATCH_CALLS["batched"] == 1
+        assert BATCH_CALLS["single"] == 3  # the batch_fn's own per-dict calls
 
-    def test_chunk_size_caps_stacks(self, batched_experiment):
-        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0, 5.0])
-        Engine(executor="batch", chunk_size=2).sweep(batched_experiment, spec)
-        assert BATCH_CALLS["batched"] == 3
+    def test_process_sweep_runs_at_most_max_workers_stacks(
+        self, batched_experiment, tmp_path
+    ):
+        sink = str(tmp_path / "trace.jsonl")
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0])
+        with tracing(sink):
+            with Engine(executor="process", max_workers=2) as engine:
+                pooled = engine.sweep(batched_experiment, spec)
+        with open(sink) as handle:
+            spans = [json.loads(line) for line in handle if line.strip()]
+        stacks = [span for span in spans if span["name"] == "engine.batch"]
+        assert 1 <= len(stacks) <= 2
+        assert sum(span["attrs"]["n_points"] for span in stacks) == len(spec)
+        assert not [span for span in spans if span["name"] == "engine.point"]
+        assert pooled.content_hash == Engine().sweep(batched_experiment, spec).content_hash
 
     def test_streaming_one_point_per_sweep_point(self, batched_experiment):
         seen = []
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
-        Engine(executor="batch").sweep(
+        Engine().sweep(
             batched_experiment, spec, on_result=lambda point: seen.append(point)
         )
         assert sorted(point.index for point in seen) == [0, 1, 2]
@@ -67,11 +89,11 @@ class TestBatchExecutor:
 
     def test_cache_shared_with_serial(self, batched_experiment, tmp_path):
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
-        batch_engine = Engine(executor="batch", cache_dir=str(tmp_path))
-        batch_engine.sweep(batched_experiment, spec)
+        Engine(cache_dir=str(tmp_path)).sweep(batched_experiment, spec)
         single_calls = BATCH_CALLS["single"]
-        serial_engine = Engine(cache_dir=str(tmp_path))
-        again = serial_engine.sweep(batched_experiment, spec)
+        again = Engine(cache_dir=str(tmp_path)).sweep(batched_experiment, spec)
+        for x in (1.0, 2.0, 3.0):
+            Engine(cache_dir=str(tmp_path)).run(batched_experiment, x=x)
         assert BATCH_CALLS["single"] == single_calls  # all cache hits
         assert sorted(record["x"] for record in again.to_records() if record["i"] == 0) == [
             1.0,
@@ -88,13 +110,16 @@ class TestBatchExecutor:
         )(plain)
         try:
             spec = SweepSpec.grid(x=[1.0, 2.0])
-            result = Engine(executor="batch").sweep("api_test_plain", spec)
+            result = Engine().sweep("api_test_plain", spec)
             assert sorted(record["x"] for record in result.to_records()) == [1.0, 2.0]
         finally:
             unregister_experiment("api_test_plain")
 
     def test_failing_batch_fn_falls_back_to_serial(self):
+        calls = {"single": 0}
+
         def single(x: float):
+            calls["single"] += 1
             return [{"x": x}]
 
         def exploding(param_dicts):
@@ -108,22 +133,24 @@ class TestBatchExecutor:
         )(single)
         try:
             spec = SweepSpec.grid(x=[1.0, 2.0])
-            result = Engine(executor="batch").sweep("api_test_exploding_batch", spec)
+            result = Engine().sweep("api_test_exploding_batch", spec)
             assert sorted(record["x"] for record in result.to_records()) == [1.0, 2.0]
+            assert calls["single"] == 2  # one per-point run each
         finally:
             unregister_experiment("api_test_exploding_batch")
 
     def test_registry_circuit_sweep_hash_identity(self):
-        """A real physics sweep: batch executor must be hash-identical."""
+        """A real physics sweep: stacked points are hash-identical to runs."""
         spec = SweepSpec.grid(lengths_um=[(10.0,), (50.0,)])
         base = {
             "diameters_nm": (10.0,),
             "channel_counts": (2.0, 6.0),
             "n_segments": 6,
         }
-        serial = Engine().sweep("fig12", spec, base_params=base)
-        batch = Engine(executor="batch").sweep("fig12", spec, base_params=base)
-        assert batch.content_hash == serial.content_hash
+        engine = Engine()
+        for point in engine.iter_sweep("fig12", spec, base_params=base):
+            alone = engine.run("fig12", point.params)
+            assert point.result.content_hash == alone.content_hash
 
 
 class TestBatchContract:
@@ -162,30 +189,28 @@ class TestBatchContract:
 
 
 class TestProfileAndLifecycle:
-    def test_profile_meta(self, batched_experiment):
-        result = Engine(executor="batch", profile=True).sweep(
-            batched_experiment, SweepSpec.grid(x=[1.0, 2.0])
-        )
-        profile = result.meta["profile"]
-        assert profile["points_profiled"] == 2
-        assert profile["wall_s"] >= 0.0
-
-    def test_profile_never_perturbs_hash(self, batched_experiment):
-        spec = SweepSpec.grid(x=[1.0, 2.0])
-        plain = Engine(executor="batch").sweep(batched_experiment, spec)
-        profiled = Engine(executor="batch", profile=True).sweep(batched_experiment, spec)
-        assert profiled.content_hash == plain.content_hash
-
     def test_chunk_size_validation(self):
-        Engine(chunk_size="auto")
-        Engine(chunk_size=None)
-        Engine(chunk_size=4)
-        with pytest.raises(ValueError):
-            Engine(chunk_size="huge")
-        with pytest.raises(ValueError):
-            Engine(chunk_size=0)
+        # Stack sizes follow from the executor and max_workers.
+        for chunk_size in ("auto", None, 4):
+            with pytest.raises(TypeError):
+                Engine(chunk_size=chunk_size)
+
+    def test_removed_executors_and_profile_rejected(self):
+        for executor in ("thread", "batch"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                Engine(executor=executor)
+        with pytest.raises(TypeError):
+            Engine(profile=True)
+
+    @pytest.mark.parametrize(
+        "flags", [("--executor", "thread"), ("--executor", "batch"), ("--profile",)]
+    )
+    def test_cli_rejects_removed_flags(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "table_density", "--grid", "length_um=1,10", *flags])
+        assert excinfo.value.code == 2
 
     def test_close_and_context_manager(self, batched_experiment):
-        with Engine(executor="batch") as engine:
+        with Engine() as engine:
             engine.sweep(batched_experiment, SweepSpec.grid(x=[1.0]))
         engine.close()  # idempotent

@@ -108,7 +108,7 @@ class TestSweep:
             capsys,
             "sweep", "table_density",
             "--grid", "length_um=1,5,10",
-            "--executor", "thread", "--workers", "2",
+            "--executor", "process", "--workers", "2",
             "--limit", "4",
         )
         assert code == 0

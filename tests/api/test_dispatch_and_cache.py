@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from repro.api import Engine, SweepSpec
+from repro.api import Engine, SweepSpec, register_experiment, unregister_experiment
 from repro.api.engine import cache_key
-from repro.api.experiment import Experiment, ParamSpec
+from repro.api.experiment import Experiment, ParamSpec, get_experiment
+from repro.obs import metrics
 
 
 def _experiment() -> Experiment:
@@ -18,33 +19,63 @@ def _experiment() -> Experiment:
     )
 
 
+@pytest.fixture
+def registered():
+    """``_experiment`` registered, so process-pool workers can resolve it."""
+    experiment = _experiment()
+    register_experiment(
+        experiment.name, params=experiment.params, replace=True
+    )(experiment.fn)
+    yield experiment.name
+    unregister_experiment(experiment.name)
+
+
 class TestDispatchGranularity:
-    def test_default_is_one_future_per_point(self):
-        engine = Engine(executor="thread", max_workers=2)
-        assert engine._chunks(list(range(64))) == [[i] for i in range(64)]
+    def test_default_is_one_future_per_point(self, registered):
+        engine = Engine(executor="process", max_workers=2)
+        tasks = {i: ({"x": float(i)}, {}) for i in range(64)}
+        groups = engine._groups(get_experiment(registered), tasks, list(range(64)))
+        assert groups == [[i] for i in range(64)]
 
-    def test_explicit_chunk_size_batches(self):
-        engine = Engine(executor="thread", chunk_size=8)
-        chunks = engine._chunks(list(range(20)))
-        assert [len(chunk) for chunk in chunks] == [8, 8, 4]
-        assert [i for chunk in chunks for i in chunk] == list(range(20))
-
-    @pytest.mark.parametrize("chunk_size", [None, 3])
-    def test_pooled_sweep_matches_serial(self, chunk_size):
-        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        serial = Engine().sweep(_experiment(), spec)
-        pooled = Engine(executor="thread", max_workers=3, chunk_size=chunk_size).sweep(
-            _experiment(), spec
+    def test_batchable_points_split_into_at_most_max_workers_stacks(self):
+        engine = Engine(executor="process", max_workers=3)
+        experiment = Experiment(
+            name="adhoc_dispatch_batched",
+            fn=lambda x=1.0: [{"x": x}],
+            params=(ParamSpec("x", "float", 1.0, "input"),),
+            batch_fn=lambda dicts: [[{"x": d["x"]}] for d in dicts],
         )
+        tasks = {i: ({"x": float(i)}, {}) for i in range(20)}
+        groups = engine._groups(experiment, tasks, list(range(20)))
+        assert [len(group) for group in groups] == [7, 7, 6]
+        assert [i for group in groups for i in group] == list(range(20))
+        serial = Engine()._groups(experiment, tasks, list(range(20)))
+        assert serial == [list(range(20))]
+
+    @pytest.mark.parametrize("max_workers", [None, 3])
+    def test_pooled_sweep_matches_serial(self, registered, max_workers):
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        serial = Engine().sweep(registered, spec)
+        with Engine(executor="process", max_workers=max_workers) as engine:
+            pooled = engine.sweep(registered, spec)
         assert pooled == serial
 
-    def test_streamed_points_arrive_individually(self):
+    def test_streamed_points_arrive_individually(self, registered):
         """Every uncached point must surface as its own SweepPoint."""
-        engine = Engine(executor="thread", max_workers=2)
         spec = SweepSpec.grid(x=[float(i) for i in range(12)])
-        points = list(engine.iter_sweep(_experiment(), spec))
+        with Engine(executor="process", max_workers=2) as engine:
+            points = list(engine.iter_sweep(registered, spec))
         assert sorted(p.index for p in points) == list(range(12))
         assert all(p.ok and not p.cache_hit for p in points)
+
+    def test_pooled_sweep_counts_dispatch_overhead(self, registered):
+        overhead = metrics.counter(
+            "repro_dispatch_overhead_seconds_total", executor="process"
+        )
+        before = overhead.value
+        with Engine(executor="process", max_workers=2) as engine:
+            engine.sweep(registered, SweepSpec.grid(x=[1.0, 2.0, 3.0]))
+        assert overhead.value > before
 
 
 class TestCacheCrashSafety:

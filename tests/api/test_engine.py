@@ -57,7 +57,7 @@ class TestRun:
             Engine(executor="gpu")
         with pytest.raises(ValueError):
             Engine(max_workers=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Engine(chunk_size=0)
 
 
@@ -138,17 +138,16 @@ class TestSweep:
     def test_parallel_executors_match_serial(self, counted_experiment):
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
         serial = Engine().sweep(counted_experiment, spec)
-        threaded = Engine(executor="thread", max_workers=3).sweep(counted_experiment, spec)
-        assert serial == threaded
+        with Engine(executor="process", max_workers=3) as engine:
+            pooled = engine.sweep(counted_experiment, spec)
+        assert serial == pooled
 
     def test_process_pool_matches_serial(self):
         # Uses a real registered experiment: process workers must rebuild the
         # registry on their own via ensure_registered().
         spec = SweepSpec.grid(length_um=[1.0, 5.0, 10.0])
         serial = Engine().sweep("table_density", spec)
-        pooled = Engine(executor="process", max_workers=2, chunk_size=1).sweep(
-            "table_density", spec
-        )
+        pooled = Engine(executor="process", max_workers=2).sweep("table_density", spec)
         assert serial == pooled
 
     def test_sweep_cache_pays_only_new_points(self, counted_experiment, tmp_path):
@@ -163,7 +162,7 @@ class TestSweep:
 
     def test_sweep_accepts_adhoc_experiment_instance(self):
         # An Experiment that was never registered must behave like run()
-        # for the in-process executors.
+        # under the serial executor.
         from repro.api import Experiment
 
         adhoc = Experiment(
@@ -174,13 +173,11 @@ class TestSweep:
         spec = SweepSpec.grid(x=[1.0, 2.0])
         serial = Engine().sweep(adhoc, spec)
         assert serial.column("y") == [2.0, 4.0]
-        threaded = Engine(executor="thread", max_workers=2, chunk_size=1).sweep(adhoc, spec)
-        assert threaded == serial
         # The process executor cannot ship an unregistered instance to
         # workers; it must refuse loudly rather than resolve a same-named
         # registry entry.
-        with pytest.raises(ValueError, match="registered"):
-            Engine(executor="process", chunk_size=1).sweep(adhoc, spec)
+        with pytest.raises(ValueError, match="registered.*executor='serial' for ad-hoc"):
+            Engine(executor="process", max_workers=2).sweep(adhoc, spec)
 
     def test_clear_cache_leaves_foreign_json_alone(self, counted_experiment, tmp_path):
         engine = Engine(cache_dir=str(tmp_path))

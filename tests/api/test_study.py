@@ -338,12 +338,13 @@ class TestEngineComposite:
         assert result.column("total") == [12.0, 24.0]
         assert CALLS == {"source": 2, "scale": 2, "sink": 2}
 
-    def test_thread_executor_matches_serial(self, pipeline_experiments):
+    def test_process_executor_matches_serial(self, pipeline_experiments):
         spec = SweepSpec.grid(base=[1.0, 2.0], offset=[0.0, 1.0])
         serial = Engine().sweep("pipe_sink", spec)
-        threaded = Engine(executor="thread", max_workers=4).sweep("pipe_sink", spec)
-        assert threaded == serial
-        assert threaded.content_hash == serial.content_hash
+        with Engine(executor="process", max_workers=4) as engine:
+            pooled = engine.sweep("pipe_sink", spec)
+        assert pooled == serial
+        assert pooled.content_hash == serial.content_hash
 
     def test_upstream_failure_fails_only_dependent_points(
         self, pipeline_experiments

@@ -33,7 +33,7 @@ def _ancestors(span, by_id):
 
 
 class TestPoolPropagation:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_one_trace_id_across_a_pooled_sweep(self, tmp_path, executor):
         sink = str(tmp_path / "trace.jsonl")
         with tracing(sink):
