@@ -11,7 +11,7 @@ This ablation sweeps the contact resistance and shows that
   contacts would make doping far *more* valuable than the paper reports).
 """
 
-from repro.analysis.fig12_delay_ratio import DelayRatioStudy, run_fig12, summarize_at_length
+from repro.analysis.fig12_delay_ratio import DelayRatioStudy, fig12_records, summarize_at_length
 from repro.analysis.report import format_table
 
 CONTACTS = (0.0, 50e3, 100e3, 250e3, 500e3)
@@ -27,7 +27,7 @@ def test_ablation_contact_resistance(benchmark):
                 contact_resistance=contact,
                 use_transient=False,
             )
-            results[contact] = summarize_at_length(run_fig12(study), 500.0, 10.0)
+            results[contact] = summarize_at_length(fig12_records(study), 500.0, 10.0)
         return results
 
     results = benchmark(sweep)

@@ -9,7 +9,7 @@ longer lines (or disappears for small-diameter CNTs).
 
 import numpy as np
 
-from repro.analysis.fig9_conductivity import crossover_length_um, run_fig9
+from repro.analysis.fig9_conductivity import crossover_length_um, fig9_records
 
 LENGTHS_UM = tuple(np.logspace(-2, 2, 13))
 
@@ -17,8 +17,8 @@ LENGTHS_UM = tuple(np.logspace(-2, 2, 13))
 def test_ablation_copper_size_effects(benchmark):
     def sweep():
         return {
-            "with_size_effects": run_fig9(lengths_um=LENGTHS_UM, include_cu_size_effects=True),
-            "bulk_copper": run_fig9(lengths_um=LENGTHS_UM, include_cu_size_effects=False),
+            "with_size_effects": fig9_records(lengths_um=LENGTHS_UM, include_cu_size_effects=True),
+            "bulk_copper": fig9_records(lengths_um=LENGTHS_UM, include_cu_size_effects=False),
         }
 
     results = benchmark(sweep)

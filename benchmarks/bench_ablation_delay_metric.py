@@ -8,7 +8,7 @@ estimate.
 
 import pytest
 
-from repro.analysis.fig12_delay_ratio import DelayRatioStudy, run_fig12, summarize_at_length
+from repro.analysis.fig12_delay_ratio import DelayRatioStudy, fig12_records, summarize_at_length
 
 
 def _study(use_transient: bool) -> DelayRatioStudy:
@@ -22,8 +22,8 @@ def _study(use_transient: bool) -> DelayRatioStudy:
 
 
 def test_ablation_delay_metric(once, benchmark):
-    transient = summarize_at_length(once(benchmark, run_fig12, _study(True)), 500.0, 10.0)
-    elmore = summarize_at_length(run_fig12(_study(False)), 500.0, 10.0)
+    transient = summarize_at_length(once(benchmark, fig12_records, _study(True)), 500.0, 10.0)
+    elmore = summarize_at_length(fig12_records(_study(False)), 500.0, 10.0)
 
     print()
     for diameter in sorted(transient):

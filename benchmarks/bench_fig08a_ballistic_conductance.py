@@ -7,12 +7,12 @@ conductance per unit area *decreases* with diameter.
 
 import numpy as np
 
-from repro.analysis.fig8_conductance import run_fig8a
+from repro.analysis.fig8_conductance import fig8a_records
 from repro.analysis.report import format_table
 
 
 def test_fig8a_conductance_vs_diameter(benchmark):
-    records = benchmark(run_fig8a, diameter_range_nm=(0.5, 2.2), n_k=101)
+    records = benchmark(fig8a_records, diameter_range_nm=(0.5, 2.2), n_k=101)
 
     print()
     print(format_table(records, title="Fig. 8a -- ballistic conductance vs diameter (300 K)"))

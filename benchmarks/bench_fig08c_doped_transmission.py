@@ -7,13 +7,13 @@ conductance rises to 0.387 mS (5 channels).
 
 import pytest
 
-from repro.analysis.fig8_conductance import run_fig8c
+from repro.analysis.fig8_conductance import fig8c_result
 from repro.analysis.paper_reference import PAPER_REFERENCE
 from repro.analysis.report import format_comparison
 
 
 def test_fig8c_doped_swcnt77(benchmark):
-    result = benchmark(run_fig8c, n_k=201)
+    result = benchmark(fig8c_result, n_k=201)
 
     print()
     print(format_comparison(

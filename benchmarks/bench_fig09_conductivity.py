@@ -7,14 +7,14 @@ copper; copper's conductivity is length independent.
 
 import numpy as np
 
-from repro.analysis.fig9_conductivity import crossover_length_um, run_fig9
+from repro.analysis.fig9_conductivity import crossover_length_um, fig9_records
 from repro.analysis.report import format_table
 
 LENGTHS_UM = tuple(np.logspace(-2, 2, 13))
 
 
 def test_fig9_conductivity_vs_length(benchmark):
-    records = benchmark(run_fig9, lengths_um=LENGTHS_UM)
+    records = benchmark(fig9_records, lengths_um=LENGTHS_UM)
 
     print()
     at_10um = [r for r in records if abs(r["length_um"] - 10.0) < 1e-9]

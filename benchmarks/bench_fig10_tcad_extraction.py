@@ -6,14 +6,14 @@ exports SPICE-like RC netlists for circuit simulation.
 """
 
 from repro.analysis.fig10_tcad import (
-    run_fig10_capacitance,
-    run_fig10_m1_m2,
-    run_fig10_resistance,
+    fig10_capacitance_summary,
+    fig10_m1_m2_summary,
+    fig10_resistance_summary,
 )
 
 
 def test_fig10a_crosstalk_capacitance(benchmark):
-    result = benchmark(run_fig10_capacitance, resolution=4)
+    result = benchmark(fig10_capacitance_summary, resolution=4)
     print()
     print(
         f"victim total C = {result['victim_total_af_per_um']:.1f} aF/um, "
@@ -28,7 +28,7 @@ def test_fig10a_crosstalk_capacitance(benchmark):
 
 
 def test_fig10a_m1_m2_coupling(benchmark):
-    result = benchmark(run_fig10_m1_m2, resolution=2)
+    result = benchmark(fig10_m1_m2_summary, resolution=2)
     print()
     print(
         f"M1-M2 coupling = {result['m1_m2_coupling_aF']:.3f} aF "
@@ -40,7 +40,7 @@ def test_fig10a_m1_m2_coupling(benchmark):
 
 
 def test_fig10b_via_current_crowding(benchmark):
-    result = benchmark(run_fig10_resistance, resolution_nm=7.5)
+    result = benchmark(fig10_resistance_summary, resolution_nm=7.5)
     print()
     print(
         f"30 nm via: R = {result['resistance_ohm']:.2f} Ohm, "

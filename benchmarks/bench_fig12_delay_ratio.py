@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.fig12_delay_ratio import (
     DelayRatioStudy,
     doping_benefit_vs_length,
-    run_fig12,
+    fig12_records,
     summarize_at_length,
 )
 from repro.analysis.paper_reference import PAPER_REFERENCE
@@ -38,7 +38,7 @@ SWEEP_STUDY = DelayRatioStudy(
 
 
 def test_fig12_delay_reduction_at_500um(once, benchmark):
-    records = once(benchmark, run_fig12, TRANSIENT_STUDY)
+    records = once(benchmark, fig12_records, TRANSIENT_STUDY)
     summary = summarize_at_length(records, length_um=500.0, channels=10.0)
     targets = PAPER_REFERENCE["delay_reduction_at_500um"]
 
@@ -61,7 +61,7 @@ def test_fig12_delay_reduction_at_500um(once, benchmark):
 
 
 def test_fig12_full_sweep_shape(benchmark):
-    records = benchmark(run_fig12, SWEEP_STUDY)
+    records = benchmark(fig12_records, SWEEP_STUDY)
 
     print()
     at_500 = [r for r in records if r["length_um"] == 500.0]

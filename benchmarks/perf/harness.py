@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.api import Engine, SweepSpec
 from repro.circuit import Circuit, Step, solver_backend, transient_analysis
-from repro.circuit.compiled import SolverOptions
+from repro.circuit.compiled import SolverOptions, solver_options
 from repro.circuit.crosstalk import analyze_crosstalk
 from repro.circuit.delay import (
     measure_inverter_line_delay,
@@ -50,6 +50,14 @@ from repro.core import InterconnectLine, MWCNTInterconnect
 from repro.core.line import DistributedRC
 from repro.process.variability import VariabilityInputs, resistance_variability
 from repro.units import nm, um
+
+# The serial three-transient crosstalk oracle lives beside the test that
+# pins the stacked analysis to it; this file imports it as the reference side.
+sys.path.insert(
+    0,
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "tests", "circuit"),
+)
+from crosstalk_reference import analyze_crosstalk_reference  # noqa: E402
 
 PARITY_RTOL = 1.0e-9
 
@@ -108,6 +116,17 @@ def _timed(function: Callable, repeats: int = 1):
     return best, value
 
 
+def _forced(function: Callable, backend: str, options: SolverOptions | None = None):
+    """``function`` run with every solve on ``backend`` under Newton policy
+    ``options`` (``None``: exact), through the solver context managers."""
+
+    def run():
+        with solver_backend(backend), solver_options(options):
+            return function()
+
+    return run
+
+
 def _waveform_parity(reference, candidate) -> float:
     scale = max(max(np.max(np.abs(w)) for w in reference.node_voltages.values()), 1e-30)
     worst = max(
@@ -145,12 +164,12 @@ def case_transient_rc_line(smoke: bool) -> CaseResult:
 
     stop = 2e-9
     dt = stop / n_steps
-    legacy_s, reference = _timed(
-        lambda: transient_analysis(circuit, stop, dt, backend="dense")
-    )
-    fast_s, candidate = _timed(
-        lambda: transient_analysis(circuit, stop, dt, backend="sparse"), repeats=3
-    )
+
+    def run():
+        return transient_analysis(circuit, stop, dt)
+
+    legacy_s, reference = _timed(_forced(run, "dense"))
+    fast_s, candidate = _timed(_forced(run, "sparse"), repeats=3)
     return CaseResult(
         name="transient_rc_line",
         legacy_s=legacy_s,
@@ -205,14 +224,11 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
     )
     line = InterconnectLine(tube, n_segments=n_segments)
 
-    legacy_s, reference = _timed(
-        lambda: measure_inverter_line_delay(line, n_time_steps=n_steps, backend="dense")
-    )
-    fast_s, candidate = _timed(
-        lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
-        )
-    )
+    def run():
+        return measure_inverter_line_delay(line, n_time_steps=n_steps)
+
+    legacy_s, reference = _timed(_forced(run, "dense"))
+    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
     )
@@ -233,6 +249,10 @@ def case_crosstalk(smoke: bool) -> CaseResult:
 
     Like :func:`case_delay_benchmark`, the fast side is sparse + frozen
     Newton -- three transients per call, so factorization reuse compounds.
+    The reference side is the serial oracle of
+    ``tests/circuit/crosstalk_reference.py``: three dense transients, one
+    call each (the stacked kernel never runs on either side, since the
+    sparse backend solves each job on its own).
     """
     n_segments = 8 if smoke else 80
     n_steps = 150 if smoke else 400
@@ -240,14 +260,13 @@ def case_crosstalk(smoke: bool) -> CaseResult:
     line = InterconnectLine(tube, n_segments=n_segments)
     coupling = 40e-18 / 1e-6 * um(50)  # ~40 aF/um of line-to-line coupling
 
+    def run():
+        return analyze_crosstalk(line, coupling, n_time_steps=n_steps)
+
     legacy_s, reference = _timed(
-        lambda: analyze_crosstalk(line, coupling, n_time_steps=n_steps, backend="dense")
+        lambda: analyze_crosstalk_reference(line, coupling, n_time_steps=n_steps)
     )
-    fast_s, candidate = _timed(
-        lambda: analyze_crosstalk(
-            line, coupling, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
-        )
-    )
+    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
     parity = max(
         abs(candidate.noise_peak - reference.noise_peak)
         / max(abs(reference.noise_peak), 1e-30),
@@ -435,16 +454,11 @@ def case_newton_reuse(smoke: bool) -> CaseResult:
     )
     line = InterconnectLine(tube, n_segments=n_segments)
 
-    legacy_s, reference = _timed(
-        lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=SolverOptions()
-        )
-    )
-    fast_s, candidate = _timed(
-        lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
-        )
-    )
+    def run():
+        return measure_inverter_line_delay(line, n_time_steps=n_steps)
+
+    legacy_s, reference = _timed(_forced(run, "sparse", SolverOptions()))
+    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
     )

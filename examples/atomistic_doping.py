@@ -13,7 +13,7 @@ Walks the paper's modelling chain from the bottom up:
 Run with ``python examples/atomistic_doping.py``.
 """
 
-from repro.analysis.fig8_conductance import run_fig8a, run_fig8c
+from repro.analysis.fig8_conductance import fig8a_records, fig8c_result
 from repro.analysis.report import format_table
 from repro.atomistic import Chirality, compute_band_structure
 from repro.core import MWCNTInterconnect
@@ -40,13 +40,13 @@ def main() -> None:
     print()
 
     print("2) Ballistic conductance vs diameter at 300 K (Fig. 8a, metallic tubes)")
-    sweep = run_fig8a(diameter_range_nm=(0.5, 2.2), n_k=101)
+    sweep = fig8a_records(diameter_range_nm=(0.5, 2.2), n_k=101)
     print(format_table(sweep[:12]))
     print("   ... Nc stays ~2 for every metallic tube, independent of diameter/chirality.")
     print()
 
     print("3) Iodine doping of SWCNT(7,7) (Fig. 8b/c)")
-    result = run_fig8c(n_k=201)
+    result = fig8c_result(n_k=201)
     print(
         f"   pristine G = {result.pristine_conductance_ms:.3f} mS (paper 0.155 mS), "
         f"doped G = {result.doped_conductance_ms:.3f} mS (paper 0.387 mS)"

@@ -11,13 +11,13 @@ Run with ``python examples/conductivity_comparison.py``.
 
 import numpy as np
 
-from repro.analysis.fig9_conductivity import crossover_length_um, run_fig9
+from repro.analysis.fig9_conductivity import crossover_length_um, fig9_records
 from repro.analysis.report import format_table
 
 
 def main() -> None:
     lengths = tuple(np.logspace(-2, 2, 9))  # 10 nm .. 100 um
-    records = run_fig9(lengths_um=lengths)
+    records = fig9_records(lengths_um=lengths)
 
     # Pivot into one row per length for a compact table.
     lines = sorted({record["line"] for record in records})

@@ -16,7 +16,7 @@ import argparse
 from repro.analysis.fig12_delay_ratio import (
     DelayRatioStudy,
     doping_benefit_vs_length,
-    run_fig12,
+    fig12_records,
     summarize_at_length,
 )
 from repro.analysis.paper_reference import PAPER_REFERENCE
@@ -41,7 +41,7 @@ def main() -> None:
         f"Running the Fig. 12 study ({'Elmore' if args.fast else 'transient MNA'} delay metric, "
         f"contact resistance {study.contact_resistance/1e3:.0f} kOhm per line)..."
     )
-    records = run_fig12(study)
+    records = fig12_records(study)
 
     at_500 = [r for r in records if r["length_um"] == 500.0]
     print()

@@ -15,16 +15,16 @@ Run with ``python examples/tcad_rc_extraction.py``.
 """
 
 from repro.analysis.fig10_tcad import (
-    run_fig10_capacitance,
-    run_fig10_m1_m2,
-    run_fig10_resistance,
+    fig10_capacitance_summary,
+    fig10_m1_m2_summary,
+    fig10_resistance_summary,
 )
 from repro.analysis.report import format_table
 
 
 def main() -> None:
     print("1) Parallel-line crosstalk extraction (14 nm node, 3 lines over ground)")
-    capacitance = run_fig10_capacitance()
+    capacitance = fig10_capacitance_summary()
     matrix = capacitance["matrix_af_per_um"]
     rows = [
         {"conductor": f"c{i}", **{f"c{j}": matrix[i][j] for j in range(len(matrix))}}
@@ -38,7 +38,7 @@ def main() -> None:
     print()
 
     print("2) M1/M2 crossing (3-D)")
-    crossing = run_fig10_m1_m2()
+    crossing = fig10_m1_m2_summary()
     print(
         f"M1 total C = {crossing['m1_total_aF']:.3f} aF, "
         f"M1-M2 coupling = {crossing['m1_m2_coupling_aF']:.3f} aF "
@@ -47,7 +47,7 @@ def main() -> None:
     print()
 
     print("3) 30 nm via resistance extraction (Fig. 10b)")
-    via = run_fig10_resistance()
+    via = fig10_resistance_summary()
     print(
         f"via resistance = {via['resistance_ohm']:.2f} Ohm, "
         f"current-crowding hot-spot factor = {via['hotspot_factor']:.1f}x the average density"

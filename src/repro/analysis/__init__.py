@@ -14,32 +14,24 @@ All of them are normally executed through the engine::
 
 The generated catalog of every registered experiment is
 ``docs/EXPERIMENTS.md`` (regenerate with ``python -m repro docs``).  The
-historic ``run_figX`` entry points remain importable as thin
-deprecation-shimmed wrappers around the registered implementations.  No
-plotting library is used; :mod:`repro.analysis.report` renders results as
-text tables.
+functions behind the figure experiments (``fig8a_records``,
+``fig8c_result``, ``fig9_records``, the ``fig10_*`` summaries and
+``fig12_records``) stay importable for direct use.  No plotting library is
+used; :mod:`repro.analysis.report` renders results as text tables.
 """
 
 from repro.analysis.paper_reference import PAPER_REFERENCE
 from repro.analysis.report import format_table
-from repro.analysis.fig8_conductance import (
-    fig8a_records,
-    fig8c_result,
-    run_fig8a,
-    run_fig8c,
-)
-from repro.analysis.fig9_conductivity import fig9_records, run_fig9
+from repro.analysis.fig8_conductance import fig8a_records, fig8c_result
+from repro.analysis.fig9_conductivity import fig9_records
 from repro.analysis.fig10_tcad import (
     fig10_capacitance_summary,
     fig10_m1_m2_summary,
     fig10_resistance_summary,
-    run_fig10_capacitance,
-    run_fig10_resistance,
 )
 from repro.analysis.fig12_delay_ratio import (
     DelayRatioStudy,
     fig12_records,
-    run_fig12,
     summarize_at_length,
 )
 from repro.analysis.tables import ampacity_table, thermal_table, density_table
@@ -54,13 +46,7 @@ __all__ = [
     "fig10_m1_m2_summary",
     "fig10_resistance_summary",
     "fig12_records",
-    "run_fig8a",
-    "run_fig8c",
-    "run_fig9",
-    "run_fig10_capacitance",
-    "run_fig10_resistance",
     "DelayRatioStudy",
-    "run_fig12",
     "summarize_at_length",
     "ampacity_table",
     "thermal_table",

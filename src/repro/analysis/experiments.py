@@ -156,7 +156,7 @@ def _fig10_capacitance(technology: str, n_lines: int, resolution: int) -> list[d
         technology=node_by_name(technology), n_lines=n_lines, resolution=resolution
     )
     # Keep the scalar extraction results; the matrix, conductor handles and
-    # SPICE netlist stay on the legacy driver for callers that need them.
+    # SPICE netlist stay on ``fig10_capacitance_summary`` for callers that need them.
     return [
         {
             "technology": summary["technology"],

@@ -11,7 +11,6 @@ fractions, and the extracted resistance / current-crowding factor.
 
 from __future__ import annotations
 
-from repro.analysis._compat import warn_legacy
 from repro.circuit.technology import NODE_14NM, TechnologyNode
 from repro.tcad.capacitance import capacitance_matrix
 from repro.tcad.resistance import extract_resistance, hotspot_factor
@@ -108,35 +107,3 @@ def fig10_resistance_summary(
         "current_a_at_1v": extraction.current,
         "hotspot_factor": hotspot_factor(extraction),
     }
-
-
-def run_fig10_capacitance(
-    technology: TechnologyNode = NODE_14NM,
-    n_lines: int = 3,
-    resolution: int = 4,
-) -> dict:
-    """Deprecated driver entry point; use ``Engine.run("fig10_capacitance")``."""
-    warn_legacy("run_fig10_capacitance", "fig10_capacitance")
-    return fig10_capacitance_summary(
-        technology=technology, n_lines=n_lines, resolution=resolution
-    )
-
-
-def run_fig10_m1_m2(technology: TechnologyNode = NODE_14NM, resolution: int = 3) -> dict:
-    """Deprecated driver entry point; use ``Engine.run("fig10_m1_m2")``."""
-    warn_legacy("run_fig10_m1_m2", "fig10_m1_m2")
-    return fig10_m1_m2_summary(technology=technology, resolution=resolution)
-
-
-def run_fig10_resistance(
-    via_width_nm: float = 30.0,
-    via_height_nm: float = 60.0,
-    resolution_nm: float = 7.5,
-) -> dict:
-    """Deprecated driver entry point; use ``Engine.run("fig10_resistance")``."""
-    warn_legacy("run_fig10_resistance", "fig10_resistance")
-    return fig10_resistance_summary(
-        via_width_nm=via_width_nm,
-        via_height_nm=via_height_nm,
-        resolution_nm=resolution_nm,
-    )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis._compat import warn_legacy
 from repro.circuit.delay import measure_inverter_line_delay_batch
 from repro.circuit.technology import NODE_45NM, TechnologyNode
 from repro.core.doping import DopingProfile
@@ -209,9 +208,3 @@ def doping_benefit_vs_length(
         if record["diameter_nm"] == diameter_nm and record["channels_per_shell"] == channels
     ]
     return sorted(series)
-
-
-def run_fig12(study: DelayRatioStudy | None = None) -> list[dict]:
-    """Deprecated driver entry point; use ``Engine.run("fig12")`` instead."""
-    warn_legacy("run_fig12", "fig12")
-    return fig12_records(study)

@@ -1,7 +1,7 @@
 """Experiment E1/E2 drivers: ballistic conductance and doping (paper Fig. 8).
 
-``run_fig8a`` regenerates the conductance-versus-diameter sweep of Fig. 8a
-for zigzag and armchair SWCNTs at 300 K; ``run_fig8c`` regenerates the
+``fig8a_records`` regenerates the conductance-versus-diameter sweep of Fig. 8a
+for zigzag and armchair SWCNTs at 300 K; ``fig8c_result`` regenerates the
 pristine-versus-doped SWCNT(7,7) comparison of Fig. 8b/c (band structure,
 transmission staircase and the conductance values 0.155 mS / 0.387 mS).
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis._compat import warn_legacy
 from repro.atomistic import (
     Chirality,
     ballistic_conductance,
@@ -125,29 +124,3 @@ def fig8_summary() -> dict[str, float]:
         "paper_pristine_ms": float(PAPER_REFERENCE["pristine_swcnt77_conductance_ms"]),
         "paper_doped_ms": float(PAPER_REFERENCE["doped_swcnt77_conductance_ms"]),
     }
-
-
-def run_fig8a(
-    diameter_range_nm: tuple[float, float] = (0.5, 3.0),
-    metallic_only: bool = True,
-    temperature: float = 300.0,
-    n_k: int = 151,
-) -> list[dict]:
-    """Deprecated driver entry point; use ``Engine.run("fig8a")`` instead."""
-    warn_legacy("run_fig8a", "fig8a")
-    return fig8a_records(
-        diameter_range_nm=diameter_range_nm,
-        metallic_only=metallic_only,
-        temperature=temperature,
-        n_k=n_k,
-    )
-
-
-def run_fig8c(n_k: int = 301, temperature: float = 300.0) -> Fig8cResult:
-    """Deprecated driver entry point; use ``Engine.run("fig8c")`` instead.
-
-    Unlike the registered "fig8c" experiment (scalar records), this keeps the
-    legacy rich return with the transmission staircases as numpy arrays.
-    """
-    warn_legacy("run_fig8c", "fig8c")
-    return fig8c_result(n_k=n_k, temperature=temperature)

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis._compat import warn_legacy
 from repro.core.copper import CopperInterconnect
 from repro.core.line import Conductor
 from repro.core.mwcnt import MWCNTInterconnect
@@ -117,24 +116,6 @@ def fig9_records(
                 }
             )
     return records
-
-
-def run_fig9(
-    lengths_um: tuple[float, ...] = DEFAULT_LENGTHS_UM,
-    swcnt_diameter_nm: float = 1.0,
-    mwcnt_diameters_nm: tuple[float, ...] = (10.0, 22.0),
-    copper_widths_nm: tuple[float, ...] = (20.0, 100.0),
-    include_cu_size_effects: bool = True,
-) -> list[dict]:
-    """Deprecated driver entry point; use ``Engine.run("fig9")`` instead."""
-    warn_legacy("run_fig9", "fig9")
-    return fig9_records(
-        lengths_um=lengths_um,
-        swcnt_diameter_nm=swcnt_diameter_nm,
-        mwcnt_diameters_nm=mwcnt_diameters_nm,
-        copper_widths_nm=copper_widths_nm,
-        include_cu_size_effects=include_cu_size_effects,
-    )
 
 
 def crossover_length_um(

@@ -164,7 +164,7 @@ class ResultSet:
     # --- record view ------------------------------------------------------
 
     def to_records(self) -> list[dict[str, Any]]:
-        """The row-wise ``list[dict]`` view (what legacy drivers returned)."""
+        """The row-wise ``list[dict]`` view (the shape the figure functions return)."""
         return [self[i] for i in range(len(self))]
 
     # --- relational operations -------------------------------------------

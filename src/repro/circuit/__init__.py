@@ -12,13 +12,24 @@ This subpackage provides the equivalent machinery:
   SPICE-like export),
 * :mod:`repro.circuit.mna` -- modified nodal analysis assembly (dense),
 * :mod:`repro.circuit.compiled` -- compiled sparse stamping with
-  factorization reuse (the fast path for large circuits),
+  factorization reuse, for circuits of 64 or more unknowns (long ladders;
+  every paper-default circuit has 14-30 unknowns and stays dense),
 * :mod:`repro.circuit.dc` -- Newton DC operating point,
 * :mod:`repro.circuit.transient` -- backward-Euler / trapezoidal transient,
+* :mod:`repro.circuit.batched` -- same-topology transients solved as one
+  stack, bit-identical to per-job runs,
 * :mod:`repro.circuit.inverter` -- CMOS inverter cells and chains,
 * :mod:`repro.circuit.rcline` -- distributed RC ladder expansion of
   interconnect lines,
-* :mod:`repro.circuit.delay` -- propagation-delay and slew measurement.
+* :mod:`repro.circuit.delay` -- propagation-delay and slew measurement,
+* :mod:`repro.circuit.crosstalk` -- victim/aggressor noise and push-out.
+
+The solver backend is picked by circuit size
+(:func:`~repro.circuit.compiled.resolve_backend`); no entry point takes a
+per-call backend or Newton-policy argument.  Tests and benchmarks force a
+backend or policy for a whole block with
+:func:`~repro.circuit.compiled.solver_backend` and
+:func:`~repro.circuit.compiled.solver_options`.
 """
 
 from repro.circuit.elements import (

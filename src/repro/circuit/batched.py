@@ -21,7 +21,10 @@ whole batch of such circuits in lockstep instead:
 
 This is the paper-default path: :func:`repro.analysis.fig12_delay_ratio.fig12_records`
 and the ``variability_delay`` experiment run all their transients as one
-stack through :func:`repro.circuit.delay.measure_inverter_line_delay_batch`.
+stack through :func:`repro.circuit.delay.measure_inverter_line_delay_batch`,
+and :func:`repro.circuit.crosstalk.analyze_crosstalk` runs its three
+victim/aggressor transients as one stack.  A single
+:func:`repro.circuit.delay.measure_inverter_line_delay` is a batch of one.
 
 **Bitwise identity is a hard contract.**  The batched kernel replays the
 exact floating-point statement sequence of the dense reference
@@ -42,7 +45,13 @@ zero-capacitance pattern, step count, method, Newton budget); singleton
 groups, circuits that resolve to the sparse backend, and any group whose
 stacked solve fails for one job fall back to per-job
 :func:`~repro.circuit.transient.transient_analysis`, so batching can change
-performance but never results.
+performance but never results.  Singletons take the scalar dense loop
+because a stack of one is 1.3-2x slower: on the Fig. 11 delay circuit
+(600 steps, 2-vCPU x86 host) a one-job :class:`_Batch` took 212-373 ms
+against the scalar loop's 142-184 ms at 8 segments, and 255-337 ms
+against 163-252 ms at 20 segments.  With one row to vectorise over, the
+array bookkeeping per Newton iteration costs more than the Python
+re-stamping it replaces.
 """
 
 from __future__ import annotations
@@ -56,7 +65,11 @@ from repro.circuit.mna import GMIN, CompanionState, MNAAssembler
 from repro.circuit.mosfet import evaluate_stack, parameter_stack
 from repro.circuit.netlist import Circuit
 from repro.circuit.compiled import resolve_backend
-from repro.circuit.transient import TransientResult, transient_analysis
+from repro.circuit.transient import (
+    TransientResult,
+    transient_analysis,
+    validate_transient_args,
+)
 from repro.obs import metrics
 from repro.obs.trace import trace_span
 
@@ -79,10 +92,6 @@ class TransientJob:
     method: str = "trapezoidal"
     use_dc_start: bool = True
     max_newton_iterations: int = 60
-
-
-def _node(assembler: MNAAssembler, name: str) -> int | None:
-    return assembler.node_index(name)
 
 
 def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
@@ -116,16 +125,6 @@ def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
     )
 
 
-def _validate(job: TransientJob) -> None:
-    """The argument checks of ``transient_analysis``, same messages."""
-    if job.stop_time <= 0 or job.time_step <= 0:
-        raise ValueError("stop time and time step must be positive")
-    if job.time_step > job.stop_time:
-        raise ValueError("time step cannot exceed the stop time")
-    if job.method not in ("trapezoidal", "backward_euler"):
-        raise ValueError(f"unknown integration method {job.method!r}")
-
-
 def _stamp_conductance_stack(
     matrices: np.ndarray, a: int | None, b: int | None, g: np.ndarray
 ) -> None:
@@ -142,9 +141,8 @@ def _stamp_conductance_stack(
 class _Batch:
     """Precompiled stacked dense system for one group of same-topology jobs."""
 
-    def __init__(self, jobs: list[TransientJob], backend: str | None):
+    def __init__(self, jobs: list[TransientJob]):
         self.jobs = jobs
-        self.backend = backend
         self.n_jobs = len(jobs)
         self.assemblers = [MNAAssembler(job.circuit) for job in jobs]
         base = self.assemblers[0]
@@ -363,7 +361,7 @@ class _Batch:
         if self.use_dc_start and size > 0:
             for k, job in enumerate(self.jobs):
                 assembler = self.assemblers[k]
-                dc = dc_operating_point(job.circuit, time=0.0, backend=self.backend)
+                dc = dc_operating_point(job.circuit, time=0.0)
                 for name, voltage in dc.node_voltages.items():
                     solutions[k, assembler.node_index(name)] = voltage
                 for position, source in enumerate(job.circuit.voltage_sources):
@@ -459,7 +457,7 @@ class _Batch:
         return results
 
 
-def _run_serial(job: TransientJob, backend: str | None) -> TransientResult:
+def _run_serial(job: TransientJob) -> TransientResult:
     return transient_analysis(
         job.circuit,
         job.stop_time,
@@ -467,13 +465,10 @@ def _run_serial(job: TransientJob, backend: str | None) -> TransientResult:
         method=job.method,
         use_dc_start=job.use_dc_start,
         max_newton_iterations=job.max_newton_iterations,
-        backend=backend,
     )
 
 
-def batched_transient_analysis(
-    jobs: list[TransientJob], backend: str | None = None
-) -> list[TransientResult]:
+def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
     """Evaluate transient jobs, batching same-topology dense groups.
 
     Results are returned in job order and are bitwise-identical to calling
@@ -486,25 +481,25 @@ def batched_transient_analysis(
     groups: dict[tuple, list[int]] = {}
     serial_indices: list[int] = []
     for position, job in enumerate(jobs):
-        _validate(job)
+        validate_transient_args(job.stop_time, job.time_step, job.method)
         assembler = MNAAssembler(job.circuit)
-        if resolve_backend(assembler.size, backend) != "dense":
+        if resolve_backend(assembler.size) != "dense":
             serial_indices.append(position)
             continue
         groups.setdefault(topology_signature(job, assembler), []).append(position)
 
     for position in serial_indices:
-        results[position] = _run_serial(jobs[position], backend)
+        results[position] = _run_serial(jobs[position])
 
     for indices in groups.values():
         if len(indices) == 1:
             metrics.counter("repro_batch_groups_total", mode="serial").inc()
-            results[indices[0]] = _run_serial(jobs[indices[0]], backend)
+            results[indices[0]] = _run_serial(jobs[indices[0]])
             continue
         group_jobs = [jobs[i] for i in indices]
         try:
             with trace_span("circuit.batch", n_jobs=len(group_jobs)):
-                group_results = _Batch(group_jobs, backend).run()
+                group_results = _Batch(group_jobs).run()
             metrics.counter("repro_batch_groups_total", mode="stacked").inc()
             metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
         except Exception:
@@ -512,7 +507,7 @@ def batched_transient_analysis(
             # group serially so a genuinely failing job raises the same
             # error a serial caller would see.
             metrics.counter("repro_batch_groups_total", mode="fallback").inc()
-            group_results = [_run_serial(job, backend) for job in group_jobs]
+            group_results = [_run_serial(job) for job in group_jobs]
         for index, result in zip(indices, group_results):
             results[index] = result
 

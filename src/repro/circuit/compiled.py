@@ -49,13 +49,17 @@ the way production SPICE engines do:
         parity suite.
 
 Backend selection is centralised in :func:`resolve_backend`: circuits below
-:data:`SPARSE_SIZE_THRESHOLD` unknowns keep the exact legacy dense path
-(where dense LAPACK wins), larger ones take the compiled sparse path, and
-:func:`solver_backend` lets tests force either side to assert parity.
-:func:`solver_options` is the matching override for the Newton policy, so a
-whole call stack (``transient_analysis`` -> ``measure_inverter_line_delay``
--> registry experiments) can be flipped to freeze mode without threading the
-knob through every signature.
+:data:`SPARSE_SIZE_THRESHOLD` unknowns keep the dense path (where dense
+LAPACK wins), larger ones take this compiled sparse path.  No entry point
+takes a per-call backend or Newton-policy argument.  The one override is a
+pair of context managers: :func:`solver_backend` forces every solve in a
+block onto one backend (the parity tests run the same workload through
+both), and :func:`solver_options` sets the Newton policy of every compiled
+solve in a block, so a whole experiment can be flipped to freeze mode.
+
+Every circuit the paper-default experiments build has 14-30 unknowns, so
+this class is never constructed on the paper pass; it serves long ladders
+(hundreds of segments) and the ``benchmarks/perf`` cases that use them.
 """
 
 from __future__ import annotations
@@ -84,18 +88,14 @@ BACKENDS = ("dense", "sparse")
 _BACKEND_OVERRIDE: str | None = None
 
 
-def resolve_backend(size: int, backend: str | None = None) -> str:
+def resolve_backend(size: int) -> str:
     """Pick the MNA solver backend for a system of ``size`` unknowns.
 
-    Precedence: an explicit ``backend`` argument, then an active
-    :func:`solver_backend` override, then the size heuristic against
-    :data:`SPARSE_SIZE_THRESHOLD`.
+    An active :func:`solver_backend` override wins; otherwise the size
+    heuristic against :data:`SPARSE_SIZE_THRESHOLD` decides.
     """
-    chosen = backend if backend is not None else _BACKEND_OVERRIDE
-    if chosen is not None:
-        if chosen not in BACKENDS:
-            raise ValueError(f"unknown MNA backend {chosen!r}; use one of {BACKENDS}")
-        return chosen
+    if _BACKEND_OVERRIDE is not None:
+        return _BACKEND_OVERRIDE
     return "sparse" if size >= SPARSE_SIZE_THRESHOLD else "dense"
 
 
@@ -171,13 +171,12 @@ def resolve_solver_options(options: SolverOptions | None = None) -> SolverOption
 def solver_options(options: SolverOptions | None) -> Iterator[None]:
     """Force every compiled solve in the block onto one Newton policy.
 
-    The analogue of :func:`solver_backend` for :class:`SolverOptions`:
-    call sites that pass ``solver_opts=None`` (the default everywhere)
-    pick up the override, so a whole experiment stack can be flipped to
-    freeze mode without changing any signature::
+    The analogue of :func:`solver_backend` for :class:`SolverOptions`, so a
+    whole experiment stack can be flipped to freeze mode without changing
+    any signature::
 
-        with solver_options(SolverOptions(newton="freeze")):
-            fast = measure_inverter_line_delay(line, backend="sparse")
+        with solver_backend("sparse"), solver_options(SolverOptions(newton="freeze")):
+            fast = measure_inverter_line_delay(line)
     """
     global _SOLVER_OPTIONS_OVERRIDE
     previous = _SOLVER_OPTIONS_OVERRIDE

@@ -7,7 +7,9 @@ victim line through the coupling capacitance extracted by the TCAD layer (or
 the analytic coupled-line formula).  The victim/aggressor pair is simulated
 with the MNA transient engine so the noise peak and the delay push-out of a
 simultaneously switching victim are measured the way a signal-integrity flow
-would.
+would.  The three cases share one topology (only the source waveforms
+differ), so they run as one stack through
+:func:`repro.circuit.batched.batched_transient_analysis`.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.compiled import SolverOptions
+from repro.circuit.batched import TransientJob, batched_transient_analysis
 from repro.circuit.delay import crossing_time
 from repro.circuit.elements import Step
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.netlist import Circuit
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM, TechnologyNode
-from repro.circuit.transient import transient_analysis
+from repro.circuit.transient import TransientResult
 from repro.core.line import InterconnectLine
 
 
@@ -103,16 +105,24 @@ def _build_pair(
     return circuit, v_dd
 
 
+def _victim_delay(result: TransientResult, v_dd: float) -> float:
+    """50 %-to-50 % delay from the victim's input to its far end."""
+    t_in = crossing_time(result.times, result.voltage("vin"), v_dd / 2)
+    return crossing_time(result.times, result.voltage("vfar"), v_dd / 2, start_time=t_in) - t_in
+
+
 def analyze_crosstalk(
     line: InterconnectLine,
     coupling_capacitance: float,
     technology: TechnologyNode = NODE_45NM,
     simulation_margin: float = 10.0,
     n_time_steps: int = 500,
-    backend: str | None = None,
-    solver_opts: SolverOptions | None = None,
 ) -> CrosstalkResult:
     """Simulate the victim/aggressor pair and extract noise and delay push-out.
+
+    Three cases are simulated: a quiet victim next to a switching aggressor
+    (the glitch), the victim switching alone, and the victim switching
+    against an opposite-switching aggressor (the push-out).
 
     Parameters
     ----------
@@ -127,12 +137,6 @@ def analyze_crosstalk(
         Simulation window as a multiple of the victim's Elmore delay.
     n_time_steps:
         Number of transient steps per simulation.
-    backend:
-        MNA solver backend (``"dense"``/``"sparse"``); ``None`` selects by
-        circuit size (:func:`repro.circuit.compiled.resolve_backend`).
-    solver_opts:
-        Newton policy forwarded to every :func:`transient_analysis` call
-        (sparse backend only).
 
     Returns
     -------
@@ -146,36 +150,21 @@ def analyze_crosstalk(
     stop_time = max(simulation_margin * elmore, 100e-12)
     dt = stop_time / n_time_steps
 
-    # Case 1: quiet victim (held), switching aggressor -> glitch on the victim.
-    circuit, v_dd = _build_pair(
-        line, coupling_capacitance, technology, victim_switches=False,
-        aggressor_switches=True, aggressor_rising=True,
-    )
-    result = transient_analysis(circuit, stop_time, dt, backend=backend, solver_opts=solver_opts)
-    victim_far = result.voltage("vfar")
-    baseline = victim_far[0]
-    noise_peak = float(np.max(np.abs(victim_far - baseline)))
+    # (victim switches, aggressor switches, aggressor rising) per case.
+    cases = ((False, True, True), (True, False, True), (True, True, False))
+    jobs = []
+    for victim_switches, aggressor_switches, aggressor_rising in cases:
+        circuit, v_dd = _build_pair(
+            line, coupling_capacitance, technology, victim_switches,
+            aggressor_switches, aggressor_rising,
+        )
+        jobs.append(TransientJob(circuit=circuit, stop_time=stop_time, time_step=dt))
+    glitch, quiet, opposite = batched_transient_analysis(jobs)
 
-    # Case 2: victim switches alone.
-    circuit_quiet, _ = _build_pair(
-        line, coupling_capacitance, technology, victim_switches=True,
-        aggressor_switches=False, aggressor_rising=True,
-    )
-    quiet = transient_analysis(circuit_quiet, stop_time, dt, backend=backend, solver_opts=solver_opts)
-    t_in = crossing_time(quiet.times, quiet.voltage("vin"), v_dd / 2)
-    t_quiet = crossing_time(quiet.times, quiet.voltage("vfar"), v_dd / 2, start_time=t_in) - t_in
-
-    # Case 3: victim switches while the aggressor switches the other way.
-    circuit_opp, _ = _build_pair(
-        line, coupling_capacitance, technology, victim_switches=True,
-        aggressor_switches=True, aggressor_rising=False,
-    )
-    opposite = transient_analysis(circuit_opp, stop_time, dt, backend=backend, solver_opts=solver_opts)
-    t_in_opp = crossing_time(opposite.times, opposite.voltage("vin"), v_dd / 2)
-    t_opposite = (
-        crossing_time(opposite.times, opposite.voltage("vfar"), v_dd / 2, start_time=t_in_opp)
-        - t_in_opp
-    )
+    victim_far = glitch.voltage("vfar")
+    noise_peak = float(np.max(np.abs(victim_far - victim_far[0])))
+    t_quiet = _victim_delay(quiet, v_dd)
+    t_opposite = _victim_delay(opposite, v_dd)
 
     return CrosstalkResult(
         noise_peak=noise_peak,

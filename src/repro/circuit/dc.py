@@ -5,7 +5,7 @@ given time (default 0) and the nonlinear system is solved by Newton
 iteration.  The result seeds transient analyses so that simulations start
 from a consistent bias point.
 
-Like the transient front end, the solve is backend-routed (see
+Like the transient front end, the solve is routed by circuit size (see
 :func:`repro.circuit.compiled.resolve_backend`): circuits below the sparse
 threshold keep the dense one-shot assembly, large ladders compile the
 topology once and solve through sparse LU -- same Newton damping, same
@@ -58,7 +58,6 @@ def dc_operating_point(
     time: float = 0.0,
     max_iterations: int = 200,
     tolerance: float = 1.0e-9,
-    backend: str | None = None,
 ) -> DCResult:
     """Solve the DC operating point of a circuit.
 
@@ -73,10 +72,6 @@ def dc_operating_point(
         Newton iteration cap.
     tolerance:
         Convergence threshold in volt.
-    backend:
-        ``"dense"``, ``"sparse"`` or ``None`` (default) for automatic
-        size-based selection -- see
-        :func:`repro.circuit.compiled.resolve_backend`.
 
     Returns
     -------
@@ -93,7 +88,7 @@ def dc_operating_point(
     if supply_levels:
         guess[: assembler.n_nodes] = 0.5 * max(supply_levels)
 
-    if resolve_backend(assembler.size, backend) == "sparse":
+    if resolve_backend(assembler.size) == "sparse":
         compiled = CompiledMNA(
             circuit, dt=None, assembler=assembler, capacitors_open=True
         )

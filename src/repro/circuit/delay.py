@@ -3,8 +3,11 @@
 These helpers turn transient waveforms into the scalar metrics the paper's
 Fig. 12 reports (propagation delay, and from it the delay ratio between doped
 and pristine interconnects), plus the standard rise/fall-time measures.  The
-module also provides :func:`measure_inverter_line_delay`, the complete
-"inverter - interconnect - inverter" benchmark of Fig. 11 as a single call.
+module also provides :func:`measure_inverter_line_delay_batch`, the complete
+"inverter - interconnect - inverter" benchmark of Fig. 11 over a list of
+lines, and :func:`measure_inverter_line_delay`, the same benchmark for one
+line (a batch of one).  Both run through
+:func:`repro.circuit.batched.batched_transient_analysis`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.batched import TransientJob, batched_transient_analysis
-from repro.circuit.compiled import SolverOptions
 from repro.circuit.elements import Step
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.netlist import Circuit
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM, TechnologyNode
-from repro.circuit.transient import TransientResult, transient_analysis
+from repro.circuit.transient import TransientResult
 from repro.core.line import DistributedRC, InterconnectLine
 
 
@@ -147,8 +149,6 @@ def _build_delay_benchmark(
 ) -> tuple[Circuit, float, float, float]:
     """Build the Fig. 11 benchmark circuit and its simulation window.
 
-    Shared by the serial and batched measurement paths so both simulate the
-    exact same netlist with the exact same ``(stop_time, time_step)``.
     Returns ``(circuit, stop_time, time_step, v_dd)``.
     """
     if isinstance(line, InterconnectLine):
@@ -209,8 +209,6 @@ def measure_inverter_line_delay(
     simulation_margin: float = 8.0,
     n_time_steps: int = 600,
     method: str = "trapezoidal",
-    backend: str | None = None,
-    solver_opts: SolverOptions | None = None,
 ) -> DelayMeasurement:
     """Run the Fig. 11 benchmark: driver inverter -> interconnect -> receiver inverter.
 
@@ -239,31 +237,22 @@ def measure_inverter_line_delay(
         Number of fixed transient steps.
     method:
         Integration method passed to the transient engine.
-    backend:
-        MNA solver backend (``"dense"``/``"sparse"``); ``None`` selects by
-        circuit size (:func:`repro.circuit.compiled.resolve_backend`).
-    solver_opts:
-        Newton policy forwarded to :func:`transient_analysis` (sparse
-        backend only).
 
     Returns
     -------
     DelayMeasurement
     """
-    circuit, stop_time, time_step, v_dd = _build_delay_benchmark(
-        line,
-        technology,
-        driver_size,
-        receiver_size,
-        input_rise_time,
-        rising_input,
-        simulation_margin,
-        n_time_steps,
-    )
-    result = transient_analysis(
-        circuit, stop_time, time_step, method=method, backend=backend, solver_opts=solver_opts
-    )
-    return _measure_from_result(result, v_dd)
+    return measure_inverter_line_delay_batch(
+        [line],
+        technology=technology,
+        driver_size=driver_size,
+        receiver_size=receiver_size,
+        input_rise_time=input_rise_time,
+        rising_input=rising_input,
+        simulation_margin=simulation_margin,
+        n_time_steps=n_time_steps,
+        method=method,
+    )[0]
 
 
 def measure_inverter_line_delay_batch(
@@ -276,12 +265,11 @@ def measure_inverter_line_delay_batch(
     simulation_margin: float = 8.0,
     n_time_steps: int = 600,
     method: str = "trapezoidal",
-    backend: str | None = None,
 ) -> list[DelayMeasurement]:
-    """Batched :func:`measure_inverter_line_delay` over same-topology lines.
+    """:func:`measure_inverter_line_delay` over a list of lines.
 
-    Every line gets the exact circuit and simulation window the serial
-    function would build; the transients are then evaluated together by
+    Every line gets its own Fig. 11 circuit and simulation window; the
+    transients are then evaluated together by
     :func:`repro.circuit.batched.batched_transient_analysis`, which groups
     same-topology jobs into stacked solves and is bitwise-identical to
     per-job serial runs.  Lines whose segment counts differ simply land in
@@ -304,7 +292,7 @@ def measure_inverter_line_delay_batch(
             TransientJob(circuit=circuit, stop_time=stop_time, time_step=time_step, method=method)
         )
         windows.append(v_dd)
-    results = batched_transient_analysis(jobs, backend=backend)
+    results = batched_transient_analysis(jobs)
     return [
         _measure_from_result(result, v_dd) for result, v_dd in zip(results, windows)
     ]

@@ -6,10 +6,10 @@ nonlinear MNA system by Newton iteration at every step.  Results are exposed
 as numpy arrays per node, which is what the delay-measurement helpers of
 :mod:`repro.circuit.delay` operate on.
 
-Two solver backends share this front end (see
-:mod:`repro.circuit.compiled`): small circuits keep the legacy dense
-assembler, larger ones run through the compiled sparse stamping path with
-factorization reuse.  Both record every step into one preallocated
+Two solver backends share this front end, chosen by circuit size in
+:func:`repro.circuit.compiled.resolve_backend`: small circuits keep the
+dense assembler, larger ones run through the compiled sparse stamping path
+with factorization reuse.  Both record every step into one preallocated
 ``(n_steps + 1, size)`` trace array; the per-node waveform dict is cut from
 it once at the end instead of being filled name-by-name inside the step
 loop.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.compiled import ArrayState, CompiledMNA, SolverOptions, resolve_backend
+from repro.circuit.compiled import ArrayState, CompiledMNA, resolve_backend
 from repro.circuit.dc import dc_operating_point
 from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve
 from repro.circuit.netlist import Circuit, is_ground
@@ -70,6 +70,16 @@ class TransientResult:
         return int(self.times.size)
 
 
+def validate_transient_args(stop_time: float, time_step: float, method: str) -> None:
+    """Argument checks shared by the serial and the batched transient."""
+    if stop_time <= 0 or time_step <= 0:
+        raise ValueError("stop time and time step must be positive")
+    if time_step > stop_time:
+        raise ValueError("time step cannot exceed the stop time")
+    if method not in ("trapezoidal", "backward_euler"):
+        raise ValueError(f"unknown integration method {method!r}")
+
+
 def transient_analysis(
     circuit: Circuit,
     stop_time: float,
@@ -77,8 +87,6 @@ def transient_analysis(
     method: str = "trapezoidal",
     use_dc_start: bool = True,
     max_newton_iterations: int = 60,
-    backend: str | None = None,
-    solver_opts: SolverOptions | None = None,
 ) -> TransientResult:
     """Run a fixed-step transient analysis.
 
@@ -98,24 +106,17 @@ def transient_analysis(
         at 0 V and capacitor initial voltages are honoured.
     max_newton_iterations:
         Per-step Newton cap.
-    backend:
-        ``"dense"``, ``"sparse"`` or ``None`` (default) for automatic
-        size-based selection -- see :func:`repro.circuit.compiled.resolve_backend`.
-        Both backends produce the same waveforms to solver precision.
-    solver_opts:
-        Newton policy for the compiled sparse backend
-        (:class:`repro.circuit.compiled.SolverOptions`); ``None`` picks up
-        any active :func:`repro.circuit.compiled.solver_options` override,
-        else exact mode.  The dense backend always runs exact Newton.
+
+    The backend follows :func:`repro.circuit.compiled.resolve_backend`; the
+    sparse backend's Newton policy follows any active
+    :func:`repro.circuit.compiled.solver_options` override, else exact mode.
+    The dense backend always runs exact Newton.
 
     Returns
     -------
     TransientResult
     """
-    if stop_time <= 0 or time_step <= 0:
-        raise ValueError("stop time and time step must be positive")
-    if time_step > stop_time:
-        raise ValueError("time step cannot exceed the stop time")
+    validate_transient_args(stop_time, time_step, method)
 
     assembler = MNAAssembler(circuit)
     n_steps = int(round(stop_time / time_step))
@@ -125,9 +126,7 @@ def transient_analysis(
     state = CompanionState.initial(circuit)
 
     if use_dc_start and assembler.size > 0:
-        # Forward the backend so a parity run (dense vs sparse) exercises one
-        # consistent solver stack end to end, DC start included.
-        dc = dc_operating_point(circuit, time=0.0, backend=backend)
+        dc = dc_operating_point(circuit, time=0.0)
         for name, voltage in dc.node_voltages.items():
             solution[assembler.node_index(name)] = voltage
         for position, source in enumerate(circuit.voltage_sources):
@@ -145,7 +144,7 @@ def transient_analysis(
     trace = np.empty((n_steps + 1, assembler.size))
     trace[0] = solution
 
-    resolved_backend = resolve_backend(assembler.size, backend)
+    resolved_backend = resolve_backend(assembler.size)
     with trace_span(
         "circuit.transient",
         backend=resolved_backend,
@@ -163,7 +162,6 @@ def transient_analysis(
                     solution,
                     array_state,
                     max_iterations=max_newton_iterations,
-                    options=solver_opts,
                 )
                 array_state = compiled.update_state(solution, array_state)
                 trace[step] = solution

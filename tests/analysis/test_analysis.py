@@ -8,17 +8,17 @@ from repro.analysis import (
     ampacity_table,
     density_table,
     format_table,
-    run_fig8c,
-    run_fig9,
-    run_fig10_capacitance,
-    run_fig10_resistance,
-    run_fig12,
+    fig8c_result,
+    fig9_records,
+    fig10_capacitance_summary,
+    fig10_resistance_summary,
+    fig12_records,
     summarize_at_length,
     thermal_table,
 )
-from repro.analysis.fig8_conductance import run_fig8a
+from repro.analysis.fig8_conductance import fig8a_records
 from repro.analysis.fig9_conductivity import crossover_length_um
-from repro.analysis.fig10_tcad import run_fig10_m1_m2
+from repro.analysis.fig10_tcad import fig10_m1_m2_summary
 from repro.analysis.fig12_delay_ratio import (
     DelayRatioStudy,
     doping_benefit_vs_length,
@@ -66,14 +66,14 @@ class TestReport:
 
 class TestFig8Drivers:
     def test_fig8a_metallic_tubes_cluster_at_two_channels(self):
-        records = run_fig8a(diameter_range_nm=(0.6, 1.6), n_k=101)
+        records = fig8a_records(diameter_range_nm=(0.6, 1.6), n_k=101)
         channels = np.array([r["channels"] for r in records])
         assert np.allclose(channels, 2.0, atol=0.1)
         families = {r["family"] for r in records}
         assert families == {"armchair", "zigzag"}
 
     def test_fig8c_reproduces_conductance_values(self):
-        result = run_fig8c(n_k=201)
+        result = fig8c_result(n_k=201)
         assert result.pristine_conductance_ms == pytest.approx(
             PAPER_REFERENCE["pristine_swcnt77_conductance_ms"], rel=0.03
         )
@@ -87,26 +87,26 @@ class TestFig8Drivers:
 
 class TestFig9Driver:
     def test_cnt_conductivity_increases_with_length(self):
-        records = run_fig9(lengths_um=(0.1, 1.0, 10.0, 100.0))
+        records = fig9_records(lengths_um=(0.1, 1.0, 10.0, 100.0))
         mwcnt = [r for r in records if r["line"] == "MWCNT D=22nm"]
         values = [r["conductivity_ms_per_m"] for r in sorted(mwcnt, key=lambda r: r["length_um"])]
         assert values == sorted(values)
 
     def test_copper_conductivity_length_independent(self):
-        records = run_fig9(lengths_um=(0.1, 1.0, 10.0))
+        records = fig9_records(lengths_um=(0.1, 1.0, 10.0))
         copper = [r for r in records if r["line"] == "Cu w=20nm"]
         values = [r["conductivity_ms_per_m"] for r in copper]
         assert max(values) == pytest.approx(min(values), rel=1e-9)
 
     def test_long_mwcnt_beats_narrow_copper(self):
-        records = run_fig9(lengths_um=(0.01, 0.1, 1.0, 10.0, 100.0))
+        records = fig9_records(lengths_um=(0.01, 0.1, 1.0, 10.0, 100.0))
         crossover = crossover_length_um(records, "MWCNT D=22nm", "Cu w=20nm")
         assert crossover is not None
         assert crossover <= 100.0
 
     def test_copper_size_effect_ablation(self):
-        with_effects = run_fig9(lengths_um=(1.0,), include_cu_size_effects=True)
-        without = run_fig9(lengths_um=(1.0,), include_cu_size_effects=False)
+        with_effects = fig9_records(lengths_um=(1.0,), include_cu_size_effects=True)
+        without = fig9_records(lengths_um=(1.0,), include_cu_size_effects=False)
         cu_with = [r for r in with_effects if r["kind"] == "Cu"][0]
         cu_without = [r for r in without if r["kind"] == "Cu"][0]
         assert cu_without["conductivity_ms_per_m"] > cu_with["conductivity_ms_per_m"]
@@ -114,20 +114,20 @@ class TestFig9Driver:
 
 class TestFig10Drivers:
     def test_capacitance_extraction_summary(self):
-        result = run_fig10_capacitance(resolution=3)
+        result = fig10_capacitance_summary(resolution=3)
         assert result["is_physical"]
         assert 0.0 < result["coupling_fraction"] < 1.0
         assert result["victim_total_af_per_um"] > 0
         assert ".end" in result["spice_netlist"]
 
     def test_m1_m2_crossing_coupling(self):
-        result = run_fig10_m1_m2(resolution=2)
+        result = fig10_m1_m2_summary(resolution=2)
         assert result["is_physical"]
         assert result["m1_m2_coupling_aF"] > 0
         assert result["coupling_fraction"] < 1.0
 
     def test_via_resistance_extraction(self):
-        result = run_fig10_resistance(resolution_nm=10.0)
+        result = fig10_resistance_summary(resolution_nm=10.0)
         assert result["resistance_ohm"] > 0
         assert result["hotspot_factor"] > 1.0
 
@@ -140,7 +140,7 @@ class TestFig12Driver:
             channel_counts=(2.0, 10.0),
             use_transient=False,
         )
-        return run_fig12(study)
+        return fig12_records(study)
 
     def test_summary_matches_paper_ordering(self, fast_records):
         summary = summarize_at_length(fast_records, length_um=500.0, channels=10.0)
@@ -176,8 +176,8 @@ class TestFig12Driver:
             use_transient=True,
             n_segments=10,
         )
-        fast = summarize_at_length(run_fig12(study_fast), 500.0, 10.0)
-        slow = summarize_at_length(run_fig12(study_slow), 500.0, 10.0)
+        fast = summarize_at_length(fig12_records(study_fast), 500.0, 10.0)
+        slow = summarize_at_length(fig12_records(study_slow), 500.0, 10.0)
         assert (fast[10.0] > fast[22.0]) and (slow[10.0] > slow[22.0])
         # The two delay metrics agree within a few percentage points.
         assert fast[10.0] == pytest.approx(slow[10.0], abs=0.04)

@@ -2,7 +2,6 @@
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -195,27 +194,25 @@ class TestSweep:
 
 
 class TestLegacyParity:
-    def test_fig9_engine_matches_legacy_driver(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.analysis import run_fig9
+    """Engine records equal the figure functions behind the experiments."""
 
-            legacy = run_fig9(lengths_um=(0.1, 1.0, 10.0))
+    def test_fig9_engine_matches_legacy_driver(self):
+        from repro.analysis import fig9_records
+
+        legacy = fig9_records(lengths_um=(0.1, 1.0, 10.0))
         engine = Engine().run("fig9", lengths_um=(0.1, 1.0, 10.0))
         assert engine.to_records() == legacy
 
     def test_fig12_engine_matches_legacy_driver(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.analysis import DelayRatioStudy, run_fig12
+        from repro.analysis import DelayRatioStudy, fig12_records
 
-            legacy = run_fig12(
-                DelayRatioStudy(
-                    lengths_um=(100.0, 500.0),
-                    channel_counts=(2.0, 10.0),
-                    use_transient=False,
-                )
+        legacy = fig12_records(
+            DelayRatioStudy(
+                lengths_um=(100.0, 500.0),
+                channel_counts=(2.0, 10.0),
+                use_transient=False,
             )
+        )
         engine = Engine().run(
             "fig12",
             lengths_um=(100.0, 500.0),
@@ -223,12 +220,6 @@ class TestLegacyParity:
             use_transient=False,
         )
         assert engine.to_records() == legacy
-
-    def test_legacy_drivers_warn(self):
-        from repro.analysis import run_fig9
-
-        with pytest.warns(DeprecationWarning, match="repro.api.Engine"):
-            run_fig9(lengths_um=(1.0,))
 
     def test_cached_engine_result_round_trips_legacy_records(self, tmp_path):
         engine = Engine(cache_dir=str(tmp_path))

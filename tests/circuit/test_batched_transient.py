@@ -75,7 +75,7 @@ def _assert_results_identical(batched, serial):
 
 def _assert_stacked_kernel_matches_serial(jobs):
     """The stacked kernel itself (no serial fallback), byte for byte."""
-    for got, job in zip(_Batch(jobs, None).run(), jobs):
+    for got, job in zip(_Batch(jobs).run(), jobs):
         want = transient_analysis(
             job.circuit,
             job.stop_time,
@@ -370,7 +370,7 @@ class TestFusedMosfetStamp:
 
     def test_bitwise_equal_to_scalar_assembly(self):
         circuits = [_stamp_probe_circuit(1.0), _stamp_probe_circuit(3.0)]
-        batch = _Batch([TransientJob(circuit, 1e-10, 1e-12) for circuit in circuits], None)
+        batch = _Batch([TransientJob(circuit, 1e-10, 1e-12) for circuit in circuits])
         assert batch.size == 3
 
         guesses = np.array(list(itertools.product(self.VOLTAGES, repeat=3)))

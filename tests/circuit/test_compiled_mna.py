@@ -3,8 +3,13 @@
 The compiled path must be a drop-in replacement for the dense assembler:
 identical matrices/rhs for identical inputs, identical waveforms from
 ``transient_analysis`` regardless of backend, and a well-defined size
-threshold with a test override.
+threshold with a test override.  Tests pick a backend with the
+``solver_backend`` context manager; no entry point takes it per call.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -25,6 +30,12 @@ from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
 
 PARITY_RTOL = 1.0e-9
+
+
+def _transient(backend: str, *args, **kwargs):
+    """``transient_analysis`` with every solve forced onto ``backend``."""
+    with solver_backend(backend):
+        return transient_analysis(*args, **kwargs)
 
 
 def _rc_ladder_circuit(n_segments: int = 30) -> Circuit:
@@ -82,8 +93,10 @@ class TestBackendSelection:
         assert resolve_backend(SPARSE_SIZE_THRESHOLD) == "sparse"
 
     def test_explicit_argument_wins(self):
-        assert resolve_backend(2, "sparse") == "sparse"
-        assert resolve_backend(10_000, "dense") == "dense"
+        with solver_backend("sparse"):
+            assert resolve_backend(2) == "sparse"
+        with solver_backend("dense"):
+            assert resolve_backend(10_000) == "dense"
 
     def test_override_context(self):
         with solver_backend("sparse"):
@@ -93,13 +106,26 @@ class TestBackendSelection:
             assert resolve_backend(2) == "sparse"
         assert resolve_backend(2) == "dense"
 
-    def test_explicit_argument_beats_override(self):
-        with solver_backend("dense"):
-            assert resolve_backend(2, "sparse") == "sparse"
+    def test_no_per_call_solver_knobs(self):
+        """The context managers are the only way to pick a solver: no other
+        public function of ``repro.circuit`` takes a backend or Newton policy."""
+        import repro.circuit
+
+        overrides = {"solver_backend", "solver_options"}
+        for info in pkgutil.iter_modules(repro.circuit.__path__):
+            module = importlib.import_module(f"repro.circuit.{info.name}")
+            for name, function in inspect.getmembers(module, inspect.isfunction):
+                if name.startswith("_") or name in overrides:
+                    continue
+                if function.__module__ != module.__name__:
+                    continue
+                parameters = inspect.signature(function).parameters
+                assert "backend" not in parameters, f"{module.__name__}.{name}"
+                assert "solver_opts" not in parameters, f"{module.__name__}.{name}"
+        with pytest.raises(TypeError):
+            resolve_backend(2, "sparse")  # type: ignore[call-arg]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend(10, "magic")
         with pytest.raises(ValueError):
             with solver_backend("magic"):
                 pass  # pragma: no cover
@@ -167,8 +193,8 @@ class TestTransientParity:
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_linear_ladder_waveforms_match(self, method):
         circuit = _rc_ladder_circuit()
-        dense = transient_analysis(circuit, 1e-9, 4e-12, method=method, backend="dense")
-        sparse = transient_analysis(circuit, 1e-9, 4e-12, method=method, backend="sparse")
+        dense = _transient("dense", circuit, 1e-9, 4e-12, method=method)
+        sparse = _transient("sparse", circuit, 1e-9, 4e-12, method=method)
         assert _max_relative_error(dense, sparse) < PARITY_RTOL
         for source in ("vin",):
             np.testing.assert_allclose(
@@ -177,14 +203,14 @@ class TestTransientParity:
 
     def test_rlc_waveforms_match(self):
         circuit = _rlc_circuit()
-        dense = transient_analysis(circuit, 2e-10, 5e-13, backend="dense")
-        sparse = transient_analysis(circuit, 2e-10, 5e-13, backend="sparse")
+        dense = _transient("dense", circuit, 2e-10, 5e-13)
+        sparse = _transient("sparse", circuit, 2e-10, 5e-13)
         assert _max_relative_error(dense, sparse) < PARITY_RTOL
 
     def test_nonlinear_waveforms_match(self):
         circuit = _inverter_line_circuit()
-        dense = transient_analysis(circuit, 3e-10, 1e-12, backend="dense")
-        sparse = transient_analysis(circuit, 3e-10, 1e-12, backend="sparse")
+        dense = _transient("dense", circuit, 3e-10, 1e-12)
+        sparse = _transient("sparse", circuit, 3e-10, 1e-12)
         assert _max_relative_error(dense, sparse) < PARITY_RTOL
 
     def test_no_dc_start_honours_initial_conditions(self):
@@ -192,8 +218,8 @@ class TestTransientParity:
         circuit.add_voltage_source("vin", "a", "0", 1.0)
         circuit.add_resistor("r1", "a", "b", 1e3)
         circuit.add_capacitor("c1", "b", "0", 1e-12, initial_voltage=0.25)
-        dense = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False, backend="dense")
-        sparse = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False, backend="sparse")
+        dense = _transient("dense", circuit, 1e-9, 2e-12, use_dc_start=False)
+        sparse = _transient("sparse", circuit, 1e-9, 2e-12, use_dc_start=False)
         assert _max_relative_error(dense, sparse) < PARITY_RTOL
         assert sparse.voltage("b")[0] == pytest.approx(0.0)
 
@@ -202,5 +228,5 @@ class TestTransientParity:
         circuit = _rc_ladder_circuit(n_segments=80)
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
         auto = transient_analysis(circuit, 4e-10, 4e-12)
-        forced = transient_analysis(circuit, 4e-10, 4e-12, backend="sparse")
+        forced = _transient("sparse", circuit, 4e-10, 4e-12)
         assert _max_relative_error(auto, forced) == 0.0

@@ -1,4 +1,8 @@
-"""DC operating point through the compiled sparse path (backend routing)."""
+"""DC operating point through the compiled sparse path (backend routing).
+
+Tests pick a backend with the ``solver_backend`` context manager; no entry
+point takes it per call.
+"""
 
 import numpy as np
 import pytest
@@ -49,6 +53,12 @@ def _nonlinear_line(n_segments: int = 100) -> Circuit:
     return circuit
 
 
+def _dc(backend: str, circuit: Circuit):
+    """``dc_operating_point`` forced onto ``backend``."""
+    with solver_backend(backend):
+        return dc_operating_point(circuit)
+
+
 def _worst_delta(a, b) -> float:
     node = max(abs(a.node_voltages[n] - b.node_voltages[n]) for n in a.node_voltages)
     current = max(abs(a.source_currents[s] - b.source_currents[s]) for s in a.source_currents)
@@ -59,8 +69,8 @@ class TestDCParity:
     def test_large_linear_ladder(self):
         circuit = _large_ladder()
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
+        dense = _dc("dense", circuit)
+        sparse = _dc("sparse", circuit)
         assert _worst_delta(dense, sparse) <= 1.0e-9
         # Sanity: the ladder actually divides the supply.
         assert 0.9 < sparse.voltage("far") < 1.0
@@ -68,8 +78,8 @@ class TestDCParity:
     def test_large_nonlinear_line(self):
         circuit = _nonlinear_line()
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
+        dense = _dc("dense", circuit)
+        sparse = _dc("sparse", circuit)
         assert _worst_delta(dense, sparse) <= 1.0e-9
 
     def test_auto_routing_follows_threshold(self):
@@ -77,7 +87,7 @@ class TestDCParity:
         threshold (small circuits keep dense, large ones go sparse)."""
         large = _large_ladder()
         auto = dc_operating_point(large)
-        sparse = dc_operating_point(large, backend="sparse")
+        sparse = _dc("sparse", large)
         assert _worst_delta(auto, sparse) == 0.0
 
         small = Circuit("divider")
@@ -86,7 +96,7 @@ class TestDCParity:
         small.add_resistor("r2", "b", "0", 1.0e3)
         assert MNAAssembler(small).size < SPARSE_SIZE_THRESHOLD
         auto_small = dc_operating_point(small)
-        dense_small = dc_operating_point(small, backend="dense")
+        dense_small = _dc("dense", small)
         assert _worst_delta(auto_small, dense_small) == 0.0
         assert auto_small.voltage("b") == pytest.approx(1.0, rel=1e-9)
 
@@ -104,7 +114,7 @@ class TestDCParity:
         small.add_voltage_source("v1", "a", "0", 2.0)
         small.add_resistor("r1", "a", "b", 1.0e3)
         small.add_resistor("r2", "b", "0", 1.0e3)
-        sparse = dc_operating_point(small, backend="sparse")
+        sparse = _dc("sparse", small)
         assert sparse.voltage("b") == pytest.approx(1.0, rel=1e-9)
 
 
@@ -129,7 +139,7 @@ class TestDCCompiledSystem:
         circuit.add_resistor("r1", "a", "b", 1.0e3)
         circuit.add_inductor("l1", "b", "c", 1.0e-9)
         circuit.add_resistor("r2", "c", "0", 1.0e3)
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
+        dense = _dc("dense", circuit)
+        sparse = _dc("sparse", circuit)
         assert _worst_delta(dense, sparse) <= 1.0e-9
         assert sparse.voltage("b") == pytest.approx(sparse.voltage("c"), abs=1e-6)

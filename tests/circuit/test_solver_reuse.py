@@ -18,6 +18,7 @@ from repro.circuit.compiled import (
     CompiledMNA,
     SolverOptions,
     resolve_solver_options,
+    solver_backend,
     solver_options,
 )
 from repro.circuit.inverter import Inverter, add_supply
@@ -119,10 +120,10 @@ class TestFreezeParity:
         contract is per-step and lives in the lockstep tests.
         """
         circuit = _inverter_line_circuit()
-        exact = transient_analysis(circuit, 3e-10, 1e-12, backend="sparse")
-        frozen = transient_analysis(
-            circuit, 3e-10, 1e-12, backend="sparse", solver_opts=FREEZE
-        )
+        with solver_backend("sparse"):
+            exact = transient_analysis(circuit, 3e-10, 1e-12)
+            with solver_options(FREEZE):
+                frozen = transient_analysis(circuit, 3e-10, 1e-12)
         scale = max(np.max(np.abs(w)) for w in exact.node_voltages.values())
         worst = max(
             float(np.max(np.abs(exact.voltage(node) - frozen.voltage(node))))
