@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.atomistic.bandstructure import BandStructure, compute_band_structure
 from repro.atomistic.chirality import Chirality
@@ -149,6 +148,8 @@ def fermi_shift_for_target_conductance(
         g = conductance_at(magnitude)
         if g >= target_conductance_s - tolerance_s:
             # Refine inside the bracketing interval for a tight estimate.
+            from scipy.optimize import brentq
+
             try:
                 root = brentq(
                     lambda s: conductance_at(s) - (target_conductance_s - tolerance_s),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.atomistic.bandstructure import BandStructure
+from repro.obs.trace import trace_span
 
 
 def _crossings_per_energy(energies: np.ndarray, energy: np.ndarray) -> np.ndarray:
@@ -20,19 +21,21 @@ def _crossings_per_energy(energies: np.ndarray, energy: np.ndarray) -> np.ndarra
 
     ``energies`` has shape ``(n_bands, n_k)``; ``energy`` is 1-D.  For every
     probe energy the number of sign changes of ``E_band(k) - E`` along ``k``
-    is accumulated over all bands.  Each pair of crossings corresponds to one
-    right-moving (and one left-moving) mode, so the channel count is half the
-    crossing count.
+    is accumulated over all bands, with an exact hit counted as positive so a
+    touching extremum is not a double crossing.  Under that rule the segment
+    between ``E_band(k)`` and ``E_band(k+1)`` changes sign exactly when
+    ``lo < E <= hi`` (``lo``/``hi`` its lower/upper end), so the count is the
+    number of segments with ``lo < E`` minus the number with ``hi < E``: two
+    binary searches over the sorted segment ends, integer-exact.  Each pair of
+    crossings corresponds to one right-moving (and one left-moving) mode, so
+    the channel count is half the crossing count.
     """
-    counts = np.zeros(energy.shape[0], dtype=int)
-    for band in energies:
-        # sign of (E_band(k) - E) for all probe energies at once: (n_e, n_k)
-        signs = np.sign(band[None, :] - energy[:, None])
-        # Treat exact hits as positive so a touching extremum is not counted
-        # as a double crossing.
-        signs[signs == 0] = 1
-        counts += (np.diff(signs, axis=1) != 0).sum(axis=1)
-    return counts
+    lo = np.minimum(energies[:, :-1], energies[:, 1:]).ravel()
+    hi = np.maximum(energies[:, :-1], energies[:, 1:]).ravel()
+    with trace_span("atomistic.modes", segments=lo.size, probes=energy.size):
+        return np.searchsorted(np.sort(lo), energy, "left") - np.searchsorted(
+            np.sort(hi), energy, "left"
+        )
 
 
 def channels_at_energy(
@@ -60,12 +63,22 @@ def channels_at_energy(
     -------
     numpy.ndarray
         Integer channel count with the same shape as ``energy_ev``.
+
+    Raises
+    ------
+    ValueError
+        If any probe energy is NaN (``+-inf`` probes are valid: no channels).
     """
     energy = np.atleast_1d(np.asarray(energy_ev, dtype=float)).ravel()
-    bands = band_structure.energies
+    if np.isnan(energy).any():
+        raise ValueError("probe energies must not be NaN")
 
-    upper = _crossings_per_energy(bands, energy + degeneracy_tol_ev)
-    lower = _crossings_per_energy(bands, energy - degeneracy_tol_ev)
+    # One count over both offsets sorts the band segments once.
+    crossings = _crossings_per_energy(
+        band_structure.energies,
+        np.concatenate([energy + degeneracy_tol_ev, energy - degeneracy_tol_ev]),
+    )
+    upper, lower = crossings[: energy.size], crossings[energy.size :]
     counts = np.maximum(upper, lower) // 2
 
     if np.isscalar(energy_ev):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.mwcnt import MWCNTInterconnect
 
@@ -130,6 +129,8 @@ def extract_tlm(measurements: list[TLMMeasurement]) -> TLMExtraction:
     resistances = np.array([m.resistance for m in measurements])
     if np.unique(lengths).size < 2:
         raise ValueError("need at least two distinct lengths")
+
+    from scipy import stats
 
     result = stats.linregress(lengths, resistances)
     slope_err = float(result.stderr) if result.stderr is not None else 0.0

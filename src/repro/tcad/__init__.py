@@ -23,7 +23,7 @@ a SPICE-like format.  This subpackage is the reproduction of that flow:
 
 from repro.tcad.grid import StructuredGrid
 from repro.tcad.materials import Material, MATERIALS
-from repro.tcad.laplace import LaplaceSolution, solve_laplace
+from repro.tcad.laplace import LaplaceSolution, solve_laplace, solve_laplace_many
 from repro.tcad.capacitance import capacitance_matrix, self_and_coupling_capacitance
 from repro.tcad.resistance import extract_resistance, current_density_map
 from repro.tcad.structures import (
@@ -39,6 +39,7 @@ __all__ = [
     "MATERIALS",
     "LaplaceSolution",
     "solve_laplace",
+    "solve_laplace_many",
     "capacitance_matrix",
     "self_and_coupling_capacitance",
     "extract_resistance",

@@ -2,7 +2,9 @@
 
 For every conductor ``j`` the Laplace problem of Eq. (2) is solved with that
 conductor at 1 V and all others grounded; the charge induced on conductor
-``i`` then gives the Maxwell capacitance matrix entry ``C[i, j]``.  The
+``i`` then gives the Maxwell capacitance matrix entry ``C[i, j]``.  All
+conductors share one matrix, so every column comes from one multi-column
+sparse solve (:func:`~repro.tcad.laplace.solve_laplace_many`).  The
 off-diagonal entries are the (negative) coupling capacitances responsible for
 the crosstalk the paper's TCAD figure highlights.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import VACUUM_PERMITTIVITY
-from repro.tcad.laplace import solve_laplace
+from repro.tcad.laplace import solve_laplace_many
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,11 @@ def capacitance_matrix(grid, conductors: list[int] | None = None) -> Capacitance
     matrix = np.zeros((n, n))
     # The dielectric domain excludes conductor interiors (they are Dirichlet
     # regions); unidentified conductors (-2) are excluded entirely.
-    for j, active in enumerate(ids):
-        boundary_conditions = {conductor: (1.0 if conductor == active else 0.0) for conductor in ids}
-        solution = solve_laplace(grid, boundary_conditions, coefficient="permittivity")
+    value_sets = [
+        {conductor: (1.0 if conductor == active else 0.0) for conductor in ids} for active in ids
+    ]
+    solutions = solve_laplace_many(grid, value_sets, coefficient="permittivity")
+    for j, solution in enumerate(solutions):
         for i, probe in enumerate(ids):
             flux = solution.flux_into_region(grid.conductor_mask(probe))
             charge = VACUUM_PERMITTIVITY * flux

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
+from repro.obs.trace import trace_span
+
 
 def _combine_coefficients(
     c_a: np.ndarray, c_b: np.ndarray, dirichlet_a: np.ndarray, dirichlet_b: np.ndarray
@@ -135,6 +137,8 @@ def solve_laplace(
 ) -> LaplaceSolution:
     """Solve ``div(c grad psi) = 0`` on a structured grid.
 
+    One boundary-condition set of :func:`solve_laplace_many`.
+
     Parameters
     ----------
     grid:
@@ -157,23 +161,63 @@ def solve_laplace(
     -------
     LaplaceSolution
     """
+    return solve_laplace_many(
+        grid, [dirichlet_values], coefficient, domain_mask, extra_dirichlet
+    )[0]
+
+
+def solve_laplace_many(
+    grid,
+    value_sets: list[dict[int, float]],
+    coefficient: str = "permittivity",
+    domain_mask: np.ndarray | None = None,
+    extra_dirichlet: list[tuple[np.ndarray, float]] | None = None,
+) -> list[LaplaceSolution]:
+    """Solve ``div(c grad psi) = 0`` once per set of conductor potentials.
+
+    Every set must hold the same conductors, so all sets share one Dirichlet
+    mask and therefore one matrix: it is assembled once and factorized once,
+    and each set becomes one column of the right-hand side of a single
+    ``spsolve`` call.  Each returned solution is bit-identical to solving its
+    set alone.  ``extra_dirichlet`` regions hold the same value in every set.
+
+    Parameters
+    ----------
+    grid, coefficient, domain_mask, extra_dirichlet:
+        As for :func:`solve_laplace`.
+    value_sets:
+        Non-empty list of mappings from conductor identifier to fixed
+        potential in volt, all with the same conductor identifiers.
+
+    Returns
+    -------
+    list[LaplaceSolution]
+        One solution per value set, in order.
+    """
     if coefficient == "permittivity":
         coeff = grid.permittivity.astype(float)
     elif coefficient == "conductivity":
         coeff = grid.conductivity.astype(float)
     else:
         raise ValueError("coefficient must be 'permittivity' or 'conductivity'")
+    if not value_sets:
+        raise ValueError("value_sets must hold at least one set of conductor potentials")
+    conductors = set(value_sets[0])
+    if any(set(values) != conductors for values in value_sets):
+        raise ValueError("every value set must hold the same conductors")
+    n_sets = len(value_sets)
 
     domain = np.ones(grid.shape, dtype=bool) if domain_mask is None else domain_mask.astype(bool)
 
+    # The last axis of ``dirichlet_value`` indexes the value sets.
     dirichlet_mask = np.zeros(grid.shape, dtype=bool)
-    dirichlet_value = np.zeros(grid.shape, dtype=float)
-    for conductor, value in dirichlet_values.items():
+    dirichlet_value = np.zeros(grid.shape + (n_sets,), dtype=float)
+    for conductor in value_sets[0]:
         mask = grid.conductor_mask(conductor)
         if not mask.any():
             raise ValueError(f"conductor {conductor} has no nodes in the grid")
         dirichlet_mask |= mask
-        dirichlet_value[mask] = value
+        dirichlet_value[mask] = [values[conductor] for values in value_sets]
     for mask, value in extra_dirichlet or []:
         mask = mask.astype(bool)
         dirichlet_mask |= mask
@@ -182,10 +226,18 @@ def solve_laplace(
     dirichlet_mask &= domain
     free_mask = domain & ~dirichlet_mask
     n_free = int(free_mask.sum())
+
+    def solutions(solution_free: np.ndarray) -> list[LaplaceSolution]:
+        result = []
+        for column in range(n_sets):
+            potential = np.full(grid.shape, np.nan)
+            potential[dirichlet_mask] = dirichlet_value[..., column][dirichlet_mask]
+            potential[free_mask] = solution_free[:, column]
+            result.append(LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain))
+        return result
+
     if n_free == 0:
-        potential = np.full(grid.shape, np.nan)
-        potential[dirichlet_mask] = dirichlet_value[dirichlet_mask]
-        return LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain)
+        return solutions(np.empty((0, n_sets)))
 
     free_index = -np.ones(grid.shape, dtype=int)
     free_index[free_mask] = np.arange(n_free)
@@ -194,7 +246,7 @@ def solve_laplace(
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
-    rhs = np.zeros(n_free)
+    rhs = np.zeros((n_free, n_sets))
     diagonal = np.zeros(n_free)
 
     for axis in range(grid.ndim):
@@ -231,7 +283,9 @@ def solve_laplace(
 
             neighbour_fixed = ~neighbour_free
             if neighbour_fixed.any():
-                contribution = weight[neighbour_fixed] * dirichlet_value[nb_idx][neighbour_fixed]
+                contribution = (
+                    weight[neighbour_fixed][:, None] * dirichlet_value[nb_idx][neighbour_fixed]
+                )
                 np.add.at(rhs, node_ids[neighbour_fixed], contribution)
 
     rows.append(np.arange(n_free))
@@ -243,10 +297,7 @@ def solve_laplace(
         shape=(n_free, n_free),
     ).tocsr()
 
-    solution_free = spsolve(matrix, rhs)
-
-    potential = np.full(grid.shape, np.nan)
-    potential[dirichlet_mask] = dirichlet_value[dirichlet_mask]
-    potential[free_mask] = solution_free
-
-    return LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain)
+    with trace_span("tcad.solve", unknowns=n_free, rhs=n_sets):
+        # spsolve returns a 1-D array for a single column.
+        solution_free = spsolve(matrix, rhs).reshape(n_free, n_sets)
+    return solutions(solution_free)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.thermal.heat1d import HeatLineProblem, solve_heat_line
 
@@ -132,6 +131,8 @@ def extract_thermal_conductivity(
         model = solve_heat_line(candidate).temperatures
         model = _gaussian_blur(model, scan.positions, scan.probe_radius)
         return float(np.mean((model - measured) ** 2))
+
+    from scipy.optimize import minimize_scalar
 
     result = minimize_scalar(misfit, bounds=bounds, method="bounded")
     return float(result.x)

@@ -1,0 +1,31 @@
+"""``python -m repro list`` does not import the heavy scipy subpackages."""
+
+import os
+import subprocess
+import sys
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def test_repro_list_imports_neither_scipy_stats_nor_optimize():
+    # ``-X importtime`` reports every module the process imports on stderr,
+    # one ``import time: self | cumulative | module`` line each.
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "list"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "table_density" in result.stdout
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "scipy.sparse" in loaded  # the probe does see scipy imports
+    for heavy in ("scipy.stats", "scipy.optimize"):
+        assert heavy not in loaded

@@ -14,8 +14,10 @@ from repro.tcad import (
     rc_netlist_from_extraction,
     self_and_coupling_capacitance,
     solve_laplace,
+    solve_laplace_many,
     via_structure,
 )
+from repro.tcad import laplace
 from repro.tcad.materials import COPPER, LOW_K_DIELECTRIC, VACUUM
 from repro.tcad.resistance import hotspot_factor
 
@@ -62,6 +64,76 @@ class TestLaplaceSolver:
         field = solution.field_magnitude()
         interior = field[5:-5, 5:-5]
         assert np.allclose(interior, 1.0 / width, rtol=0.05)
+
+
+def _assert_same_solution(first, second):
+    """Bit-identical potentials (NaN outside the domain included) and masks."""
+    assert first.potential.tobytes() == second.potential.tobytes()
+    np.testing.assert_array_equal(first.dirichlet_mask, second.dirichlet_mask)
+    np.testing.assert_array_equal(first.domain_mask, second.domain_mask)
+
+
+class TestSolveLaplaceMany:
+    def test_each_set_bit_identical_to_a_single_solve(self):
+        structure = parallel_lines_structure(n_lines=3, resolution=3)
+        grid = structure.grid
+        ids = grid.conductor_ids()
+        value_sets = [{c: (1.0 if c == active else 0.0) for c in ids} for active in ids]
+        value_sets.append({c: 0.25 * c - 0.3 for c in ids})
+        solutions = solve_laplace_many(grid, value_sets)
+        assert len(solutions) == len(value_sets)
+        for values, solution in zip(value_sets, solutions):
+            _assert_same_solution(solution, solve_laplace(grid, values))
+
+    def test_3d_grid_with_domain_and_extra_dirichlet(self):
+        grid = m1_m2_crossing_structure(resolution=2).grid
+        domain = grid.conductor_mask(1) | grid.conductor_mask(2) | (grid.conductor_id == -1)
+        contact = np.zeros(grid.shape, dtype=bool)
+        contact[0] = True
+        extra = [(contact & domain, 0.5)]
+        value_sets = [{1: 1.0, 2: 0.0}, {2: 1.0, 1: -1.0}]
+        solutions = solve_laplace_many(grid, value_sets, domain_mask=domain, extra_dirichlet=extra)
+        for values, solution in zip(value_sets, solutions):
+            single = solve_laplace(grid, values, domain_mask=domain, extra_dirichlet=extra)
+            _assert_same_solution(solution, single)
+
+    def test_capacitance_matrix_makes_one_sparse_solve(self, monkeypatch):
+        calls = []
+        spsolve = laplace.spsolve
+
+        def counting_spsolve(matrix, rhs):
+            calls.append(np.shape(rhs))
+            return spsolve(matrix, rhs)
+
+        monkeypatch.setattr(laplace, "spsolve", counting_spsolve)
+        grid = m1_m2_crossing_structure(resolution=2).grid
+        matrix = capacitance_matrix(grid)
+        assert len(matrix.conductors) == 3
+        assert len(calls) == 1
+        assert calls[0][1] == 3
+
+    def test_differing_conductor_keys_raise(self):
+        grid, _ = parallel_plate_grid(n_nodes=11)
+        with pytest.raises(ValueError, match="same conductors"):
+            solve_laplace_many(grid, [{0: 0.0, 1: 1.0}, {0: 1.0}])
+
+    def test_empty_value_sets_raise(self):
+        grid, _ = parallel_plate_grid(n_nodes=11)
+        with pytest.raises(ValueError, match="at least one"):
+            solve_laplace_many(grid, [])
+
+    def test_no_free_nodes_returns_one_solution_per_set(self):
+        grid = StructuredGrid((4, 3), (1e-9, 1e-9), background=VACUUM)
+        grid.fill_box(COPPER, (0.0, 0.0), (1e-9, 2e-9), conductor=0)
+        grid.fill_box(COPPER, (2e-9, 0.0), (3e-9, 2e-9), conductor=1)
+        value_sets = [{0: 0.0, 1: 1.0}, {0: 2.0, 1: -1.0}, {0: 0.5, 1: 0.5}]
+        solutions = solve_laplace_many(grid, value_sets)
+        assert len(solutions) == 3
+        assert not np.isnan(solutions[0].potential).any()
+        for values, solution in zip(value_sets, solutions):
+            for conductor, value in values.items():
+                assert np.all(solution.potential[grid.conductor_mask(conductor)] == value)
+            _assert_same_solution(solution, solve_laplace(grid, values))
 
 
 class TestCapacitance:
