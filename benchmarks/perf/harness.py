@@ -6,13 +6,11 @@ numerical parity between the two, and reports wall-clock numbers.
 record that ``run.py`` writes to ``BENCH_<pr>.json`` -- the perf trajectory
 future PRs extend and compare against.
 
-The fast sides layer the optimisation rounds: PR 3 introduced the compiled
-sparse MNA path and the vectorised Monte Carlo; PR 8 adds Newton
-factorization reuse (``SolverOptions(newton="freeze")``, the
-``newton_reuse`` case and the delay/crosstalk fast sides), stacked
-same-topology transient batching (``batched_sweep``), stacked engine
-sweeps (``engine_sweep``) and batched lease claims in the worker loop
-(``dist_workers``).
+The fast sides are the compiled sparse MNA path (``transient_rc_line``,
+``delay_benchmark`` and ``crosstalk``), the vectorised Monte Carlo,
+stacked same-topology transient batching (``batched_sweep``), stacked
+engine sweeps (``engine_sweep``) and batched lease claims in the worker
+loop (``dist_workers``).
 
 Modes
 -----
@@ -38,7 +36,6 @@ import numpy as np
 
 from repro.api import Engine, SweepSpec
 from repro.circuit import Circuit, Step, solver_backend, transient_analysis
-from repro.circuit.compiled import SolverOptions, solver_options
 from repro.circuit.crosstalk import analyze_crosstalk
 from repro.circuit.delay import (
     measure_inverter_line_delay,
@@ -61,9 +58,6 @@ from crosstalk_reference import analyze_crosstalk_reference  # noqa: E402
 
 PARITY_RTOL = 1.0e-9
 
-FREEZE = SolverOptions(newton="freeze")
-"""The reused-factorization Newton policy every PR-8 fast side runs under."""
-
 SPEEDUP_FLOORS = {
     "transient_rc_line": 5.0,
     "variability_mc": 10.0,
@@ -71,7 +65,6 @@ SPEEDUP_FLOORS = {
     "crosstalk": 4.0,
     "engine_sweep": 1.2,
     "dist_workers": 1.0,
-    "newton_reuse": 1.5,
     "batched_sweep": 2.5,
 }
 """Acceptance floors (full mode only): ISSUE 3 for the first two, ISSUE 8
@@ -116,12 +109,12 @@ def _timed(function: Callable, repeats: int = 1):
     return best, value
 
 
-def _forced(function: Callable, backend: str, options: SolverOptions | None = None):
-    """``function`` run with every solve on ``backend`` under Newton policy
-    ``options`` (``None``: exact), through the solver context managers."""
+def _forced(function: Callable, backend: str):
+    """``function`` run with every solve on ``backend``, through the
+    ``solver_backend`` context manager."""
 
     def run():
-        with solver_backend(backend), solver_options(options):
+        with solver_backend(backend):
             return function()
 
     return run
@@ -213,9 +206,9 @@ def case_variability_mc(smoke: bool) -> CaseResult:
 def case_delay_benchmark(smoke: bool) -> CaseResult:
     """Fig. 11 inverter-line-inverter benchmark (nonlinear Newton path).
 
-    The fast side stacks both optimisation rounds: compiled sparse MNA
-    (PR 3) plus frozen-factorization Newton (PR 8), which is what the
-    experiment stack runs when flipped to freeze mode.
+    The fast side is the compiled sparse MNA path: the static pattern is
+    compiled once and every Newton iteration refactorizes through the
+    precomputed CSC twin.
     """
     n_segments = 30 if smoke else 200
     n_steps = 200 if smoke else 600
@@ -228,7 +221,7 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
         return measure_inverter_line_delay(line, n_time_steps=n_steps)
 
     legacy_s, reference = _timed(_forced(run, "dense"))
-    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
+    fast_s, candidate = _timed(_forced(run, "sparse"))
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
     )
@@ -247,8 +240,8 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
 def case_crosstalk(smoke: bool) -> CaseResult:
     """Victim/aggressor crosstalk: two coupled ladders + four inverters.
 
-    Like :func:`case_delay_benchmark`, the fast side is sparse + frozen
-    Newton -- three transients per call, so factorization reuse compounds.
+    Like :func:`case_delay_benchmark`, the fast side is the compiled sparse
+    path -- three transients per call.
     The reference side is the serial oracle of
     ``tests/circuit/crosstalk_reference.py``: three dense transients, one
     call each (the stacked kernel never runs on either side, since the
@@ -266,7 +259,7 @@ def case_crosstalk(smoke: bool) -> CaseResult:
     legacy_s, reference = _timed(
         lambda: analyze_crosstalk_reference(line, coupling, n_time_steps=n_steps)
     )
-    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
+    fast_s, candidate = _timed(_forced(run, "sparse"))
     parity = max(
         abs(candidate.noise_peak - reference.noise_peak)
         / max(abs(reference.noise_peak), 1e-30),
@@ -435,45 +428,6 @@ def case_dist_workers(smoke: bool) -> CaseResult:
     )
 
 
-def case_newton_reuse(smoke: bool) -> CaseResult:
-    """Frozen-factorization Newton vs per-iteration refactorization.
-
-    Isolates the PR-8 solver win from the PR-3 backend win: both sides run
-    the compiled *sparse* path on the Fig. 11 delay benchmark; only the
-    Newton policy differs (``exact`` refactorizes every iteration,
-    ``freeze`` reuses one numeric LU across iterations and steps with
-    residual-triggered refreshes).  Full mode uses a longer ladder than
-    ``delay_benchmark``: factorization cost grows with the system while the
-    per-iteration triangular solves stay cheap, so this is the regime the
-    freeze policy exists for.
-    """
-    n_segments = 30 if smoke else 800
-    n_steps = 200 if smoke else 600
-    tube = MWCNTInterconnect(
-        outer_diameter=nm(10), length=um(200), contact_resistance=100e3
-    )
-    line = InterconnectLine(tube, n_segments=n_segments)
-
-    def run():
-        return measure_inverter_line_delay(line, n_time_steps=n_steps)
-
-    legacy_s, reference = _timed(_forced(run, "sparse", SolverOptions()))
-    fast_s, candidate = _timed(_forced(run, "sparse", FREEZE))
-    parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
-        reference.propagation_delay
-    )
-    return CaseResult(
-        name="newton_reuse",
-        legacy_s=legacy_s,
-        fast_s=fast_s,
-        parity_max_rel=parity,
-        detail={
-            "n_segments": n_segments,
-            "delay_ps": round(candidate.propagation_delay * 1e12, 4),
-        },
-    )
-
-
 def case_batched_sweep(smoke: bool) -> CaseResult:
     """Stacked same-topology transients vs one solve per line.
 
@@ -530,7 +484,6 @@ CASES = (
     case_variability_mc,
     case_delay_benchmark,
     case_crosstalk,
-    case_newton_reuse,
     case_batched_sweep,
     case_engine_sweep,
     case_dist_workers,

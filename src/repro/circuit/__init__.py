@@ -26,10 +26,10 @@ This subpackage provides the equivalent machinery:
 
 The solver backend is picked by circuit size
 (:func:`~repro.circuit.compiled.resolve_backend`); no entry point takes a
-per-call backend or Newton-policy argument.  Tests and benchmarks force a
-backend or policy for a whole block with
-:func:`~repro.circuit.compiled.solver_backend` and
-:func:`~repro.circuit.compiled.solver_options`.
+per-call backend or Newton argument (the Newton tolerance, damping and
+iteration caps are constants of :mod:`repro.circuit.mna`).  Tests and
+benchmarks force a backend for a whole block with
+:func:`~repro.circuit.compiled.solver_backend`, the only solver override.
 """
 
 from repro.circuit.elements import (

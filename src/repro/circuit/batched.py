@@ -41,9 +41,9 @@ therefore carry the same content hashes as serial per-point runs -- the
 engine's cache and the CI identity checks rely on it.
 
 Jobs are grouped by a structural signature (matrix size, element topology,
-zero-capacitance pattern, step count, method, Newton budget); singleton
-groups, circuits that resolve to the sparse backend, and any group whose
-stacked solve fails for one job fall back to per-job
+zero-capacitance pattern, step count, method); singleton groups, circuits
+that resolve to the sparse backend, and any group whose stacked solve fails
+for one job fall back to per-job
 :func:`~repro.circuit.transient.transient_analysis`, so batching can change
 performance but never results.  Singletons take the scalar dense loop
 because a stack of one is 1.3-2x slower: on the Fig. 11 delay circuit
@@ -61,7 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.dc import dc_operating_point
-from repro.circuit.mna import GMIN, CompanionState, MNAAssembler
+from repro.circuit.mna import (
+    GMIN,
+    NEWTON_DAMPING_LIMIT,
+    NEWTON_TOLERANCE,
+    TRANSIENT_NEWTON_ITERATIONS,
+    CompanionState,
+    MNAAssembler,
+)
 from repro.circuit.mosfet import evaluate_stack, parameter_stack
 from repro.circuit.netlist import Circuit
 from repro.circuit.compiled import resolve_backend
@@ -73,17 +80,14 @@ from repro.circuit.transient import (
 from repro.obs import metrics
 from repro.obs.trace import trace_span
 
-NEWTON_TOLERANCE = 1.0e-9
-NEWTON_DAMPING_LIMIT = 1.0
-
 
 @dataclass(frozen=True)
 class TransientJob:
     """One transient analysis to run inside a batch.
 
     Fields mirror the :func:`~repro.circuit.transient.transient_analysis`
-    signature; jobs whose derived step count, method, Newton budget and
-    circuit topology match are evaluated together.
+    signature; jobs whose derived step count, method and circuit topology
+    match are evaluated together.
     """
 
     circuit: Circuit
@@ -91,7 +95,6 @@ class TransientJob:
     time_step: float
     method: str = "trapezoidal"
     use_dc_start: bool = True
-    max_newton_iterations: int = 60
 
 
 def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
@@ -110,7 +113,6 @@ def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
         n_steps,
         job.method,
         job.use_dc_start,
-        job.max_newton_iterations,
         tuple((index(r.a), index(r.b)) for r in circuit.resistors),
         tuple(
             (index(c.a), index(c.b), c.capacitance == 0.0) for c in circuit.capacitors
@@ -152,7 +154,6 @@ class _Batch:
         self.method = first.method
         self.trapezoidal = first.method == "trapezoidal"
         self.use_dc_start = first.use_dc_start
-        self.max_iterations = first.max_newton_iterations
         self.n_steps = int(round(first.stop_time / first.time_step))
         self.nonlinear = bool(first.circuit.mosfets)
         self.dt = np.array([job.time_step for job in jobs])
@@ -392,7 +393,7 @@ class _Batch:
                 # Per-row Newton with newton_solve's damping and stopping
                 # rule; a row leaves the active set once it converges.
                 active = all_rows
-                for _ in range(self.max_iterations):
+                for _ in range(TRANSIENT_NEWTON_ITERATIONS):
                     guess = solutions[active]
                     matrices = matrix_buffer[: active.size]
                     np.take(self.static_matrices, active, axis=0, out=matrices)
@@ -414,7 +415,7 @@ class _Batch:
                     time = self.times[active[0]][step]
                     raise RuntimeError(
                         f"Newton iteration did not converge at t={time} "
-                        f"after {self.max_iterations} iterations"
+                        f"after {TRANSIENT_NEWTON_ITERATIONS} iterations"
                     )
 
             # State update: vector twin of MNAAssembler.update_state, whose
@@ -464,7 +465,6 @@ def _run_serial(job: TransientJob) -> TransientResult:
         job.time_step,
         method=job.method,
         use_dc_start=job.use_dc_start,
-        max_newton_iterations=job.max_newton_iterations,
     )
 
 

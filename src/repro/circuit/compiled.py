@@ -29,33 +29,16 @@ the way production SPICE engines do:
     factorization is computed once and reused for every remaining step --
     each step then costs one right-hand-side build plus two sparse
     triangular solves.  Nonlinear circuits keep the compiled pattern (and
-    all static values) and factorize through a precomputed CSC twin of the
-    pattern -- the CSR->CSC conversion happens once at compile time, not
-    per Newton iteration.  How often the *numeric* factorization is redone
-    is a :class:`SolverOptions` policy:
-
-    ``newton="exact"`` (default)
-        Refactorize every iteration -- the historical, bitwise-stable
-        semantics every cache entry and parity test was recorded under.
-    ``newton="freeze"``
-        Modified Newton: one LU is reused across iterations *and* steps as
-        the update ``delta = LU^-1 (b(x) - A(x) x)``.  The fixed point of
-        that update satisfies ``A(x) x = b(x)`` exactly, so a stale
-        Jacobian can only slow convergence, never bend the answer; slow
-        contraction (or an iteration budget) triggers a refresh from the
-        current iterate.  Opt-in because the iterates (hence the last few
-        bits of the result) differ from exact mode -- parity vs. the dense
-        reference is gated at 1e-9 by the perf harness and the solver
-        parity suite.
+    all static values) and refactorize every Newton iteration through a
+    precomputed CSC twin of the pattern -- the CSR->CSC conversion happens
+    once at compile time, not per Newton iteration.
 
 Backend selection is centralised in :func:`resolve_backend`: circuits below
 :data:`SPARSE_SIZE_THRESHOLD` unknowns keep the dense path (where dense
 LAPACK wins), larger ones take this compiled sparse path.  No entry point
-takes a per-call backend or Newton-policy argument.  The one override is a
-pair of context managers: :func:`solver_backend` forces every solve in a
-block onto one backend (the parity tests run the same workload through
-both), and :func:`solver_options` sets the Newton policy of every compiled
-solve in a block, so a whole experiment can be flipped to freeze mode.
+takes a per-call backend argument.  The one override is the
+:func:`solver_backend` context manager, which forces every solve in a block
+onto one backend (the parity tests run the same workload through both).
 
 Every circuit the paper-default experiments build has 14-30 unknowns, so
 this class is never constructed on the paper pass; it serves long ladders
@@ -72,7 +55,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.circuit.mna import GMIN, CompanionState, MNAAssembler
+from repro.circuit.mna import (
+    GMIN,
+    NEWTON_DAMPING_LIMIT,
+    NEWTON_TOLERANCE,
+    TRANSIENT_NEWTON_ITERATIONS,
+    CompanionState,
+    MNAAssembler,
+)
 from repro.circuit.netlist import Circuit
 
 SPARSE_SIZE_THRESHOLD = 64
@@ -122,86 +112,18 @@ def solver_backend(backend: str | None) -> Iterator[None]:
         _BACKEND_OVERRIDE = previous
 
 
-NEWTON_MODES = ("exact", "freeze")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Newton policy for the compiled sparse path (see module docstring).
-
-    ``newton="exact"`` refactorizes every iteration and is bitwise-stable
-    with the historical behaviour; ``newton="freeze"`` reuses one numeric
-    factorization across iterations and steps (modified Newton) and
-    refreshes it when the per-iteration contraction of ``max|delta|`` is
-    slower than ``refresh_contraction`` or a single step spends more than
-    ``max_frozen_iterations`` iterations on the same factorization.
-    """
-
-    newton: str = "exact"
-    refresh_contraction: float = 0.25
-    max_frozen_iterations: int = 10
-
-    def __post_init__(self) -> None:
-        if self.newton not in NEWTON_MODES:
-            raise ValueError(
-                f"unknown newton mode {self.newton!r}; use one of {NEWTON_MODES}"
-            )
-        if not 0.0 < self.refresh_contraction < 1.0:
-            raise ValueError("refresh_contraction must be in (0, 1)")
-        if self.max_frozen_iterations < 1:
-            raise ValueError("max_frozen_iterations must be >= 1")
-
-
-DEFAULT_SOLVER_OPTIONS = SolverOptions()
-
-_SOLVER_OPTIONS_OVERRIDE: SolverOptions | None = None
-
-
-def resolve_solver_options(options: SolverOptions | None = None) -> SolverOptions:
-    """Pick the Newton policy: explicit argument, then any active
-    :func:`solver_options` override, then the exact-mode default."""
-    if options is not None:
-        return options
-    if _SOLVER_OPTIONS_OVERRIDE is not None:
-        return _SOLVER_OPTIONS_OVERRIDE
-    return DEFAULT_SOLVER_OPTIONS
-
-
-@contextmanager
-def solver_options(options: SolverOptions | None) -> Iterator[None]:
-    """Force every compiled solve in the block onto one Newton policy.
-
-    The analogue of :func:`solver_backend` for :class:`SolverOptions`, so a
-    whole experiment stack can be flipped to freeze mode without changing
-    any signature::
-
-        with solver_backend("sparse"), solver_options(SolverOptions(newton="freeze")):
-            fast = measure_inverter_line_delay(line)
-    """
-    global _SOLVER_OPTIONS_OVERRIDE
-    previous = _SOLVER_OPTIONS_OVERRIDE
-    _SOLVER_OPTIONS_OVERRIDE = options
-    try:
-        yield
-    finally:
-        _SOLVER_OPTIONS_OVERRIDE = previous
-
-
 @dataclass
 class SolverStats:
     """Counters a :class:`CompiledMNA` accumulates across solve calls.
 
     ``factorizations`` counts numeric LU factorizations, ``iterations``
-    Newton iterations, ``steps`` calls to :meth:`CompiledMNA.solve_step`
-    and ``refreshes`` freeze-mode refactorizations triggered by slow
-    contraction or the per-step iteration budget.  The reuse tests and the
-    ``newton_reuse`` perf case assert against these.
+    Newton iterations and ``steps`` calls to :meth:`CompiledMNA.solve_step`.
+    The reuse tests assert against these.
     """
 
     factorizations: int = 0
     iterations: int = 0
     steps: int = 0
-    refreshes: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Counter snapshot (feeds the ``repro.obs`` solver metrics and spans)."""
@@ -209,7 +131,6 @@ class SolverStats:
             "factorizations": self.factorizations,
             "iterations": self.iterations,
             "steps": self.steps,
-            "refreshes": self.refreshes,
         }
 
 
@@ -328,7 +249,6 @@ class CompiledMNA:
         self._trapezoidal = method == "trapezoidal"
         self.nonlinear = bool(circuit.mosfets)
         self._lu = None  # cached numeric factorization (linear circuits only)
-        self._newton_lu = None  # frozen factorization (freeze-mode Newton)
         self.stats = SolverStats()
 
         index = self.base.node_index
@@ -573,19 +493,15 @@ class CompiledMNA:
         time: float,
         initial_guess: np.ndarray,
         state: ArrayState,
-        max_iterations: int = 60,
-        tolerance: float = 1.0e-9,
-        damping_limit: float = 1.0,
-        options: SolverOptions | None = None,
+        max_iterations: int = TRANSIENT_NEWTON_ITERATIONS,
     ) -> np.ndarray:
         """Solve one transient step (Newton iteration for nonlinear circuits).
 
         Mirrors :func:`repro.circuit.mna.newton_solve` -- same damping, same
         convergence test -- with the dense assemble/solve replaced by the
         compiled update plus sparse LU.  For linear circuits the cached
-        factorization makes this a single pair of triangular solves.  For
-        nonlinear circuits the resolved :class:`SolverOptions` decide between
-        exact Newton and the frozen-factorization update.
+        factorization makes this a single pair of triangular solves;
+        nonlinear circuits refactorize every Newton iteration.
         """
         self.stats.steps += 1
         if not self.nonlinear:
@@ -596,12 +512,6 @@ class CompiledMNA:
                 self._lu = self._factorize(time)
             return self._lu.solve(rhs)
 
-        opts = resolve_solver_options(options)
-        if opts.newton == "freeze":
-            return self._solve_step_frozen(
-                time, initial_guess, state, max_iterations, tolerance, damping_limit, opts
-            )
-
         solution = initial_guess.astype(float).copy()
         for _ in range(max_iterations):
             _, rhs = self.assemble(time, solution, state)
@@ -611,89 +521,13 @@ class CompiledMNA:
 
             delta = new_solution - solution
             max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-            if max_delta > damping_limit:
-                delta *= damping_limit / max_delta
+            if max_delta > NEWTON_DAMPING_LIMIT:
+                delta *= NEWTON_DAMPING_LIMIT / max_delta
                 solution = solution + delta
             else:
                 solution = new_solution
 
-            if max_delta < tolerance:
-                return solution
-
-        raise RuntimeError(
-            f"Newton iteration did not converge at t={time} after {max_iterations} iterations"
-        )
-
-    def _solve_step_frozen(
-        self,
-        time: float,
-        initial_guess: np.ndarray,
-        state: ArrayState,
-        max_iterations: int,
-        tolerance: float,
-        damping_limit: float,
-        opts: SolverOptions,
-    ) -> np.ndarray:
-        """Modified Newton: reuse one LU across iterations *and* steps.
-
-        The frozen factorization drives the residual update
-        ``delta = LU^-1 (b(x) - A(x) x)``.  Its fixed point satisfies
-        ``A(x) x = b(x)`` exactly -- the same fixed point exact Newton
-        converges to -- so a stale Jacobian can only slow convergence,
-        never bend the answer.  When the step is easy (the vast majority:
-        the previous solution is an excellent guess and the MOSFETs barely
-        move) a handful of frozen iterations converge with zero
-        factorizations.  When contraction of ``max|delta|`` stalls -- the
-        switching region, where the Jacobian genuinely changes -- the step
-        *restarts* from the initial guess with the exact refactorizing
-        loop, whose last factorization then becomes the new frozen LU.
-        Restarting (rather than continuing from the frozen iterate) keeps
-        the refresh path inside exact Newton's damping basin, so freeze
-        mode converges wherever exact mode does.
-        """
-        if self._newton_lu is not None:
-            solution = initial_guess.astype(float).copy()
-            previous_delta: float | None = None
-            for _ in range(opts.max_frozen_iterations):
-                matrix, rhs = self.assemble(time, solution, state)
-                residual = rhs - matrix @ solution
-                delta = self._newton_lu.solve(residual)
-                self.stats.iterations += 1
-
-                max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-                if max_delta > damping_limit:
-                    delta = delta * (damping_limit / max_delta)
-                solution = solution + delta
-
-                if max_delta < tolerance:
-                    return solution
-                if (
-                    previous_delta is not None
-                    and max_delta > opts.refresh_contraction * previous_delta
-                ):
-                    break  # stalled: the frozen Jacobian is too stale
-                previous_delta = max_delta
-            self.stats.refreshes += 1
-            self._newton_lu = None
-
-        # Exact refactorizing loop (identical semantics to exact mode);
-        # keep the last factorization frozen for the steps that follow.
-        solution = initial_guess.astype(float).copy()
-        for _ in range(max_iterations):
-            _, rhs = self.assemble(time, solution, state)
-            self._newton_lu = self._factorize(time)
-            new_solution = self._newton_lu.solve(rhs)
-            self.stats.iterations += 1
-
-            delta = new_solution - solution
-            max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-            if max_delta > damping_limit:
-                delta *= damping_limit / max_delta
-                solution = solution + delta
-            else:
-                solution = new_solution
-
-            if max_delta < tolerance:
+            if max_delta < NEWTON_TOLERANCE:
                 return solution
 
         raise RuntimeError(

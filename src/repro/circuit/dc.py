@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.compiled import ArrayState, CompiledMNA, resolve_backend
-from repro.circuit.mna import MNAAssembler, newton_solve
+from repro.circuit.mna import DC_NEWTON_ITERATIONS, MNAAssembler, newton_solve
 from repro.circuit.netlist import Circuit
 
 
@@ -56,8 +56,6 @@ class DCResult:
 def dc_operating_point(
     circuit: Circuit,
     time: float = 0.0,
-    max_iterations: int = 200,
-    tolerance: float = 1.0e-9,
 ) -> DCResult:
     """Solve the DC operating point of a circuit.
 
@@ -68,10 +66,10 @@ def dc_operating_point(
     time:
         Time at which source waveforms are evaluated (waveform-driven inputs
         take their ``t = time`` value as a DC level).
-    max_iterations:
-        Newton iteration cap.
-    tolerance:
-        Convergence threshold in volt.
+
+    Newton runs up to :data:`~repro.circuit.mna.DC_NEWTON_ITERATIONS`
+    iterations with the shared damping and convergence constants of
+    :mod:`repro.circuit.mna`.
 
     Returns
     -------
@@ -96,8 +94,7 @@ def dc_operating_point(
             time,
             guess,
             ArrayState.zeros(circuit),
-            max_iterations=max_iterations,
-            tolerance=tolerance,
+            max_iterations=DC_NEWTON_ITERATIONS,
         )
     else:
         solution = newton_solve(
@@ -105,8 +102,7 @@ def dc_operating_point(
             time,
             guess,
             capacitors_open=True,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
+            max_iterations=DC_NEWTON_ITERATIONS,
         )
 
     node_voltages = {

@@ -30,6 +30,20 @@ from repro.circuit.netlist import Circuit, is_ground
 GMIN = 1.0e-12
 """Minimum conductance from every node to ground (keeps matrices regular)."""
 
+NEWTON_TOLERANCE = 1.0e-9
+"""Newton convergence threshold on the infinity norm of the update (volt)."""
+
+NEWTON_DAMPING_LIMIT = 1.0
+"""Maximum per-iteration change of any unknown (volt / ampere); larger
+proposed updates are scaled down, which stabilises the MOSFET exponential
+sub-threshold region."""
+
+TRANSIENT_NEWTON_ITERATIONS = 60
+"""Newton iteration cap per transient time step."""
+
+DC_NEWTON_ITERATIONS = 200
+"""Newton iteration cap of a DC operating-point solve."""
+
 
 @dataclass
 class CompanionState:
@@ -318,9 +332,7 @@ def newton_solve(
     dt: float | None = None,
     method: str = "trapezoidal",
     capacitors_open: bool = False,
-    max_iterations: int = 60,
-    tolerance: float = 1.0e-9,
-    damping_limit: float = 1.0,
+    max_iterations: int = TRANSIENT_NEWTON_ITERATIONS,
 ) -> np.ndarray:
     """Newton-Raphson solve of the (possibly nonlinear) MNA system.
 
@@ -335,13 +347,9 @@ def newton_solve(
     state, dt, method, capacitors_open:
         Passed through to :meth:`MNAAssembler.assemble`.
     max_iterations:
-        Newton iteration cap.
-    tolerance:
-        Convergence threshold on the infinity norm of the update (volt).
-    damping_limit:
-        Maximum per-iteration change of any unknown (volt / ampere); larger
-        proposed updates are scaled down, which stabilises the MOSFET
-        exponential sub-threshold region.
+        Newton iteration cap (:data:`TRANSIENT_NEWTON_ITERATIONS` or
+        :data:`DC_NEWTON_ITERATIONS`).  Damping and the convergence test
+        follow :data:`NEWTON_DAMPING_LIMIT` and :data:`NEWTON_TOLERANCE`.
 
     Raises
     ------
@@ -367,13 +375,13 @@ def newton_solve(
 
         delta = new_solution - solution
         max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-        if max_delta > damping_limit:
-            delta *= damping_limit / max_delta
+        if max_delta > NEWTON_DAMPING_LIMIT:
+            delta *= NEWTON_DAMPING_LIMIT / max_delta
             solution = solution + delta
         else:
             solution = new_solution
 
-        if max_delta < tolerance:
+        if max_delta < NEWTON_TOLERANCE:
             return solution
 
     raise RuntimeError(

@@ -86,7 +86,6 @@ def transient_analysis(
     time_step: float,
     method: str = "trapezoidal",
     use_dc_start: bool = True,
-    max_newton_iterations: int = 60,
 ) -> TransientResult:
     """Run a fixed-step transient analysis.
 
@@ -104,13 +103,10 @@ def transient_analysis(
         When True the initial condition is the DC operating point with the
         sources at their ``t = 0`` values; when False all node voltages start
         at 0 V and capacitor initial voltages are honoured.
-    max_newton_iterations:
-        Per-step Newton cap.
 
-    The backend follows :func:`repro.circuit.compiled.resolve_backend`; the
-    sparse backend's Newton policy follows any active
-    :func:`repro.circuit.compiled.solver_options` override, else exact mode.
-    The dense backend always runs exact Newton.
+    The backend follows :func:`repro.circuit.compiled.resolve_backend`.
+    Both backends run the same Newton iteration, capped at
+    :data:`~repro.circuit.mna.TRANSIENT_NEWTON_ITERATIONS` per step.
 
     Returns
     -------
@@ -157,12 +153,7 @@ def transient_analysis(
             )
             array_state = ArrayState.from_companion(state, circuit)
             for step in range(1, n_steps + 1):
-                solution = compiled.solve_step(
-                    times[step],
-                    solution,
-                    array_state,
-                    max_iterations=max_newton_iterations,
-                )
+                solution = compiled.solve_step(times[step], solution, array_state)
                 array_state = compiled.update_state(solution, array_state)
                 trace[step] = solution
             # One sync per analysis: the compiled solver's counters feed the
@@ -179,7 +170,6 @@ def transient_analysis(
                     state=state,
                     dt=time_step,
                     method=method,
-                    max_iterations=max_newton_iterations,
                 )
                 state = assembler.update_state(
                     solution, state, time_step, method=method

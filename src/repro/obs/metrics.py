@@ -23,7 +23,6 @@ repro_dispatch_overhead_seconds_total  counter    executor=process
 repro_solver_steps_total               counter    --
 repro_solver_iterations_total          counter    --
 repro_solver_factorizations_total      counter    --
-repro_solver_refreshes_total           counter    --
 repro_batch_groups_total               counter    mode=stacked|serial|fallback
 repro_batch_group_points               histogram  --
 repro_claim_outcomes_total             counter    status
@@ -292,10 +291,9 @@ def record_solver_stats(stats: Any) -> None:
     """Absorb one solve's ``SolverStats`` deltas into the solver counters.
 
     Accepts any object with ``steps`` / ``iterations`` / ``factorizations``
-    / ``refreshes`` attributes so :mod:`repro.circuit` need not import
-    this module.
+    attributes so :mod:`repro.circuit` need not import this module.
     """
-    for field in ("steps", "iterations", "factorizations", "refreshes"):
+    for field in ("steps", "iterations", "factorizations"):
         amount = getattr(stats, field, 0)
         if amount:
             counter(f"repro_solver_{field}_total").inc(amount)

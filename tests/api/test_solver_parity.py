@@ -15,7 +15,6 @@ import pytest
 from repro.api import Engine
 from repro.api.experiment import ensure_registered, list_experiments
 from repro.circuit import solver_backend
-from repro.circuit.compiled import SolverOptions, solver_options
 
 PARITY_RTOL = 1.0e-9
 
@@ -83,30 +82,6 @@ def test_dense_and_sparse_backends_agree(name):
     with solver_backend("sparse"):
         sparse = Engine().run(name, **params)
     _records_close(dense.to_records(), sparse.to_records())
-
-
-@pytest.mark.parametrize("name", _circuit_experiment_names())
-def test_frozen_newton_agrees_with_dense(name):
-    """Jacobian-freeze mode through whole experiments: same <=1e-9 bar.
-
-    The freeze policy reuses LU factorizations across Newton iterations and
-    steps (see ``tests/circuit/test_solver_reuse.py`` for the per-step
-    mechanics); here every circuit-tagged registry experiment is run end to
-    end with freezing on and must match the dense reference to the same
-    tolerance as exact sparse Newton.
-    """
-    if name not in FAST_PARAMS:
-        pytest.fail(
-            f"experiment {name!r} is tagged 'circuit' but has no fast parameters "
-            "in FAST_PARAMS; add a small configuration so its freeze-mode "
-            "parity is covered"
-        )
-    params = FAST_PARAMS[name]
-    with solver_backend("dense"):
-        dense = Engine().run(name, **params)
-    with solver_backend("sparse"), solver_options(SolverOptions(newton="freeze")):
-        frozen = Engine().run(name, **params)
-    _records_close(dense.to_records(), frozen.to_records())
 
 
 def test_registry_has_circuit_backed_experiments():

@@ -107,21 +107,45 @@ class TestBackendSelection:
         assert resolve_backend(2) == "dense"
 
     def test_no_per_call_solver_knobs(self):
-        """The context managers are the only way to pick a solver: no other
-        public function of ``repro.circuit`` takes a backend or Newton policy."""
+        """``solver_backend`` is the only way to pick a solver: no other
+        public function, class or method of ``repro.circuit`` takes a
+        backend, a Newton policy or a Newton tuning argument."""
         import repro.circuit
+        from repro.circuit import compiled
 
-        overrides = {"solver_backend", "solver_options"}
+        knobs = {
+            "backend",
+            "solver_opts",
+            "options",
+            "tolerance",
+            "damping_limit",
+            "max_newton_iterations",
+        }
+        overrides = {"solver_backend"}
         for info in pkgutil.iter_modules(repro.circuit.__path__):
             module = importlib.import_module(f"repro.circuit.{info.name}")
-            for name, function in inspect.getmembers(module, inspect.isfunction):
+            members = []
+            for name, member in inspect.getmembers(module):
                 if name.startswith("_") or name in overrides:
                     continue
-                if function.__module__ != module.__name__:
+                if getattr(member, "__module__", None) != module.__name__:
                     continue
-                parameters = inspect.signature(function).parameters
-                assert "backend" not in parameters, f"{module.__name__}.{name}"
-                assert "solver_opts" not in parameters, f"{module.__name__}.{name}"
+                if inspect.isfunction(member):
+                    members.append((name, member))
+                elif inspect.isclass(member):
+                    members.append((name, member))
+                    members += [
+                        (f"{name}.{method}", function)
+                        for method, function in inspect.getmembers(member, inspect.isfunction)
+                        if not method.startswith("_")
+                    ]
+            for name, member in members:
+                taken = knobs & set(inspect.signature(member).parameters)
+                assert not taken, f"{module.__name__}.{name} takes {sorted(taken)}"
+        solver_names = {
+            name for name in dir(compiled) if "solver" in name.lower() and not name.startswith("_")
+        }
+        assert solver_names == overrides | {"SolverStats"}
         with pytest.raises(TypeError):
             resolve_backend(2, "sparse")  # type: ignore[call-arg]
 

@@ -119,7 +119,6 @@ class TestModuleRegistry:
             steps = 10
             iterations = 25
             factorizations = 3
-            refreshes = 0
 
         reset_metrics()
         record_solver_stats(Stats())
@@ -127,5 +126,9 @@ class TestModuleRegistry:
         assert counters["repro_solver_steps_total"] == 10
         assert counters["repro_solver_iterations_total"] == 25
         assert counters["repro_solver_factorizations_total"] == 3
-        assert "repro_solver_refreshes_total" not in counters  # zero elided
+        reset_metrics()
+        Stats.iterations = 0
+        record_solver_stats(Stats())
+        counters = metrics_snapshot()["counters"]
+        assert "repro_solver_iterations_total" not in counters  # zero elided
         reset_metrics()
