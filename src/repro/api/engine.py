@@ -112,21 +112,65 @@ _Outcome = tuple[list[dict[str, Any]] | None, str | None, float]
 # One executable unit: (resolved params, injected upstream artifacts).
 _Task = tuple[dict[str, Any], dict[str, Any]]
 
+# One cacheable invocation: a task plus its upstream content hashes (the
+# chaining component of its cache key).
+_Unit = tuple[dict[str, Any], dict[str, Any], dict[str, str]]
 
-def upstream_meta(
-    experiment: Experiment, upstream: Mapping[str, str]
-) -> dict[str, dict[str, str]]:
-    """Provenance block for consumed artifacts: inject -> (experiment, hash).
 
-    One construction shared by the engine's ``_meta`` and the distributed
-    worker's publish path -- the two must stay identical for worker-written
-    and engine-written entries to carry the same provenance shape.
+def _meta(
+    experiment: Experiment,
+    params: Mapping[str, Any],
+    elapsed: float | None,
+    upstream: Mapping[str, str] | None,
+    executor: str,
+) -> dict[str, Any]:
+    """Provenance meta of one result: what ran, with what, where and how long.
+
+    One construction shared by the engine and the distributed worker, so
+    worker-written and engine-written entries carry the same shape (meta is
+    not hashed, so ``executor`` never changes a content hash).
     """
-    by_inject = {dep.inject: dep.experiment for dep in experiment.consumes}
-    return {
-        inject: {"experiment": by_inject[inject], "content_hash": digest}
-        for inject, digest in upstream.items()
+    meta: dict[str, Any] = {
+        "experiment": experiment.name,
+        "version": experiment.version,
+        "params": dict(params),
+        "executor": executor,
     }
+    if elapsed is not None:
+        meta["wall_time_s"] = elapsed
+    if upstream:
+        # Provenance of consumed artifacts: which upstream experiment fed
+        # each inject, pinned by the content hash the cache key chained.
+        by_inject = {dep.inject: dep.experiment for dep in experiment.consumes}
+        meta["upstream"] = {
+            inject: {"experiment": by_inject[inject], "content_hash": digest}
+            for inject, digest in upstream.items()
+        }
+    return meta
+
+
+def _groups(
+    experiment: Experiment, tasks: Mapping[Any, _Task], pending: list, n_stacks: int
+) -> list[list]:
+    """Split pending task keys into execution groups.
+
+    The points of an experiment with a ``batch_fn`` that need no injected
+    inputs form at most ``n_stacks`` contiguous stacks, which
+    :func:`_run_outcomes` evaluates through one ``run_batch`` call each.
+    Every other point is a group of its own, so its result streams back the
+    moment it finishes.
+    """
+    batchable = (
+        [key for key in pending if not tasks[key][1]]
+        if experiment.batch_fn is not None
+        else []
+    )
+    stacked = set(batchable)
+    groups = [[key] for key in pending if key not in stacked]
+    if batchable:
+        size = -(-len(batchable) // n_stacks)
+        groups += [batchable[i : i + size] for i in range(0, len(batchable), size)]
+    return groups
 
 
 def _run_outcomes(
@@ -136,7 +180,7 @@ def _run_outcomes(
 ) -> list[_Outcome]:
     """Run one group of sweep tasks, capturing per-task failures.
 
-    A group of several tasks is a stack (see :meth:`Engine._groups`): it runs
+    A group of several tasks is a stack (see :func:`_groups`): it runs
     as one :meth:`Experiment.run_batch` call under an ``engine.batch`` span,
     each point charged an equal share of the wall time.  If that call
     raises, the group falls back to per-point runs, so each point's error is
@@ -496,7 +540,7 @@ class Engine:
         elapsed = time.perf_counter() - start
 
         result = ResultSet.from_records(
-            records, meta=self._meta(experiment, resolved, elapsed, upstream)
+            records, meta=_meta(experiment, resolved, elapsed, upstream, self.executor)
         )
         self._cache_store(path, result)
         memo[memo_key] = result
@@ -582,11 +626,7 @@ class Engine:
         if isinstance(study, str):
             study = get_study(study)
 
-        merged: dict[str, dict[str, Any]] = {
-            name: dict(values) for name, values in study.params.items()
-        }
-        for name, values in (stage_params or {}).items():
-            merged.setdefault(name, {}).update(values)
+        merged = study.merged_params(stage_params)
         # Resolving with the *merged* overrides validates both the stage
         # names and every override's parameter name up front, so a typo
         # fails here instead of failing every sweep point downstream.
@@ -699,7 +739,7 @@ class Engine:
             for record in sweep_point.result.to_records():
                 tagged.append(_tag_record(record, sweep_point.point))
 
-        meta = self._meta(experiment, dict(base_params or {}), elapsed)
+        meta = _meta(experiment, dict(base_params or {}), elapsed, None, self.executor)
         meta["sweep"] = spec.to_meta()
         if shard is not None:
             meta["shard"] = {
@@ -787,13 +827,15 @@ class Engine:
                 memo,
             )
 
-        pending: list[int] = []
-        paths: dict[int, str | None] = {}
-        tasks: dict[int, _Task] = {}
+        units: dict[int, _Unit] = {}
         for index in selected:
+            params = resolved_points[index]
             try:
-                inputs, upstream = self.resolve_inputs(
-                    experiment, resolved_points[index], stage_params, use_cache, memo
+                units[index] = (
+                    params,
+                    *self.resolve_inputs(
+                        experiment, params, stage_params, use_cache, memo
+                    ),
                 )
             except Exception as error:
                 # A failed upstream stage fails the dependent point only; the
@@ -812,58 +854,16 @@ class Engine:
                     result=None,
                     error=f"upstream: {message}",
                 )
-                continue
-            path = (
-                self._cache_path(experiment, resolved_points[index], upstream)
-                if use_cache
-                else None
-            )
-            cached = self._cache_load(path)
-            if cached is None:
-                pending.append(index)
-                paths[index] = path
-                tasks[index] = (resolved_points[index], inputs)
-                continue
-            self._count_cache("hit")
-            yield SweepPoint(
-                index=index,
-                point=points[index],
-                params=resolved_points[index],
-                result=cached,
-                cache_hit=True,
-            )
-        if pending:
-            self._count_cache("miss", len(pending))
-
-        upstream_by_index = {
-            index: {
-                inject: result.content_hash
-                for inject, result in tasks[index][1].items()
-            }
-            for index in pending
-        }
-        for index, (records, error, elapsed) in self._execute_pending(
-            experiment, tasks, pending
+        for index, result, error, cache_hit in self._lookup_and_execute(
+            experiment, units, use_cache
         ):
-            if error is not None:
-                yield SweepPoint(
-                    index=index,
-                    point=points[index],
-                    params=resolved_points[index],
-                    result=None,
-                    error=error,
-                )
-                continue
-            meta = self._meta(
-                experiment, resolved_points[index], elapsed, upstream_by_index[index]
-            )
-            result = ResultSet.from_records(records, meta=meta)
-            self._cache_store(paths[index], result)
             yield SweepPoint(
                 index=index,
                 point=points[index],
                 params=resolved_points[index],
                 result=result,
+                error=error,
+                cache_hit=cache_hit,
             )
 
     def _prefetch_upstreams(
@@ -880,7 +880,7 @@ class Engine:
         points through the parameter bindings, deduplicate the resulting
         upstream invocations, recurse (so transitively deeper stages run
         first) and fan the still-unmemoised invocations out through
-        :meth:`_execute_pending` -- the exact machinery downstream points
+        :meth:`_lookup_and_execute` -- the exact machinery downstream points
         use, so a process engine parallelises every stage, not just the
         last one.  Failures are *not* raised here: the per-point
         injection pass re-resolves and attributes the error to exactly the
@@ -902,92 +902,71 @@ class Engine:
                 )
             if not distinct:
                 continue
-            invocations = list(distinct.values())
             if upstream.consumes:
                 self._prefetch_upstreams(
-                    upstream, invocations, use_cache, stage_params, memo
+                    upstream, list(distinct.values()), use_cache, stage_params, memo
                 )
 
-            pending: list[int] = []
-            stage_tasks: dict[int, _Task] = {}
-            stage_paths: dict[int, str | None] = {}
-            stage_upstream: dict[int, dict[str, str]] = {}
-            memo_keys: dict[int, str] = {}
-            for slot, (memo_key, up_resolved) in enumerate(distinct.items()):
+            units: dict[str, _Unit] = {}
+            for memo_key, up_resolved in distinct.items():
                 if memo_key in memo:
                     continue
                 try:
-                    inputs, upstream_hashes = self.resolve_inputs(
-                        upstream, up_resolved, stage_params, use_cache, memo
+                    units[memo_key] = (
+                        up_resolved,
+                        *self.resolve_inputs(
+                            upstream, up_resolved, stage_params, use_cache, memo
+                        ),
                     )
                 except Exception:
                     continue  # deeper-stage failure; attributed downstream
-                path = (
-                    self._cache_path(upstream, up_resolved, upstream_hashes)
-                    if use_cache
-                    else None
-                )
-                cached = self._cache_load(path)
-                if cached is not None:
-                    self._count_cache("hit")
-                    memo[memo_key] = cached
-                    continue
-                pending.append(slot)
-                memo_keys[slot] = memo_key
-                stage_tasks[slot] = (up_resolved, inputs)
-                stage_paths[slot] = path
-                stage_upstream[slot] = upstream_hashes
-            if pending:
-                self._count_cache("miss", len(pending))
-
-            for slot, (records, error, elapsed) in self._execute_pending(
-                upstream, stage_tasks, pending
+            for memo_key, result, error, _ in self._lookup_and_execute(
+                upstream, units, use_cache
             ):
-                if error is not None:
-                    # Memoise the failure: dependent downstream points report
-                    # it without re-executing the doomed invocation.
-                    memo[memo_keys[slot]] = UpstreamFailure(error)
-                    continue
-                stage_meta = self._meta(
-                    upstream, stage_tasks[slot][0], elapsed, stage_upstream[slot]
-                )
-                result = ResultSet.from_records(records, meta=stage_meta)
-                self._cache_store(stage_paths[slot], result)
-                memo[memo_keys[slot]] = result
+                # A failure is memoised too: dependent downstream points
+                # report it without re-executing the doomed invocation.
+                memo[memo_key] = result if error is None else UpstreamFailure(error)
+
+    def _lookup_and_execute(
+        self, experiment: Experiment, units: dict[Any, _Unit], use_cache: bool
+    ) -> Iterator[tuple[Any, ResultSet | None, str | None, bool]]:
+        """Serve invocations from the cache, execute and publish the misses.
+
+        ``units`` maps a caller's key to ``(resolved params, injected inputs,
+        upstream content hashes)``.  Yields ``(key, result, error,
+        cache_hit)``: cache hits first, in ``units`` order, then executed
+        invocations in completion order (see :meth:`_execute_pending`).
+        """
+        tasks: dict[Any, _Task] = {}
+        paths: dict[Any, str | None] = {}
+        for key, (params, inputs, upstream) in units.items():
+            path = self._cache_path(experiment, params, upstream) if use_cache else None
+            cached = self._cache_load(path)
+            if cached is None:
+                tasks[key] = (params, inputs)
+                paths[key] = path
+                continue
+            self._count_cache("hit")
+            yield key, cached, None, True
+        if tasks:
+            self._count_cache("miss", len(tasks))
+
+        for key, (records, error, elapsed) in self._execute_pending(experiment, tasks):
+            if error is not None:
+                yield key, None, error, False
+                continue
+            params, _, upstream = units[key]
+            meta = _meta(experiment, params, elapsed, upstream, self.executor)
+            result = ResultSet.from_records(records, meta=meta)
+            self._cache_store(paths[key], result)
+            yield key, result, None, False
 
     # --- helpers ----------------------------------------------------------
 
-    def _groups(
-        self, experiment: Experiment, tasks: dict[int, _Task], pending: list[int]
-    ) -> list[list[int]]:
-        """Split pending point indices into execution groups.
-
-        The points of an experiment with a ``batch_fn`` that need no
-        injected inputs form stacks -- one under ``serial``, at most
-        ``max_workers`` contiguous ones under ``process`` -- that
-        :func:`_run_outcomes` evaluates through one ``run_batch`` call each.
-        Every other point is a group of its own, so its result streams back
-        the moment it finishes.
-        """
-        batchable = (
-            [index for index in pending if not tasks[index][1]]
-            if experiment.batch_fn is not None
-            else []
-        )
-        stacked = set(batchable)
-        groups = [[index] for index in pending if index not in stacked]
-        if batchable:
-            n_stacks = 1 if self.executor == "serial" else self.max_workers
-            size = -(-len(batchable) // n_stacks)
-            groups += [
-                batchable[i : i + size] for i in range(0, len(batchable), size)
-            ]
-        return groups
-
     def _observed(
-        self, group: list[int], outcomes: list[_Outcome]
-    ) -> Iterator[tuple[int, _Outcome]]:
-        """Pair a group's outcomes with its point indices, counting each point."""
+        self, group: list, outcomes: list[_Outcome]
+    ) -> Iterator[tuple[Any, _Outcome]]:
+        """Pair a group's outcomes with its task keys, counting each point."""
         for index, outcome in zip(group, outcomes):
             metrics.counter("repro_points_executed_total", executor=self.executor).inc()
             metrics.histogram("repro_point_wall_seconds").observe(outcome[2])
@@ -996,21 +975,21 @@ class Engine:
     def _execute_pending(
         self,
         experiment: Experiment,
-        tasks: dict[int, _Task],
-        pending: list[int],
-    ) -> Iterator[tuple[int, _Outcome]]:
-        """Yield ``(point_index, outcome)`` for every uncached sweep point.
+        tasks: dict[Any, _Task],
+    ) -> Iterator[tuple[Any, _Outcome]]:
+        """Yield ``(key, outcome)`` for every task.
 
-        ``tasks`` maps each pending index to its ``(resolved params,
-        injected inputs)`` pair -- inputs are empty for self-contained
-        experiments.  The points run in the groups of :meth:`_groups`:
+        ``tasks`` maps each key to its ``(resolved params, injected inputs)``
+        pair -- inputs are empty for self-contained experiments.
+        The tasks run in the groups of :func:`_groups`:
         inline in group order, or one pool task per group under the
         ``process`` executor, yielded as each task completes -- which is
         what makes :meth:`iter_sweep` stream under parallel execution.
         """
-        if not pending:
+        if not tasks:
             return
-        groups = self._groups(experiment, tasks, pending)
+        n_stacks = 1 if self.executor == "serial" else self.max_workers
+        groups = _groups(experiment, tasks, list(tasks), n_stacks)
         if self.executor == "serial" or len(groups) == 1:
             # Execute through the instance itself so ad-hoc (unregistered)
             # Experiment objects behave exactly like in run().
@@ -1036,7 +1015,7 @@ class Engine:
         # Pool workers start with an empty contextvars context, so the trace
         # ancestry rides along explicitly.
         carrier = current_carrier()
-        future_to_group: dict[Any, list[int]] = {}
+        future_to_group: dict[Any, list] = {}
         submitted_at: dict[Any, float] = {}
         for group in groups:
             start = time.perf_counter()
@@ -1067,27 +1046,6 @@ class Engine:
             # The pool itself stays alive for the next sweep (see close()).
             for future in future_to_group:
                 future.cancel()
-
-    def _meta(
-        self,
-        experiment: Experiment,
-        params: Mapping[str, Any],
-        elapsed: float | None,
-        upstream: Mapping[str, str] | None = None,
-    ) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "experiment": experiment.name,
-            "version": experiment.version,
-            "params": dict(params),
-            "executor": self.executor,
-        }
-        if elapsed is not None:
-            meta["wall_time_s"] = elapsed
-        if upstream:
-            # Provenance of consumed artifacts: which upstream experiment fed
-            # each inject, pinned by the content hash the cache key chained.
-            meta["upstream"] = upstream_meta(experiment, upstream)
-        return meta
 
 
 def _tag_record(record: dict[str, Any], point: Mapping[str, Any]) -> dict[str, Any]:

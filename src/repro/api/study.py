@@ -251,12 +251,17 @@ class Study:
         """Resolve and validate the study's dependency pipeline."""
         return resolve_pipeline(self.target, self.params)
 
-    def target_params(
-        self, extra: Mapping[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """The target stage's overrides, merged with runtime extras."""
-        merged = dict(self.params.get(self.target, {}))
-        merged.update(extra or {})
+    def merged_params(
+        self, overrides: Mapping[str, Mapping[str, Any]] | None = None
+    ) -> dict[str, dict[str, Any]]:
+        """The study's per-stage overrides with runtime ``overrides`` on top.
+
+        Stage by stage, a runtime value wins over the study's own; stages
+        only one side names are kept as they are.
+        """
+        merged = {name: dict(values) for name, values in self.params.items()}
+        for name, values in (overrides or {}).items():
+            merged.setdefault(name, {}).update(values)
         return merged
 
 

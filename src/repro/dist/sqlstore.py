@@ -72,7 +72,6 @@ from repro.dist.store import (
     FAILED_SUFFIX,
     LEASE_SUFFIX,
     Lease,
-    LocalStore,
     ResultStore,
     SharedStore,
 )
@@ -168,11 +167,30 @@ class SqliteStore(ResultStore):
                 self.directory, timeout=self.timeout, isolation_level=None
             )
             connection.row_factory = sqlite3.Row
-            connection.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(connection)
             connection.execute("PRAGMA synchronous=NORMAL")
             self._ensure_schema(connection)
             self._local.connection = connection
         return connection
+
+    def _enable_wal(self, connection: sqlite3.Connection) -> None:
+        """Switch the database to WAL, waiting at most ``timeout`` for it.
+
+        SQLite does not apply the busy timeout to the journal-mode switch, so
+        when several connections open a fresh database at once the losers
+        fail with "database is locked" at once; they retry until the switch
+        goes through or the store's timeout runs out.
+        """
+        deadline = time.monotonic() + self.timeout
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() >= deadline:
+                    connection.close()
+                    raise
+            time.sleep(0.005)
 
     def _ensure_schema(self, connection: sqlite3.Connection) -> None:
         connection.executescript(_SCHEMA)
@@ -656,16 +674,13 @@ SQLITE_SCHEMES = ("sqlite:///", "sqlite://", "sqlite:")
 absolute (the SQLAlchemy convention)."""
 
 
-def resolve_store(
-    spec: "str | ResultStore", shared: bool = True, timeout: float = 30.0
-) -> ResultStore:
+def resolve_store(spec: "str | ResultStore") -> ResultStore:
     """Turn a CLI ``--store`` spelling into a :class:`ResultStore`.
 
     * ``sqlite:///path.db`` / ``sqlite:path.db`` -- a :class:`SqliteStore`;
     * a path to an existing regular *file* -- also a :class:`SqliteStore`
       (a store database someone already created);
-    * anything else -- a directory store: :class:`SharedStore` when
-      ``shared`` (the distributed default), else :class:`LocalStore`.
+    * anything else -- a :class:`SharedStore` directory store.
 
     Store instances pass through unchanged, so call sites can accept both.
     """
@@ -683,10 +698,10 @@ def resolve_store(
                     path = "/" + path.lstrip("/")
         if not path:
             raise ValueError(f"no database path in store spec {text!r}")
-        return SqliteStore(path, timeout=timeout)
+        return SqliteStore(path)
     if os.path.isfile(text):
-        return SqliteStore(text, timeout=timeout)
-    return SharedStore(text) if shared else LocalStore(text)
+        return SqliteStore(text)
+    return SharedStore(text)
 
 
 @dataclass

@@ -7,10 +7,12 @@ the same sweep cooperate through the store alone:
 * each pending point is executed by exactly one worker -- ``claim`` grants
   a ttl-bounded lease, publish is atomic, and a point whose result already
   exists is skipped (``claim`` reports ``"done"``);
-* while a point executes, a background heartbeat renews the lease at the
-  ttl's half-way mark, so the ttl no longer has to exceed the slowest
-  single point -- a live worker keeps its claim for as long as the point
-  takes, while a *dead* worker's lease still expires within one ttl;
+* one background heartbeat per claim round renews every lease the round
+  acquired at the ttl's half-way mark, from claim time until the point is
+  published, so the ttl need not exceed the slowest point (nor a queued
+  point's wait) while a *dead* worker's leases still expire within one ttl;
+* claimed points run through the engine's own core (``_run_outcomes``:
+  ``batch_fn`` stacks with per-point fallback, ``engine.point`` spans);
 * a worker killed mid-point loses nothing but its lease: once the ttl
   lapses, any surviving (or restarted) worker claims the point again and
   re-executes it.  A point that *raises* releases its lease for siblings to
@@ -44,7 +46,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.api.engine import Engine, StageParams, SweepPoint, cache_key, upstream_meta
+from repro.api.engine import (
+    Engine,
+    StageParams,
+    SweepPoint,
+    _groups,
+    _meta,
+    _run_outcomes,
+    cache_key,
+)
 from repro.api.experiment import Experiment, get_experiment
 from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
@@ -61,18 +71,16 @@ from repro.dist.store import (
 )
 from repro.obs import metrics
 from repro.obs.metrics import metrics_snapshot
-from repro.obs.trace import trace_span
 
 
 class LeaseHeartbeat:
-    """Background renewal of claim leases while their points execute.
+    """Background renewal of claim leases while their points wait and execute.
 
-    Entered around one point's execution (or one *batch* of points --
-    ``path`` may be a list): a daemon thread calls ``store.renew`` every
-    ``ttl / 2`` seconds, so the leases never expire under a live worker no
-    matter how slow the work is, while a killed worker's leases still lapse
-    within one ttl.  If a renewal reports a lease lost (published, pruned,
-    or taken over), that path drops out of the heartbeat -- the eventual
+    Entered once per claim round over every lease it acquired (``path`` may
+    be a list): a daemon thread calls ``store.renew`` every ``ttl / 2``
+    seconds, so no lease expires under a live worker however slow the work,
+    while a killed worker's leases still lapse within one ttl.  A path whose
+    renewal fails (published, released, pruned or taken over) drops out --
     publish is atomic and content-addressed, so the worst case is
     duplicated work, never a corrupt store.
     """
@@ -90,11 +98,6 @@ class LeaseHeartbeat:
         self.ttl = ttl
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-
-    @property
-    def path(self) -> str:
-        """The single guarded path (for the one-point entry the loop uses)."""
-        return self.paths[0]
 
     def _beat(self) -> None:
         live = list(self.paths)
@@ -187,9 +190,15 @@ def run_worker(
     poll_interval: float = 0.2,
     max_wait: float | None = None,
     stage_params: StageParams | None = None,
-    claim_batch: int | None = None,
 ) -> WorkerReport:
     """Attach to a store and drive a sweep's pending points to completion.
+
+    Each pass claims half the remaining points (at least one) in one
+    ``claim_many`` round trip, runs them under one lease heartbeat through
+    the engine's execution core and publishes each result -- or releases
+    the lease and records a tombstone for a point that raised.  Points past
+    a pass's half come back :data:`~repro.dist.store.CLAIM_SKIPPED` and are
+    claimed on the next pass at once, even with ``wait=False``.
 
     Parameters
     ----------
@@ -208,9 +217,9 @@ def run_worker(
         Identity used for leases; defaults to ``<hostname>-<pid>``.
     lease_ttl:
         Seconds a claimed point stays reserved between heartbeats.  A live
-        worker renews its lease at the ttl's half-way mark, so the ttl only
-        bounds how long a *crashed* worker's point stays blocked -- it does
-        not have to exceed the slowest single point.
+        worker renews its leases at the ttl's half-way mark from claim time
+        on, so the ttl only bounds how long a *crashed* worker's point stays
+        blocked -- it need not exceed the slowest point or a point's wait.
     shard:
         Optional static slice; the worker then ignores points owned by other
         shards entirely.
@@ -232,16 +241,6 @@ def run_worker(
         Per-experiment parameter overrides for upstream pipeline stages of a
         composite experiment (a study's ``params``); every cooperating
         worker must agree on them, like on ``spec``.
-    claim_batch:
-        How many leases to request per ``claim_many`` round trip.  The
-        default (``None``) adapts: each pass asks for half the remaining
-        points (at least one), so a lone worker drains a sweep in O(log N)
-        claim round trips while cooperating workers still interleave
-        instead of one worker fencing off the whole sweep up front.  Points
-        past the batch come back :data:`~repro.dist.store.CLAIM_SKIPPED`
-        and are simply re-claimed on the next pass (even with
-        ``wait=False`` -- skipped is this worker's own deferral, not
-        another worker's lease).
     """
     experiment = name if isinstance(name, Experiment) else get_experiment(name)
     worker = worker_id if worker_id is not None else default_worker_id()
@@ -276,26 +275,26 @@ def run_worker(
     # makes a worker-merged pipeline run bit-identical to a serial one.
     upstream_engine = Engine(store=store)
     memo: dict[str, Any] = {}
-    inputs_by_index: dict[int, dict[str, ResultSet]] = {}
+    tasks: dict[int, tuple[dict[str, Any], dict[str, ResultSet]]] = {}
+    upstream_hashes: dict[int, dict[str, str]] = {}
     paths: dict[int, str] = {}
     for index in indices:
         try:
-            inputs, upstream_hashes = upstream_engine.resolve_inputs(
+            inputs, upstream_hashes[index] = upstream_engine.resolve_inputs(
                 experiment, resolved[index], stage_params, memo=memo
             )
         except Exception as error:
             failed.append(index)
-            emit(
-                index,
-                result=None,
-                error=f"upstream: {type(error).__name__}: {error}",
-            )
+            emit(index, result=None, error=f"upstream: {type(error).__name__}: {error}")
             continue
-        inputs_by_index[index] = inputs
+        tasks[index] = (resolved[index], inputs)
         paths[index] = store.entry_path(
             experiment.name,
             cache_key(
-                experiment.name, experiment.version, resolved[index], upstream_hashes
+                experiment.name,
+                experiment.version,
+                resolved[index],
+                upstream_hashes[index],
             ),
         )
 
@@ -310,40 +309,19 @@ def run_worker(
     claim_round_trips = 0
     store_round_trips = 0
 
-    def build_meta(index: int, wall_time_s: float) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "experiment": experiment.name,
-            "version": experiment.version,
-            "params": dict(resolved[index]),
-            "executor": "worker",
-            "worker_id": worker,
-            "wall_time_s": wall_time_s,
-        }
-        if inputs_by_index[index]:
-            meta["upstream"] = upstream_meta(
-                experiment,
-                {
-                    inject: upstream_result.content_hash
-                    for inject, upstream_result in inputs_by_index[index].items()
-                },
-            )
-        return meta
-
     while remaining:
         progressed = False
         busy: list[int] = []
         skipped: list[int] = []
         acquired: list[int] = []
-        batch = (
-            claim_batch
-            if claim_batch is not None
-            else max(1, (len(remaining) + 1) // 2)
-        )
+        # Ask for half the remaining points per pass: a lone worker drains a
+        # sweep in O(log N) claim round trips, while cooperating workers
+        # still interleave instead of one fencing off the whole sweep.
         statuses = store.claim_many(
             [paths[index] for index in remaining],
             worker,
             lease_ttl,
-            max_acquire=batch,
+            max_acquire=max(1, (len(remaining) + 1) // 2),
         )
         claim_round_trips += 1
         store_round_trips += 1
@@ -376,89 +354,46 @@ def run_worker(
             assert status == CLAIM_ACQUIRED
             acquired.append(index)
 
-        # Acquired points whose experiment declares a batch_fn (and which
-        # have no upstream inputs -- batch_fn is a self-contained contract)
-        # run as ONE stacked evaluation; the rest run point by point.  A
-        # batch failure falls back to the per-point path so one poisoned
-        # point cannot take its whole batch down with it.
-        serial = list(acquired)
-        batchable = (
-            [index for index in acquired if not inputs_by_index[index]]
-            if experiment.batch_fn is not None
-            else []
-        )
-        if len(batchable) > 1:
-            batch_start = time.perf_counter()
-            try:
-                # One heartbeat renews every lease in the batch while it runs.
-                with LeaseHeartbeat(
-                    store, [paths[index] for index in batchable], worker, lease_ttl
-                ), trace_span(
-                    "worker.batch",
-                    experiment=experiment.name,
-                    worker=worker,
-                    n_points=len(batchable),
-                ):
-                    records_list = experiment.run_batch(
-                        [resolved[index] for index in batchable]
-                    )
-            except Exception:
-                records_list = None  # fall through to the per-point path
-            if records_list is not None:
-                progressed = True
-                per_point_wall = (time.perf_counter() - batch_start) / len(batchable)
-                batched = set(batchable)
-                serial = [index for index in serial if index not in batched]
-                for index, records in zip(batchable, records_list):
-                    result = ResultSet.from_records(
-                        records, meta=build_meta(index, per_point_wall)
-                    )
-                    store.publish(paths[index], result)
-                    store_round_trips += 1
-                    executed.append(index)
-                    emit(index, result=result)
-
-        for index in serial:
+        if acquired:
             progressed = True
-            point_start = time.perf_counter()
-            try:
-                # The heartbeat renews the lease while the point runs, so a
-                # slower-than-ttl point is not re-claimed by a sibling.
-                with LeaseHeartbeat(
-                    store, paths[index], worker, lease_ttl
-                ), trace_span(
-                    "worker.point",
-                    experiment=experiment.name,
-                    worker=worker,
-                    index=index,
-                ):
-                    records = experiment.run_with_inputs(
-                        inputs_by_index[index], resolved[index]
+            # One heartbeat from claim time renews every lease of the round,
+            # so a point queued behind slow siblings is not re-claimed by
+            # another worker; published and released paths drop out of it.
+            with LeaseHeartbeat(
+                store, [paths[index] for index in acquired], worker, lease_ttl
+            ):
+                for group in _groups(experiment, tasks, acquired, 1):
+                    outcomes = _run_outcomes(
+                        experiment, [tasks[index] for index in group]
                     )
-            except Exception as error:
-                # Release so siblings may retry; this worker will not.  The
-                # tombstone keeps the failure inspectable after every worker
-                # exited (`cache prune --gc` collects it).
-                message = f"{type(error).__name__}: {error}"
-                store.release(paths[index], worker)
-                store.record_failure(paths[index], worker, message)
-                store_round_trips += 2
-                failed.append(index)
-                emit(index, result=None, error=message)
-                continue
-            result = ResultSet.from_records(
-                records, meta=build_meta(index, time.perf_counter() - point_start)
-            )
-            store.publish(paths[index], result)
-            store_round_trips += 1
-            executed.append(index)
-            emit(index, result=result)
+                    for index, (records, error, elapsed) in zip(group, outcomes):
+                        if error is not None:
+                            # Release so siblings may retry; this worker will
+                            # not.  The tombstone keeps the failure
+                            # inspectable after every worker exited (`cache
+                            # prune --gc` collects it).
+                            store.release(paths[index], worker)
+                            store.record_failure(paths[index], worker, error)
+                            store_round_trips += 2
+                            failed.append(index)
+                            emit(index, result=None, error=error)
+                            continue
+                        upstream = upstream_hashes[index]
+                        meta = _meta(
+                            experiment, resolved[index], elapsed, upstream, "worker"
+                        )
+                        meta["worker_id"] = worker
+                        result = ResultSet.from_records(records, meta=meta)
+                        store.publish(paths[index], result)
+                        store_round_trips += 1
+                        executed.append(index)
+                        emit(index, result=result)
 
         remaining = sorted(busy + skipped)
         if not remaining:
             break
         if skipped:
-            # Skipped points are this worker's own claim_batch deferral, not
+            # Skipped points are this worker's own batch deferral, not
             # another worker's lease: go claim them immediately (even with
             # wait=False), no backoff.
             backoff.reset()

@@ -1,6 +1,6 @@
 """Zero-dependency distributed tracing: spans, JSONL sinks, carriers.
 
-A *span* is one timed operation (``engine.sweep``, ``worker.point``,
+A *span* is one timed operation (``engine.sweep``, ``engine.point``,
 ``circuit.transient``).  Spans nest through a :mod:`contextvars` context,
 so ``trace_span`` inside ``trace_span`` records the parent/child edge
 automatically, and every span of one logical request shares a

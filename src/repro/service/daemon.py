@@ -162,15 +162,10 @@ def execute_job(
 
     if job.kind == "study":
         study = get_study(job.name)
-        merged: dict[str, dict[str, Any]] = {
-            name: dict(values) for name, values in study.params.items()
-        }
-        for name, values in job.stage_params.items():
-            merged.setdefault(name, {}).update(values)
+        worker_stage_params = study.merged_params(job.stage_params)
         target = study.target
-        base_params = merged.get(target, {})
+        base_params = worker_stage_params.get(target, {})
         spec = job.sweep if job.sweep is not None else study.sweep
-        worker_stage_params = merged
     else:
         target = job.name
         base_params = dict(job.params)

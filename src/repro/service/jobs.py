@@ -255,10 +255,7 @@ class JobSpec:
                 target = get_experiment(study.target)
                 for axis in self.sweep.axis_names:
                     target.spec(axis)
-            merged = {name: dict(values) for name, values in study.params.items()}
-            for name, values in self.stage_params.items():
-                merged.setdefault(name, {}).update(values)
-            resolve_pipeline(study.target, merged)
+            resolve_pipeline(study.target, study.merged_params(self.stage_params))
         return self
 
     # --- serialisation ----------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.api import Engine, SweepSpec, register_experiment, unregister_experiment
-from repro.api.engine import cache_key
+from repro.api.engine import _groups, cache_key
 from repro.api.experiment import Experiment, ParamSpec, get_experiment
 from repro.obs import metrics
 
@@ -32,13 +32,11 @@ def registered():
 
 class TestDispatchGranularity:
     def test_default_is_one_future_per_point(self, registered):
-        engine = Engine(executor="process", max_workers=2)
         tasks = {i: ({"x": float(i)}, {}) for i in range(64)}
-        groups = engine._groups(get_experiment(registered), tasks, list(range(64)))
+        groups = _groups(get_experiment(registered), tasks, list(range(64)), 2)
         assert groups == [[i] for i in range(64)]
 
     def test_batchable_points_split_into_at_most_max_workers_stacks(self):
-        engine = Engine(executor="process", max_workers=3)
         experiment = Experiment(
             name="adhoc_dispatch_batched",
             fn=lambda x=1.0: [{"x": x}],
@@ -46,10 +44,10 @@ class TestDispatchGranularity:
             batch_fn=lambda dicts: [[{"x": d["x"]}] for d in dicts],
         )
         tasks = {i: ({"x": float(i)}, {}) for i in range(20)}
-        groups = engine._groups(experiment, tasks, list(range(20)))
+        groups = _groups(experiment, tasks, list(range(20)), 3)
         assert [len(group) for group in groups] == [7, 7, 6]
         assert [i for group in groups for i in group] == list(range(20))
-        serial = Engine()._groups(experiment, tasks, list(range(20)))
+        serial = _groups(experiment, tasks, list(range(20)), 1)
         assert serial == [list(range(20))]
 
     @pytest.mark.parametrize("max_workers", [None, 3])

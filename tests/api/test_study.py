@@ -393,6 +393,18 @@ class TestStudyRegistry:
         ]
         assert "pipe_study" in [s.name for s in list_studies(tag="test")]
 
+    def test_merged_params_layers_runtime_overrides_per_stage(self):
+        study = Study(
+            name="merge_only",
+            target="t",
+            params={"a": {"x": 1, "y": 2}, "b": {"z": 3}},
+        )
+        merged = study.merged_params({"a": {"y": 5}, "c": {"w": 6}})
+        assert merged == {"a": {"x": 1, "y": 5}, "b": {"z": 3}, "c": {"w": 6}}
+        assert study.merged_params(None) == study.params
+        merged["a"]["x"] = 0  # a copy: the study itself is untouched
+        assert study.params["a"] == {"x": 1, "y": 2}
+
     def test_duplicate_rejected(self, registered_study):
         with pytest.raises(DuplicateStudyError):
             register_study("pipe_study", target="pipe_sink")

@@ -129,6 +129,54 @@ class TestHeartbeatUnderShortTtl:
         assert reports["w1"].executed == [0]
         assert CALLS["slow"] == 1  # executed exactly once, by w1
 
+    def test_queued_point_is_not_stolen_while_a_sibling_runs(
+        self, slow_experiment, tmp_path
+    ):
+        """One claim round leases several points that then run one after
+        another.  The lease of a point still waiting in line must be
+        renewed from claim time, or it lapses while its predecessor runs
+        and a sibling worker executes the point a second time."""
+        store = SharedStore(str(tmp_path))
+        # Three points: the first claim round takes half, rounded up -- x=1, 2.
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
+        first, second = (
+            _entry_path(store, slow_experiment, x=x, sleep_s=0.6) for x in (1.0, 2.0)
+        )
+        ttl = 0.4  # shorter than one point's 0.6 s
+
+        reports = {}
+
+        def run():
+            reports["w1"] = run_worker(
+                slow_experiment,
+                spec,
+                store,
+                base_params={"sleep_s": 0.6},
+                worker_id="w1",
+                lease_ttl=ttl,
+                wait=False,
+            )
+
+        worker_thread = threading.Thread(target=run)
+        worker_thread.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while store.read_lease(first) is None:
+                assert time.monotonic() < deadline, "worker never claimed the point"
+                time.sleep(0.01)
+            claimed_at = time.monotonic()
+            # Both points were leased by the same claim round.
+            assert store.read_lease(second).worker == "w1"
+            # Past the ttl while the first point still runs: the queued
+            # second point must still be busy, not claimable.
+            time.sleep(max(0.0, claimed_at + 1.2 * ttl - time.monotonic()))
+            assert store.claim(second, "w2", ttl=ttl) == CLAIM_BUSY
+        finally:
+            worker_thread.join(timeout=30.0)
+        assert not worker_thread.is_alive()
+        assert sorted(reports["w1"].executed) == [0, 1, 2]
+        assert CALLS["slow"] == 3  # each point executed exactly once
+
 
 class TestFailureTombstones:
     def test_failed_point_leaves_tombstone_and_releases_lease(

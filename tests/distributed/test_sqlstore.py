@@ -10,6 +10,7 @@ serial :class:`LocalStore` run.
 
 import os
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -72,7 +73,6 @@ class TestResolveStore:
 
     def test_directory_paths_stay_directory_stores(self, tmp_path):
         assert isinstance(resolve_store(str(tmp_path)), SharedStore)
-        assert isinstance(resolve_store(str(tmp_path), shared=False), LocalStore)
         assert isinstance(resolve_store(str(tmp_path / "new-dir")), SharedStore)
 
     def test_store_instances_pass_through(self, tmp_path):
@@ -92,6 +92,49 @@ class TestSchemaGuard:
             )
         with pytest.raises(ValueError, match="schema version"):
             SqliteStore(db).entries()
+
+
+class TestFirstConnect:
+    def test_racing_first_connects_never_fail(self, tmp_path):
+        """Eight threads opening one fresh database at once: SQLite does not
+        apply the busy timeout to the WAL switch, which used to fail a
+        loser with "database is locked" in about 1 of 60 databases."""
+        path = "exp-" + "0" * 16 + ".json"
+        n = 8
+        for trial in range(60):
+            store = SqliteStore(str(tmp_path / f"race-{trial}.db"))
+            barrier = threading.Barrier(n)
+            outcomes = [None] * n
+
+            def contend(index):
+                barrier.wait()
+                try:
+                    outcomes[index] = store.claim(path, f"w{index}", ttl=60.0)
+                except sqlite3.OperationalError as error:
+                    outcomes[index] = repr(error)
+
+            threads = [
+                threading.Thread(target=contend, args=(index,)) for index in range(n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(outcomes) == ["acquired"] + ["busy"] * (n - 1), trial
+
+    def test_wait_for_a_held_lock_stays_within_timeout(self, tmp_path):
+        db = str(tmp_path / "held.db")
+        holder = sqlite3.connect(db, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            start = time.monotonic()
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                SqliteStore(db, timeout=0.3).entries()
+            assert 0.3 <= time.monotonic() - start < 2.0
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
 
 
 class TestEngineIntegration:

@@ -139,17 +139,20 @@ class TestWorkerClaimBudget:
         assert 0 < report.claim_round_trips <= budget
         assert report.store_round_trips <= report.claim_round_trips + n_points
 
-    def test_explicit_claim_batch_of_one_still_completes(
+    def test_skips_reclaimed_at_once(
         self, harness, tmp_path, batched_experiment
     ):
-        """claim_batch=1 maximises skips; even with ``wait=False`` the
-        worker must treat its own skips as progress and finish the sweep."""
+        """Each pass claims half the remaining points and skips the rest;
+        even with ``wait=False`` the worker must treat its own skips as
+        progress and finish the sweep: 8 points take 4 + 2 + 1 + 1."""
+        spec = SweepSpec.grid(x=[float(x) for x in range(1, 9)])
         store = harness.make(tmp_path)
         report = run_worker(
-            batched_experiment, SPEC, store, wait=False, poll_interval=0.01, claim_batch=1
+            batched_experiment, spec, store, wait=False, poll_interval=0.01
         )
-        assert sorted(report.executed) == list(range(len(SPEC)))
-        assert report.claim_round_trips == len(SPEC)
+        assert sorted(report.executed) == list(range(len(spec)))
+        assert report.claim_round_trips == 4
+        assert report.abandoned == []
 
     def test_rejoining_worker_loads_without_claiming_leases(
         self, harness, tmp_path, batched_experiment

@@ -141,7 +141,11 @@ class TestServicePropagation:
             names = {span["name"] for span in _ancestors(job_span, by_id)}
             assert "client.submit_sweep" in names
             assert "test.submit" in names
-        for point in (s for s in spans if s["name"] == "worker.point"):
+        # Each point the daemons' workers ran is an engine.point span that
+        # descends from its daemon.job span.
+        points = [s for s in spans if s["name"] == "engine.point"]
+        assert points
+        for point in points:
             names = {span["name"] for span in _ancestors(point, by_id)}
             assert "daemon.job" in names
 
