@@ -36,7 +36,7 @@ import json
 import os
 import time
 import uuid
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.api.results import ResultSet
 from repro.dist.store import (
@@ -76,8 +76,10 @@ class _QueueStore(SharedStore):
     The claim/release/renew/tombstone machinery is inherited unchanged --
     only the entry payload differs: queue completion records are small JSON
     objects, not ResultSets, so ``load``/``publish`` (de)serialise dicts.
-    A corrupt completion record loads as ``None``, which makes ``claim``
-    dispose of it and re-grant the job, exactly like a torn store entry.
+    A corrupt completion record loads as ``None``: ``claim`` disposes of
+    it and re-grants the job, exactly like a torn store entry, and
+    :meth:`SpecQueue.gc` disposes of it for :meth:`SpecQueue.claim_next`,
+    which never offers a job whose record is listed.
     """
 
     def load(self, path: str) -> dict | None:  # type: ignore[override]
@@ -194,21 +196,64 @@ class SpecQueue:
             return None
         return trace if isinstance(trace, dict) else None
 
-    def job_ids(self) -> list[str]:
-        """Every submitted job id, oldest first (submission-time order)."""
+    def _listing(self) -> dict[str, tuple[str, str | None]]:
+        """Every job id in one directory listing: ``(state, lease holder)``.
+
+        Settled jobs are classified by file name alone: a listed completion
+        record means ``done``, else a listed tombstone means ``failed``.
+        Only a pending job whose lease file is listed has that lease read,
+        to tell ``running`` (a live lease; its holder is returned) from
+        ``queued``.  No job document is opened: past the one listing, the
+        cost grows with the pending jobs, not with every job ever submitted.
+        """
         if not os.path.isdir(self.directory):
-            return []
-        found: list[tuple[float, str]] = []
-        for filename in os.listdir(self.directory):
+            return {}
+        names = set(os.listdir(self.directory))
+        now = time.time()
+        jobs: dict[str, tuple[str, str | None]] = {}
+        for filename in names:
             if not filename.endswith(JOB_SUFFIX):
                 continue
             job_id = filename[: -len(JOB_SUFFIX)]
+            done = job_id + DONE_SUFFIX
+            if done in names:
+                jobs[job_id] = (JOB_DONE, None)
+            elif done + FAILED_SUFFIX in names:
+                jobs[job_id] = (JOB_FAILED, None)
+            elif done + LEASE_SUFFIX in names:
+                lease = self._store.read_lease(self.done_path(job_id))
+                if lease is not None and not lease.expired(now):
+                    jobs[job_id] = (JOB_RUNNING, lease.worker)
+                else:
+                    jobs[job_id] = (JOB_QUEUED, None)
+            else:
+                jobs[job_id] = (JOB_QUEUED, None)
+        return jobs
+
+    def _oldest_first(
+        self, job_ids: Iterable[str]
+    ) -> list[tuple[str, dict | None]]:
+        """``(job id, document)`` pairs in submission-time order.
+
+        Each document is parsed once; an unreadable one sorts first (its
+        ``submitted_at`` counts as 0) and comes back as ``None``.
+        """
+        found: list[tuple[float, str, dict | None]] = []
+        for job_id in job_ids:
             try:
-                submitted = float(self._read_document(job_id).get("submitted_at", 0.0))
-            except (UnknownJobError, TypeError, ValueError):
+                document: dict | None = self._read_document(job_id)
+                submitted = float(document.get("submitted_at", 0.0))
+            except UnknownJobError:
+                document, submitted = None, 0.0
+            except (TypeError, ValueError):
                 submitted = 0.0
-            found.append((submitted, job_id))
-        return [job_id for _, job_id in sorted(found)]
+            found.append((submitted, job_id, document))
+        found.sort(key=lambda item: item[:2])
+        return [(job_id, document) for _, job_id, document in found]
+
+    def job_ids(self) -> list[str]:
+        """Every submitted job id, oldest first (submission-time order)."""
+        return [job_id for job_id, _ in self._oldest_first(self._listing())]
 
     # --- claiming (SharedStore lease semantics) ----------------------------
 
@@ -233,22 +278,31 @@ class SpecQueue:
         policy: parse failures fail the job visibly instead of wedging the
         queue.  Jobs that are done, tombstoned (failed) or leased to a live
         daemon are skipped.
+
+        A claim reads one directory listing and drops settled jobs by name
+        (see :meth:`_listing`); only the remaining job documents are
+        parsed, each once, for the submission order and the spec.
         """
-        for job_id in self.job_ids():
-            done_path = self.done_path(job_id)
-            if os.path.exists(done_path):
-                continue  # completed: nothing to claim
-            if os.path.exists(done_path + FAILED_SUFFIX):
-                continue  # failed: not retried until requeue() clears it
-            if self.claim(job_id, worker_id, ttl) == CLAIM_ACQUIRED:
+        # One's own live lease stays claimable: ``claim`` renews it.
+        claimable = [
+            job_id
+            for job_id, (state, holder) in self._listing().items()
+            if state == JOB_QUEUED or holder == worker_id
+        ]
+        for job_id, document in self._oldest_first(claimable):
+            if os.path.exists(self.done_path(job_id) + FAILED_SUFFIX):
+                continue  # failed since the listing: not retried
+            if self.claim(job_id, worker_id, ttl) != CLAIM_ACQUIRED:
+                continue  # completed or leased since the listing
+            if document is None:
+                # The spec file vanished or rotted after submission; fail
+                # the job (with the read error) so it stops being offered.
                 try:
-                    payload = self._read_document(job_id).get("spec")
+                    document = self._read_document(job_id)
                 except UnknownJobError as error:
-                    # The spec file vanished or rotted after submission;
-                    # fail the job so it stops being offered.
                     self.fail(job_id, worker_id, str(error))
                     continue
-                return job_id, payload
+            return job_id, document.get("spec")
         return None
 
     def release(self, job_id: str, worker_id: str) -> None:
@@ -361,10 +415,14 @@ class SpecQueue:
         return [self.status(job_id) for job_id in self.job_ids()]
 
     def depth(self) -> dict[str, int]:
-        """Job counts by state (the ``health`` endpoint's queue block)."""
+        """Job counts by state (the ``health`` endpoint's queue block).
+
+        Classified from one directory listing (see :meth:`status` for the
+        states): no job document or completion record is parsed.
+        """
         counts = {state: 0 for state in (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED)}
-        for status in self.statuses():
-            counts[status["state"]] += 1
+        for state, _ in self._listing().values():
+            counts[state] += 1
         return counts
 
     def load_result(self, job_id: str) -> ResultSet:
@@ -398,43 +456,64 @@ class SpecQueue:
     def gc(self, now: float | None = None, dry_run: bool = False) -> list[str]:
         """Collect queue residue; returns the removed paths.
 
-        Removes **expired or orphaned job leases** (a daemon died mid-job:
-        the job is claimable again either way, the lease record is just
-        clutter) and **superseded tombstones** (a completion record exists,
-        so the recorded failure is history).  Failure tombstones of jobs
-        that never completed are *kept* -- they encode the ``failed`` state
-        (clear one explicitly with :meth:`requeue`).  Progress documents of
-        settled (done/failed) jobs are dropped too.
+        Removes **unloadable completion records** (a torn ``.done.json``
+        would otherwise strand its job: :meth:`claim_next` skips every job
+        whose record is listed, so disposing of it re-grants the job on the
+        next claim), **expired or orphaned job leases** (a daemon died
+        mid-job: the job is claimable again either way, the lease record is
+        just clutter) and **superseded tombstones** (a completion record
+        exists, so the recorded failure is history).  Failure tombstones of
+        jobs that never completed are *kept* -- they encode the ``failed``
+        state (clear one explicitly with :meth:`requeue`).  Progress
+        documents of settled (done/failed) jobs are dropped too.
 
         Lease and tombstone residue is collected through the store seam
         (:meth:`~repro.dist.store.ResultStore.collect_garbage` with pending
         failures kept), so the mechanics follow the store backend -- a
         locked directory sweep here, conditional ``DELETE`` statements for
-        a SQL-backed queue store -- while progress documents, which are
-        queue-level artifacts rather than store bookkeeping, are swept by
-        the queue itself via :meth:`~repro.dist.store.ResultStore.exists`.
+        a SQL-backed queue store -- while completion records and progress
+        documents are swept by the queue itself through the store's
+        ``load``/``exists``.
         """
+        filenames = (
+            sorted(os.listdir(self.directory)) if os.path.isdir(self.directory) else []
+        )
+        torn = [
+            path
+            for path in (os.path.join(self.directory, name) for name in filenames)
+            if path.endswith(DONE_SUFFIX) and self._store.load(path) is None
+        ]
+        if torn and not dry_run:
+            # Re-validated under the lock (as SharedStore.claim does), so a
+            # good record that replaced a torn one meanwhile is never deleted.
+            with self._store.lock():
+                torn = [
+                    path
+                    for path in torn
+                    if os.path.exists(path) and self._store.load(path) is None
+                ]
+                for path in torn:
+                    os.unlink(path)
         stale = self._store.collect_garbage(
             now=now, dry_run=dry_run, keep_pending_failures=True
         )
         progress: list[str] = []
-        if os.path.isdir(self.directory):
-            for filename in sorted(os.listdir(self.directory)):
-                if not filename.endswith(PROGRESS_SUFFIX):
-                    continue
-                job_id = filename[: -len(PROGRESS_SUFFIX)]
-                done_path = self.done_path(job_id)
-                if self._store.exists(done_path) or self._store.exists(
-                    done_path + FAILED_SUFFIX
-                ):
-                    progress.append(os.path.join(self.directory, filename))
+        for filename in filenames:
+            if not filename.endswith(PROGRESS_SUFFIX):
+                continue
+            job_id = filename[: -len(PROGRESS_SUFFIX)]
+            done_path = self.done_path(job_id)
+            if self._store.exists(done_path) or self._store.exists(
+                done_path + FAILED_SUFFIX
+            ):
+                progress.append(os.path.join(self.directory, filename))
         if not dry_run:
             for path in progress:
                 try:
                     os.unlink(path)
                 except FileNotFoundError:
                     pass
-        return stale + progress
+        return torn + stale + progress
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.job_ids())

@@ -124,6 +124,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm on,
+    # the body of every kept-alive response waits ~40 ms for the client's
+    # delayed ACK.
+    disable_nagle_algorithm = True
     server: ServiceServer  # narrowed for type checkers
 
     # --- plumbing ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """HTTP API + client: endpoint contract, error codes, end-to-end parity."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -62,6 +64,26 @@ class TestHealth:
         assert health["queue"]["queued"] == 0
         service["queue"].submit(JobSpec(kind="sweep", name="table_density", sweep=SPEC))
         assert service["client"].health()["queue"]["queued"] == 1
+
+
+class TestKeepAlive:
+    def test_kept_alive_requests_do_not_stall(self, service):
+        """Ten requests over one HTTP/1.1 connection: with Nagle's algorithm
+        on, each response body waits ~40 ms for the client's delayed ACK."""
+        job_id = service["client"].submit_sweep("table_density", SPEC)
+        host, port = service["server"].server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", f"/status/{job_id}")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["job_id"] == job_id
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.25, f"10 kept-alive requests took {elapsed:.3f} s"
 
 
 class TestSubmit:

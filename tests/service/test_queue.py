@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -116,6 +117,87 @@ class TestClaiming:
         assert claimed is not None and claimed[0] == failed_id
         queue.fail(failed_id, "w1", "boom")
         assert queue.claim_next("w2") is None
+
+
+class TestClaimScan:
+    """A claim lists the queue once and parses only the pending documents."""
+
+    K, P = 6, 3  # done jobs, queued jobs
+
+    def _mixed_queue(self, tmp_path) -> tuple[SpecQueue, list[str]]:
+        """K done, 1 failed, 1 leased to a live daemon, then P queued jobs;
+        returns the queue and the queued ids, oldest first."""
+        queue = SpecQueue(str(tmp_path))
+        for _ in range(self.K):
+            job_id = queue.submit(_job())
+            queue.claim(job_id, "w0", ttl=60.0)
+            queue.complete(job_id, {"worker_id": "w0"})
+        failed_id = queue.submit(_job())
+        queue.claim(failed_id, "w0", ttl=60.0)
+        queue.fail(failed_id, "w0", "boom")
+        queue.claim(queue.submit(_job()), "other", ttl=60.0)
+        queued = [queue.submit(_job()) for _ in range(self.P)]
+        # Stamp the queued jobs newest-first in creation order, so the
+        # oldest one is neither the first submitted nor the first listed.
+        for offset, job_id in enumerate(reversed(queued)):
+            path = os.path.join(str(tmp_path), job_id + JOB_SUFFIX)
+            document = json.load(open(path))
+            document["submitted_at"] = 1000.0 + offset
+            json.dump(document, open(path, "w"))
+        return queue, list(reversed(queued))
+
+    def _count_reads(self, queue, monkeypatch, hook=None) -> list[str]:
+        read: list[str] = []
+        original = queue._read_document
+
+        def counting(job_id):
+            read.append(job_id)
+            if hook is not None:
+                hook(job_id)
+            return original(job_id)
+
+        monkeypatch.setattr(queue, "_read_document", counting)
+        return read
+
+    def test_claim_parses_only_pending_documents(self, tmp_path, monkeypatch):
+        queue, queued = self._mixed_queue(tmp_path)
+        read = self._count_reads(queue, monkeypatch)
+        got = queue.claim_next("w1")
+        assert got is not None and got[0] == queued[0]
+        assert got[1] == _job().to_payload()
+        assert len(read) <= self.P
+        assert set(read) <= set(queued)
+
+    def test_claims_run_oldest_first(self, tmp_path):
+        queue, queued = self._mixed_queue(tmp_path)
+        claimed = [queue.claim_next(f"d{index}") for index in range(self.P)]
+        assert [job_id for job_id, _ in claimed] == queued
+        assert queue.claim_next("late") is None  # the rest is settled or leased
+
+    def test_job_completed_after_the_listing_is_skipped(self, tmp_path, monkeypatch):
+        queue, queued = self._mixed_queue(tmp_path)
+
+        def complete_oldest(job_id):
+            # Another daemon publishes the oldest job after this claim
+            # listed the queue but before it leased anything.
+            if job_id == queued[0] and not os.path.exists(queue.done_path(job_id)):
+                queue.complete(job_id, {"worker_id": "elsewhere"})
+
+        self._count_reads(queue, monkeypatch, complete_oldest)
+        got = queue.claim_next("w1")
+        assert got is not None and got[0] == queued[1]
+        assert queue.status(queued[0])["worker_id"] == "elsewhere"
+
+    def test_depth_matches_per_job_status(self, tmp_path, monkeypatch):
+        queue, _ = self._mixed_queue(tmp_path)
+        expected = Counter(queue.status(job_id)["state"] for job_id in queue.job_ids())
+        read = self._count_reads(queue, monkeypatch)
+        depth = queue.depth()
+        assert read == []  # counted from names and leases alone
+        assert {state: n for state, n in depth.items() if n} == dict(expected)
+        assert depth == {
+            JOB_QUEUED: self.P, JOB_RUNNING: 1, JOB_DONE: self.K, JOB_FAILED: 1,
+        }
 
 
 class TestLifecycleStatus:
@@ -255,6 +337,33 @@ class TestGc:
         assert corrupt in removed
         got = queue.claim_next("w1")
         assert got is not None and got[0] == job_id
+
+
+    def test_gc_disposes_of_a_torn_completion_record(self, tmp_path):
+        """A torn completion record would strand its job: claim_next skips
+        every job whose record is listed.  GC disposes of it and the next
+        claim re-grants the job."""
+        queue = SpecQueue(str(tmp_path))
+        job_id = queue.submit(_job())
+        torn = queue.done_path(job_id)
+        with open(torn, "w") as handle:
+            handle.write("{ torn")
+        assert queue.status(job_id)["state"] == JOB_QUEUED
+
+        assert torn in queue.gc(dry_run=True)
+        assert os.path.exists(torn)
+        assert torn in queue.gc()
+        assert not os.path.exists(torn)
+        got = queue.claim_next("w1")
+        assert got is not None and got[0] == job_id
+
+    def test_gc_keeps_good_completion_records(self, tmp_path):
+        queue = SpecQueue(str(tmp_path))
+        job_id = queue.submit(_job())
+        queue.claim(job_id, "w1", ttl=60.0)
+        queue.complete(job_id, {"worker_id": "w1"})
+        assert queue.done_path(job_id) not in queue.gc()
+        assert queue.status(job_id)["state"] == JOB_DONE
 
 
 class TestDunders:
