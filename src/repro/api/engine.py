@@ -304,6 +304,60 @@ class SweepError(RuntimeError):
         self.failures = failures
 
 
+def assemble_sweep(
+    experiment: Experiment,
+    spec: SweepSpec,
+    points: list[SweepPoint],
+    base_params: Mapping[str, Any] | None,
+    elapsed: float | None,
+    executor: str,
+    shard: "ShardPlan | None" = None,
+) -> ResultSet:
+    """The merged ResultSet of a sweep's points, in the order given.
+
+    ``points`` holds every selected point of ``spec`` in sweep order (the
+    whole sweep, or the ``shard`` slice).  Each completed point's records
+    are tagged with its sweep values (see :func:`_tag_record`); the meta
+    records the run (:func:`_meta` over ``base_params``), the sweep
+    descriptor under ``meta["sweep"]`` and, for a shard, the slice under
+    ``meta["shard"]``.  :meth:`Engine.sweep`, the service daemon and the
+    campaign runner all build merged results here, so a result assembled
+    from points already in memory is record for record the one a serial
+    sweep returns.
+
+    Raises :class:`SweepError`, carrying the ResultSet of the completed
+    points, when any point failed.
+    """
+    tagged: list[dict[str, Any]] = []
+    failures: list[SweepPoint] = []
+    for sweep_point in points:
+        if not sweep_point.ok:
+            failures.append(sweep_point)
+            continue
+        for record in sweep_point.result.to_records():
+            tagged.append(_tag_record(record, sweep_point.point))
+
+    meta = _meta(experiment, dict(base_params or {}), elapsed, None, executor)
+    meta["sweep"] = spec.to_meta()
+    if shard is not None:
+        meta["shard"] = {
+            "n_shards": shard.n_shards,
+            "shard_index": shard.shard_index,
+            "n_points": len(points),
+            "point_indices": [sweep_point.index for sweep_point in points],
+        }
+    result = ResultSet.from_records(tagged, meta=meta)
+    if failures:
+        raise SweepError(
+            f"{len(failures)} of {len(points)} sweep points failed; "
+            f"first failure at point {failures[0].index} "
+            f"({failures[0].point}): {failures[0].error}",
+            partial=result,
+            failures=failures,
+        )
+    return result
+
+
 class Engine:
     """Executes experiments and sweeps, with optional memoisation.
 
@@ -621,24 +675,13 @@ class Engine:
         merge through :func:`repro.dist.shards.merge_results` bit-identically
         to a serial study run.
         """
-        from repro.api.study import get_study, resolve_pipeline
+        from repro.api.study import get_study
 
         if isinstance(study, str):
             study = get_study(study)
 
-        merged = study.merged_params(stage_params)
-        # Resolving with the *merged* overrides validates both the stage
-        # names and every override's parameter name up front, so a typo
-        # fails here instead of failing every sweep point downstream.
-        pipeline = resolve_pipeline(study.target, merged)
+        merged, study_meta = study.plan(stage_params)
         base = merged.get(study.target, {})
-
-        study_meta = {
-            "name": study.name,
-            "target": study.target,
-            "stages": pipeline.stage_names,
-            "stage_params": {k: v for k, v in merged.items() if v},
-        }
         spec = sweep if sweep is not None else study.sweep
         if spec is None:
             if shard is not None:
@@ -724,40 +767,15 @@ class Engine:
                 completed[sweep_point.index] = sweep_point
                 if on_result is not None:
                     on_result(sweep_point)
-        elapsed = time.perf_counter() - start
-        # iter_sweep yields exactly the selected slice, so the slice (in
-        # sweep order) is the sorted key set -- no second hashing pass.
-        selected = sorted(completed)
-
-        tagged: list[dict[str, Any]] = []
-        failures: list[SweepPoint] = []
-        for index in selected:
-            sweep_point = completed[index]  # iter_sweep yields every selected point
-            if not sweep_point.ok:
-                failures.append(sweep_point)
-                continue
-            for record in sweep_point.result.to_records():
-                tagged.append(_tag_record(record, sweep_point.point))
-
-        meta = _meta(experiment, dict(base_params or {}), elapsed, None, self.executor)
-        meta["sweep"] = spec.to_meta()
-        if shard is not None:
-            meta["shard"] = {
-                "n_shards": shard.n_shards,
-                "shard_index": shard.shard_index,
-                "n_points": len(selected),
-                "point_indices": selected,
-            }
-        result = ResultSet.from_records(tagged, meta=meta)
-        if failures:
-            raise SweepError(
-                f"{len(failures)} of {len(selected)} sweep points failed; "
-                f"first failure at point {failures[0].index} "
-                f"({failures[0].point}): {failures[0].error}",
-                partial=result,
-                failures=failures,
-            )
-        return result
+        return assemble_sweep(
+            experiment,
+            spec,
+            [completed[index] for index in sorted(completed)],
+            base_params,
+            time.perf_counter() - start,
+            self.executor,
+            shard=shard,
+        )
 
     def iter_sweep(
         self,

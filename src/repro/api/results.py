@@ -88,6 +88,9 @@ class ResultSet:
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
         self.meta: dict[str, Any] = dict(meta or {})
+        # The data never changes after construction (every transform builds
+        # a new ResultSet), so its hash is computed at most once.
+        self._content_hash: str | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -318,8 +321,15 @@ class ResultSet:
 
     @property
     def content_hash(self) -> str:
-        """SHA-256 hash of the data (records in order); independent of meta."""
-        return content_hash(self.to_records())
+        """SHA-256 hash of the data (records in order); independent of meta.
+
+        Computed on first access and kept: ``from_json`` builds a new
+        ResultSet from the stored columns, so loading still hashes the data
+        it verifies.
+        """
+        if self._content_hash is None:
+            self._content_hash = content_hash(self.to_records())
+        return self._content_hash
 
     # --- serialisation ----------------------------------------------------
 

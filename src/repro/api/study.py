@@ -264,6 +264,27 @@ class Study:
             merged.setdefault(name, {}).update(values)
         return merged
 
+    def plan(
+        self, overrides: Mapping[str, Mapping[str, Any]] | None = None
+    ) -> tuple[dict[str, dict[str, Any]], dict[str, Any]]:
+        """One run's merged per-stage params and its ``meta["study"]`` block.
+
+        Resolving the pipeline with the *merged* overrides validates both the
+        stage names and every override's parameter name up front, so a typo
+        fails here instead of failing every sweep point downstream.
+        :meth:`~repro.api.engine.Engine.run_study` and the service daemon
+        both take a study's provenance from here.
+        """
+        merged = self.merged_params(overrides)
+        pipeline = resolve_pipeline(self.target, merged)
+        meta = {
+            "name": self.name,
+            "target": self.target,
+            "stages": pipeline.stage_names,
+            "stage_params": {k: v for k, v in merged.items() if v},
+        }
+        return merged, meta
+
 
 # --- study registry ----------------------------------------------------------
 

@@ -13,8 +13,12 @@ the standard engine machinery:
   reproduces the same content hashes);
 * with ``workers > 1`` each batch is partitioned by
   :class:`~repro.dist.shards.ShardPlan` and executed by cooperating
-  lease-claiming workers against the shared store, then reassembled from
-  cache -- bit-identical to the serial batch.
+  lease-claiming workers against the shared store -- bit-identical to the
+  serial batch;
+* the history the strategy sees is assembled from the points the batches
+  returned (:func:`~repro.api.engine.assemble_sweep`, the assembly of
+  ``Engine.sweep``); the store is replayed only when a campaign resumes
+  from a checkpoint.
 
 The campaign checkpoints its full decision state (strategy rng state,
 visited points, round counter, history content-hash, pending batch) to a
@@ -45,7 +49,8 @@ import os
 import threading
 from typing import Any, Mapping
 
-from repro.api.engine import Engine
+from repro.api.engine import Engine, SweepPoint, assemble_sweep
+from repro.api.experiment import get_experiment
 from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
 from repro.campaign.report import CampaignReport
@@ -177,6 +182,9 @@ class Campaign:
 
         # Mutable run state (reset/restored by run()).
         self._visited: list[dict[str, Any]] = []
+        # The executed point of each visited entry, in visit order: the
+        # history is assembled from these instead of replayed from the store.
+        self._points: list[SweepPoint] = []
         self._pending: list[dict[str, Any]] | None = None
         self._round = 0
         self._n_executed = 0
@@ -285,29 +293,28 @@ class Campaign:
 
     # --- execution --------------------------------------------------------
 
-    def _execute_batch(self, batch: list[dict[str, Any]]) -> int:
-        """Run one proposed batch through the engine; returns newly-executed
-        point count (cache hits cost nothing and count nothing)."""
+    def _execute_batch(self, batch: list[dict[str, Any]]) -> list[SweepPoint]:
+        """Run one proposed batch through the engine; returns its points in
+        batch order (cache hits included, flagged ``cache_hit``)."""
         spec = SweepSpec.from_points(batch)
-        fresh = 0
+        landed: dict[int, SweepPoint] = {}
 
-        def count(sweep_point: Any) -> None:
-            nonlocal fresh
-            if not sweep_point.cache_hit:
-                fresh += 1
+        def keep(sweep_point: SweepPoint) -> None:
+            landed[sweep_point.index] = sweep_point
 
         if self.workers <= 1:
             self.engine.sweep(
                 self.experiment,
                 spec,
                 base_params=self.base_params,
-                on_result=count,
+                on_result=keep,
                 stage_params=self.stage_params,
             )
-            return fresh
+            return [landed[index] for index in sorted(landed)]
 
         # Partition the batch across cooperating workers over the shared
-        # store, then reassemble from cache (0 extra executions).
+        # store; every point reaches ``keep`` -- executed, or published by
+        # anyone and loaded -- so nothing is read back afterwards.
         from repro.dist.shards import ShardPlan
         from repro.dist.worker import run_worker
 
@@ -323,6 +330,7 @@ class Campaign:
                     base_params=self.base_params,
                     worker_id=f"campaign-w{index}",
                     shard=ShardPlan(self.workers, index),
+                    on_result=keep,
                     stage_params=self.stage_params,
                 )
             except BaseException as error:  # surfaced below
@@ -338,35 +346,27 @@ class Campaign:
             thread.join()
         if errors:
             raise errors[0]
-        fresh = sum(len(r.executed) for r in reports if r is not None)
         failed = [i for r in reports if r is not None for i in r.failed]
         if failed:
             raise CampaignError(
                 f"batch points {sorted(failed)} failed across workers"
             )
-        # Materialise the batch ResultSet (cache-only now) so the records
-        # exist even when every worker found its slice already published.
-        self.engine.sweep(
-            self.experiment,
-            spec,
-            base_params=self.base_params,
-            stage_params=self.stage_params,
-        )
-        return fresh
+        return [landed[index] for index in sorted(landed)]
 
     def _assemble(self) -> ResultSet:
         """The full history over every visited point, in visit order.
 
-        Always served from the store (the batches just ran), so this is a
-        cheap cache replay that yields the exact ResultSet a serial
+        Built from the points the batches already returned, through the
+        engine's own assembly, so it is the exact ResultSet a serial
         points-sweep over the visited sequence would produce.
         """
-        spec = SweepSpec.from_points(self._visited)
-        return self.engine.sweep(
-            self.experiment,
-            spec,
-            base_params=self.base_params,
-            stage_params=self.stage_params,
+        return assemble_sweep(
+            get_experiment(self.experiment),
+            SweepSpec.from_points(self._visited),
+            self._points,
+            self.base_params,
+            None,
+            self.engine.executor,
         )
 
     # --- bookkeeping ------------------------------------------------------
@@ -443,6 +443,9 @@ class Campaign:
         if document is not None:
             self._restore(document)
             if self._visited:
+                # A resume replays the visited points (a store-backed engine
+                # serves them all) into the history later rounds extend.
+                self._points = self._execute_batch(self._visited)
                 history = self._assemble()
                 expected = document.get("history_hash")
                 if expected is not None and history.content_hash != expected:
@@ -483,7 +486,9 @@ class Campaign:
                     self._pending = batch
                     self._checkpoint("proposed", history)
 
-                self._n_executed += self._execute_batch(self._pending)
+                points = self._execute_batch(self._pending)
+                self._n_executed += sum(not point.cache_hit for point in points)
+                self._points.extend(points)
                 self._visited.extend(self._pending)
                 n_batch = len(self._pending)
                 self._pending = None

@@ -58,6 +58,8 @@ class TestStructure:
         Human-readable measurement purpose.
     """
 
+    __test__ = False  # a layout structure, not a pytest test class
+
     name: str
     kind: StructureKind
     width: float
@@ -77,6 +79,8 @@ class TestStructure:
 @dataclass(frozen=True)
 class TestLayout:
     """A complete test layout: a named collection of test structures."""
+
+    __test__ = False  # a layout, not a pytest test class
 
     name: str
     structures: tuple[TestStructure, ...] = field(default_factory=tuple)

@@ -18,7 +18,8 @@ point results live) and serves until stopped:
   the closed-loop :class:`~repro.campaign.Campaign` runner against the
   store, publishing every visited point; a background heartbeat renews the
   job lease the whole time;
-* **publish**: the merged ResultSet (assembled from the store, hence
+* **publish**: the merged ResultSet (assembled from the points the job
+  already holds, exactly as ``Engine.sweep`` assembles them, hence
   bit-identical to a serial run) is exported next to the queue entry and
   the completion record is published atomically.  A job that raises gets a
   failure tombstone instead and is not retried (see
@@ -62,7 +63,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.api.engine import Engine
+from repro.api.engine import Engine, SweepPoint, assemble_sweep
+from repro.api.experiment import get_experiment
 from repro.api.study import get_study
 from repro.dist.backoff import Backoff
 from repro.dist.store import DEFAULT_LEASE_TTL, ResultStore, default_worker_id
@@ -73,6 +75,11 @@ from repro.service.jobs import JobSpec
 from repro.service.queue import SpecQueue
 
 logger = logging.getLogger("repro.service.daemon")
+
+# Seconds between a running job's progress documents after the claim-time
+# one: each is an atomic file write, and a fast job lands many points per
+# second, so progress is coalesced instead of written per point.
+PROGRESS_INTERVAL_S = 0.5
 
 
 class JobExecutionError(RuntimeError):
@@ -116,11 +123,12 @@ def execute_job(
 
     Swept work flows through :func:`repro.dist.worker.run_worker` (lease
     claims, heartbeats, stage-aware upstream resolution), so cooperating
-    daemons share points through the store; the merged ResultSet is then
-    assembled from the store by a serial :class:`Engine` pass -- pure cache
-    hits, which is what makes the fetched result bit-identical (content
-    hash and all) to the same sweep run serially.  ``on_progress`` receives
-    ``(points_done, points_total)`` as points land.
+    daemons share points through the store.  The merged ResultSet is then
+    assembled by :func:`~repro.api.engine.assemble_sweep` from the points
+    ``run_worker`` handed over -- the assembly ``Engine.sweep`` uses, which
+    is what makes the fetched result bit-identical (content hash and all)
+    to the same sweep run serially, without reading any point back.
+    ``on_progress`` receives ``(points_done, points_total)`` as points land.
 
     Raises :class:`JobExecutionError` when any point fails; the caller
     records the job tombstone.
@@ -162,53 +170,79 @@ def execute_job(
 
     if job.kind == "study":
         study = get_study(job.name)
-        worker_stage_params = study.merged_params(job.stage_params)
+        spec = job.sweep if job.sweep is not None else study.sweep
+        if spec is None:
+            # An unswept study is one invocation of its target: nothing to
+            # claim point by point, so the store-backed engine runs it.
+            return Engine(store=store).run_study(study, stage_params=stage_params)
+        worker_stage_params, study_meta = study.plan(job.stage_params)
         target = study.target
         base_params = worker_stage_params.get(target, {})
-        spec = job.sweep if job.sweep is not None else study.sweep
     else:
         target = job.name
         base_params = dict(job.params)
         spec = job.sweep
         worker_stage_params = stage_params
 
-    if spec is not None:
-        total = len(spec)
-        done = {"count": 0}
+    total = len(spec)
+    landed: dict[int, SweepPoint] = {}
 
-        def on_result(point: Any) -> None:
-            done["count"] += 1
-            if on_progress is not None:
-                on_progress(done["count"], total)
+    def on_result(point: SweepPoint) -> None:
+        landed[point.index] = point
+        if on_progress is not None:
+            on_progress(len(landed), total)
 
-        report = run_worker(
-            target,
-            spec,
-            store,
-            base_params=base_params,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
-            on_result=on_result,
-            stage_params=worker_stage_params,
-        )
-        if report.failed:
-            raise JobExecutionError(
-                f"{len(report.failed)} of {report.n_points} points failed "
-                f"(point indices {sorted(report.failed)}); completed points "
-                "stay published -- requeue the job after fixing the cause"
-            )
-
-    # Assemble the canonical merged ResultSet through the engine: with every
-    # point already published this is a cache-only pass, and the assembly
-    # (record order, sweep provenance) is byte-for-byte the serial path.
-    engine = Engine(store=store)
-    if job.kind == "study":
-        return engine.run_study(
-            get_study(job.name), stage_params=stage_params, sweep=job.sweep
-        )
-    return engine.sweep(
-        target, spec, base_params=base_params, stage_params=stage_params
+    start = time.perf_counter()
+    report = run_worker(
+        target,
+        spec,
+        store,
+        base_params=base_params,
+        worker_id=worker_id,
+        lease_ttl=lease_ttl,
+        on_result=on_result,
+        stage_params=worker_stage_params,
     )
+    if report.failed:
+        raise JobExecutionError(
+            f"{len(report.failed)} of {report.n_points} points failed "
+            f"(point indices {sorted(report.failed)}); completed points "
+            "stay published -- requeue the job after fixing the cause"
+        )
+    # Every point reached on_result -- executed here, or published by anyone
+    # and loaded by run_worker -- so the merged result is assembled from
+    # memory, record for record the serial sweep's.
+    result = assemble_sweep(
+        get_experiment(target),
+        spec,
+        [landed[index] for index in sorted(landed)],
+        base_params,
+        time.perf_counter() - start,
+        "worker",
+    )
+    if job.kind == "study":
+        result.meta["study"] = study_meta
+    return result
+
+
+def _progress_recorder(queue: SpecQueue, job_id: str) -> Callable[[int, int], None]:
+    """Record a claimed job's first progress document; coalesce the rest.
+
+    The returned ``on_progress`` callback writes at most one document per
+    :data:`PROGRESS_INTERVAL_S`, so a running job's ``status`` always
+    carries a progress block without one file write per landed point.
+    """
+    queue.record_progress(job_id, points_done=0, points_total=None)
+    last = time.monotonic()
+
+    def record(done: int, total: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= PROGRESS_INTERVAL_S:
+            queue.record_progress(job_id, points_done=done, points_total=total)
+            last = now
+
+    return record
 
 
 def serve_queue(
@@ -288,15 +322,12 @@ def serve_queue(
             try:
                 job = JobSpec.from_payload(payload).validate()
                 emit(f"daemon {worker}: claimed {job_id} ({job.describe()})")
-                queue.record_progress(job_id, points_done=0, points_total=None)
                 result = execute_job(
                     job,
                     store,
                     worker_id=worker,
                     lease_ttl=lease_ttl,
-                    on_progress=lambda done, total: queue.record_progress(
-                        job_id, points_done=done, points_total=total
-                    ),
+                    on_progress=_progress_recorder(queue, job_id),
                 )
             except Exception as error:
                 message = f"{type(error).__name__}: {error}"

@@ -432,13 +432,30 @@ class SpecQueue:
         :class:`ValueError` (carrying the job's current state) when the job
         has not produced a result yet.
         """
-        state = self.status(job_id)["state"]
-        path = self.result_path(job_id)
-        if state != JOB_DONE or not os.path.exists(path):
+        return self.read_result(job_id, self.status(job_id)["state"])[1]
+
+    def read_result(self, job_id: str, state: str) -> tuple[str, ResultSet]:
+        """A completed job's export text and the ResultSet it verifies to.
+
+        ``state`` is the job's state as the caller just read it (see
+        :meth:`status`).  The text is returned exactly as stored, once
+        :meth:`ResultSet.from_json` has checked its content hash.  Raises
+        :class:`ValueError` when the job is not ``done``, its export is
+        missing, or the export fails verification.
+        """
+        text = None
+        if state == JOB_DONE:
+            try:
+                with open(self.result_path(job_id)) as handle:
+                    text = handle.read()
+            except FileNotFoundError:
+                pass
+        # from_json reads a string that is not a JSON object as a path.
+        if text is None or not text.lstrip().startswith("{"):
             raise ValueError(
                 f"job {job_id!r} has no results: state is {state!r}"
             )
-        return ResultSet.from_json(path)
+        return text, ResultSet.from_json(text)
 
     def store_result(self, job_id: str, result: ResultSet) -> str:
         """Atomically export a job's merged ResultSet; returns the path.

@@ -309,7 +309,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         queue = self.server.queue
         status = queue.status(job_id)  # raises UnknownJobError -> 404
         try:
-            result = queue.load_result(job_id)
+            text, _ = queue.read_result(job_id, status["state"])
         except ValueError:
             raise _HttpFault(
                 409,
@@ -317,9 +317,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"{status['state']!r}"
                 + (f" ({status.get('error')})" if status.get("error") else ""),
             )
-        # Re-serialise through the canonical exporter so the body is exactly
-        # what ResultSet.from_json round-trips (content hash included).
-        self._send_json(result.to_json().encode())
+        # The stored export, verified by read_result, is sent as it is: it
+        # is the canonical exporter's text, content hash included.
+        self._send_json(text.encode())
 
     def _metrics(self) -> None:
         # Queue depth is registry state only at scrape time: refresh the
