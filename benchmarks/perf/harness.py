@@ -6,8 +6,11 @@ numerical parity between the two, and reports wall-clock numbers.
 record that ``run.py`` writes to ``BENCH_<pr>.json`` -- the perf trajectory
 future PRs extend and compare against.
 
-The fast sides are the compiled sparse MNA path (``transient_rc_line``,
-``delay_benchmark`` and ``crosstalk``), the vectorised Monte Carlo,
+The fast sides are the public circuit entry points, which run circuits of
+64 or more unknowns in band storage (``transient_rc_line``,
+``delay_benchmark`` and ``crosstalk``; their reference sides are the dense
+scalar analyses of ``tests/circuit/dense_reference.py``), the vectorised
+Monte Carlo,
 stacked same-topology transient batching (``batched_sweep``), stacked
 engine sweeps (``engine_sweep``) and batched lease claims in the worker
 loop (``dist_workers``).
@@ -35,12 +38,15 @@ from typing import Callable
 import numpy as np
 
 from repro.api import Engine, SweepSpec
-from repro.circuit import Circuit, Step, solver_backend, transient_analysis
+from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.crosstalk import analyze_crosstalk
 from repro.circuit.delay import (
+    _build_delay_benchmark,
+    _measure_from_result,
     measure_inverter_line_delay,
     measure_inverter_line_delay_batch,
 )
+from repro.circuit.technology import NODE_45NM
 from repro.circuit.mna import MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
 from repro.core import InterconnectLine, MWCNTInterconnect
@@ -48,13 +54,15 @@ from repro.core.line import DistributedRC
 from repro.process.variability import VariabilityInputs, resistance_variability
 from repro.units import nm, um
 
-# The serial three-transient crosstalk oracle lives beside the test that
-# pins the stacked analysis to it; this file imports it as the reference side.
+# The dense scalar analyses and the serial three-transient crosstalk oracle
+# live beside the tests that pin the library to them; this file imports them
+# as the reference sides.
 sys.path.insert(
     0,
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "tests", "circuit"),
 )
 from crosstalk_reference import analyze_crosstalk_reference  # noqa: E402
+from dense_reference import dense_transient_analysis  # noqa: E402
 
 PARITY_RTOL = 1.0e-9
 
@@ -109,17 +117,6 @@ def _timed(function: Callable, repeats: int = 1):
     return best, value
 
 
-def _forced(function: Callable, backend: str):
-    """``function`` run with every solve on ``backend``, through the
-    ``solver_backend`` context manager."""
-
-    def run():
-        with solver_backend(backend):
-            return function()
-
-    return run
-
-
 def _waveform_parity(reference, candidate) -> float:
     scale = max(max(np.max(np.abs(w)) for w in reference.node_voltages.values()), 1e-30)
     worst = max(
@@ -133,11 +130,12 @@ def _waveform_parity(reference, candidate) -> float:
 
 
 def case_transient_rc_line(smoke: bool) -> CaseResult:
-    """Headline case: segmented RC line, dense re-stamping vs compiled sparse.
+    """Headline case: segmented RC line, dense re-stamping vs band storage.
 
     Full mode uses >= 200 nodes and >= 500 steps (the ISSUE-3 benchmark
-    shape); the matrix is static, so the sparse path pays one LU
-    factorization and then only triangular solves.
+    shape).  The reference re-stamps and densely solves every step; the
+    fast side builds the band matrix once and makes one band solve per
+    step.
     """
     n_segments = 60 if smoke else 220
     n_steps = 150 if smoke else 500
@@ -158,11 +156,8 @@ def case_transient_rc_line(smoke: bool) -> CaseResult:
     stop = 2e-9
     dt = stop / n_steps
 
-    def run():
-        return transient_analysis(circuit, stop, dt)
-
-    legacy_s, reference = _timed(_forced(run, "dense"))
-    fast_s, candidate = _timed(_forced(run, "sparse"), repeats=3)
+    legacy_s, reference = _timed(lambda: dense_transient_analysis(circuit, stop, dt))
+    fast_s, candidate = _timed(lambda: transient_analysis(circuit, stop, dt), repeats=3)
     return CaseResult(
         name="transient_rc_line",
         legacy_s=legacy_s,
@@ -206,9 +201,10 @@ def case_variability_mc(smoke: bool) -> CaseResult:
 def case_delay_benchmark(smoke: bool) -> CaseResult:
     """Fig. 11 inverter-line-inverter benchmark (nonlinear Newton path).
 
-    The fast side is the compiled sparse MNA path: the static pattern is
-    compiled once and every Newton iteration refactorizes through the
-    precomputed CSC twin.
+    The reference side builds the same circuit and runs the dense scalar
+    transient; the fast side is the public entry point, whose band layout
+    copies the static band rows and stamps the MOSFETs through precomputed
+    indices every Newton iteration.
     """
     n_segments = 30 if smoke else 200
     n_steps = 200 if smoke else 600
@@ -217,11 +213,14 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
     )
     line = InterconnectLine(tube, n_segments=n_segments)
 
-    def run():
-        return measure_inverter_line_delay(line, n_time_steps=n_steps)
+    def dense_reference():
+        circuit, stop, dt, v_dd = _build_delay_benchmark(
+            line, NODE_45NM, 1.0, 1.0, 5.0e-12, True, 8.0, n_steps
+        )
+        return _measure_from_result(dense_transient_analysis(circuit, stop, dt), v_dd)
 
-    legacy_s, reference = _timed(_forced(run, "dense"))
-    fast_s, candidate = _timed(_forced(run, "sparse"))
+    legacy_s, reference = _timed(dense_reference)
+    fast_s, candidate = _timed(lambda: measure_inverter_line_delay(line, n_time_steps=n_steps))
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
     )
@@ -240,12 +239,10 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
 def case_crosstalk(smoke: bool) -> CaseResult:
     """Victim/aggressor crosstalk: two coupled ladders + four inverters.
 
-    Like :func:`case_delay_benchmark`, the fast side is the compiled sparse
-    path -- three transients per call.
-    The reference side is the serial oracle of
+    The fast side is the public entry point: three transients as one band
+    stack.  The reference side is the serial oracle of
     ``tests/circuit/crosstalk_reference.py``: three dense transients, one
-    call each (the stacked kernel never runs on either side, since the
-    sparse backend solves each job on its own).
+    call each.
     """
     n_segments = 8 if smoke else 80
     n_steps = 150 if smoke else 400
@@ -253,13 +250,10 @@ def case_crosstalk(smoke: bool) -> CaseResult:
     line = InterconnectLine(tube, n_segments=n_segments)
     coupling = 40e-18 / 1e-6 * um(50)  # ~40 aF/um of line-to-line coupling
 
-    def run():
-        return analyze_crosstalk(line, coupling, n_time_steps=n_steps)
-
     legacy_s, reference = _timed(
         lambda: analyze_crosstalk_reference(line, coupling, n_time_steps=n_steps)
     )
-    fast_s, candidate = _timed(_forced(run, "sparse"))
+    fast_s, candidate = _timed(lambda: analyze_crosstalk(line, coupling, n_time_steps=n_steps))
     parity = max(
         abs(candidate.noise_peak - reference.noise_peak)
         / max(abs(reference.noise_peak), 1e-30),

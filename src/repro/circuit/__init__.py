@@ -10,26 +10,23 @@ This subpackage provides the equivalent machinery:
 * :mod:`repro.circuit.technology` -- 45 nm / 14 nm technology-node parameters,
 * :mod:`repro.circuit.netlist` -- the circuit container (nodes, elements,
   SPICE-like export),
-* :mod:`repro.circuit.mna` -- modified nodal analysis assembly (dense),
-* :mod:`repro.circuit.compiled` -- compiled sparse stamping with
-  factorization reuse, for circuits of 64 or more unknowns (long ladders;
-  every paper-default circuit has 14-30 unknowns and stays dense),
+* :mod:`repro.circuit.mna` -- modified nodal analysis assembly, the Newton
+  solve and the band layout of large systems,
 * :mod:`repro.circuit.dc` -- Newton DC operating point,
 * :mod:`repro.circuit.transient` -- backward-Euler / trapezoidal transient,
-* :mod:`repro.circuit.batched` -- same-topology transients solved as one
-  stack, bit-identical to per-job runs,
+* :mod:`repro.circuit.batched` -- the stacked circuit kernel: same-topology
+  transients solved as one stack, bit-identical to per-job runs; circuits
+  of 64 or more unknowns (long ladders) in band storage,
 * :mod:`repro.circuit.inverter` -- CMOS inverter cells and chains,
 * :mod:`repro.circuit.rcline` -- distributed RC ladder expansion of
   interconnect lines,
 * :mod:`repro.circuit.delay` -- propagation-delay and slew measurement,
 * :mod:`repro.circuit.crosstalk` -- victim/aggressor noise and push-out.
 
-The solver backend is picked by circuit size
-(:func:`~repro.circuit.compiled.resolve_backend`); no entry point takes a
-per-call backend or Newton argument (the Newton tolerance, damping and
-iteration caps are constants of :mod:`repro.circuit.mna`).  Tests and
-benchmarks force a backend for a whole block with
-:func:`~repro.circuit.compiled.solver_backend`, the only solver override.
+The storage layout follows circuit size alone; no entry point takes a
+solver or Newton argument (the Newton constants live in
+:mod:`repro.circuit.mna`).  A Newton solve that does not converge raises
+:class:`~repro.circuit.mna.ConvergenceError`.
 """
 
 from repro.circuit.elements import (
@@ -42,12 +39,7 @@ from repro.circuit.elements import (
     Step,
     VoltageSource,
 )
-from repro.circuit.compiled import (
-    SPARSE_SIZE_THRESHOLD,
-    CompiledMNA,
-    resolve_backend,
-    solver_backend,
-)
+from repro.circuit.mna import ConvergenceError
 from repro.circuit.netlist import Circuit
 from repro.circuit.mosfet import MOSFET, MOSFETParameters
 from repro.circuit.technology import TechnologyNode, NODE_45NM, NODE_14NM
@@ -72,10 +64,7 @@ __all__ = [
     "Pulse",
     "PieceWiseLinear",
     "Circuit",
-    "CompiledMNA",
-    "SPARSE_SIZE_THRESHOLD",
-    "resolve_backend",
-    "solver_backend",
+    "ConvergenceError",
     "MOSFET",
     "MOSFETParameters",
     "TechnologyNode",

@@ -1,4 +1,4 @@
-"""Batched transient evaluation of same-topology circuits.
+"""The stacked circuit kernel: same-topology transients solved in lockstep.
 
 Sweep points over one interconnect topology differ only in element *values*
 (resistances, capacitances, source waveforms, MOSFET parameters) -- the MNA
@@ -6,52 +6,53 @@ pattern, node numbering and step count are identical.  The serial path pays
 the full Python re-stamping cost per point per step; this module evaluates a
 whole batch of such circuits in lockstep instead:
 
-* the static part of every dense MNA matrix (GMIN, resistors, companion
+* the static part of every MNA matrix (GMIN, resistors, companion
   conductances, voltage-source rows) is built **once** into a stacked
-  ``(n_jobs, size, size)`` array -- the per-step / per-iteration Python
-  re-stamp the serial path does disappears entirely;
+  array -- the per-step / per-iteration Python re-stamp disappears;
 * the MOSFET linearisation runs once per Newton iteration over an
-  ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`),
-  and its stamps are added device by device in the dense assembler's order;
-* the linear solve of every job becomes one stacked LAPACK call
-  (``np.linalg.solve`` over the leading batch axis);
+  ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`);
+  its stamps, like the companion and source terms of the right-hand side,
+  are added by one ordered ``np.add.at`` through precomputed flat indices;
 * the Newton bookkeeping (per-row max |delta|, damping, the set of rows
   still iterating) and the companion-state update are array operations;
 * only source waveform evaluation still runs per job.
 
-This is the paper-default path: :func:`repro.analysis.fig12_delay_ratio.fig12_records`
-and the ``variability_delay`` experiment run all their transients as one
-stack through :func:`repro.circuit.delay.measure_inverter_line_delay_batch`,
-and :func:`repro.circuit.crosstalk.analyze_crosstalk` runs its three
-victim/aggressor transients as one stack.  A single
-:func:`repro.circuit.delay.measure_inverter_line_delay` is a batch of one.
+Below :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns each job
+holds a dense ``size x size`` matrix and all jobs are solved by one stacked
+``np.linalg.solve``.  From the threshold on each job holds its matrix in
+LAPACK band storage (:class:`repro.circuit.mna.BandLayout`) and each active
+job gets one ``dgbsv`` call: ``O(size)`` per copy and per solve instead of
+``O(size**2)`` and ``O(size**3)``.
 
-**Bitwise identity is a hard contract.**  The batched kernel replays the
-exact floating-point statement sequence of the dense reference
-(:class:`repro.circuit.mna.MNAAssembler` + :func:`~repro.circuit.mna.newton_solve`
-as driven by :func:`repro.circuit.transient.transient_analysis`), vectorised
-over the batch axis.  Arithmetic ``+ - * /`` runs as numpy ufuncs, which
-perform the same IEEE operations as the scalar statements; ``exp``,
-``log1p`` and ``**2`` stay per element through :mod:`math` and Python's
-``**``, because numpy's SIMD ``exp``/``log1p`` and its ``v * v`` squaring
-differ from libm in the last bit of some values.  A stacked
-``np.linalg.solve`` is bitwise-identical to per-slice solves, and each
-matrix entry accumulates its terms in the scalar order.  Batched results
-therefore carry the same content hashes as serial per-point runs -- the
-engine's cache and the CI identity checks rely on it.
+This is the paper-default path: ``fig12`` and ``variability_delay`` run all
+their transients as one stack through
+:func:`repro.circuit.delay.measure_inverter_line_delay_batch`, and
+:func:`repro.circuit.crosstalk.analyze_crosstalk` its three.
+:func:`~repro.circuit.transient.transient_analysis` runs a circuit at or
+above the band threshold as a one-job stack.
+
+**Bitwise identity is a hard contract** for the dense layout.  It replays the
+exact floating-point statement sequence of :class:`~repro.circuit.mna.MNAAssembler`
+plus :func:`~repro.circuit.mna.newton_solve`, vectorised over the batch
+axis.  Arithmetic ``+ - * /`` runs as numpy ufuncs, which perform the same
+IEEE operations as the scalar statements; ``exp``, ``log1p`` and ``**2``
+stay per element through :mod:`math` and Python's ``**``, because numpy's
+SIMD ``exp``/``log1p`` and its ``v * v`` squaring differ from libm in the
+last bit of some values.  A stacked ``np.linalg.solve`` is bitwise-identical
+to per-slice solves, and each matrix and right-hand-side entry accumulates
+its terms in the scalar order (``np.add.at`` applies repeated indices in
+turn, and ``x - y`` is ``x + (-y)`` in IEEE arithmetic).  Batched results
+therefore carry the content hashes of serial per-point runs.  The band
+layout stamps the same terms in the same order but eliminates in another
+order, so it agrees with the dense path to solver precision (the tests hold
+it to 1e-9); a large job alone is a one-job band stack, so batching never
+changes its bits either.
 
 Jobs are grouped by a structural signature (matrix size, element topology,
-zero-capacitance pattern, step count, method); singleton groups, circuits
-that resolve to the sparse backend, and any group whose stacked solve fails
-for one job fall back to per-job
+zero-capacitance pattern, step count, method); singleton groups, and every
+job of a group whose stacked solve fails, run through
 :func:`~repro.circuit.transient.transient_analysis`, so batching can change
-performance but never results.  Singletons take the scalar dense loop
-because a stack of one is 1.3-2x slower: on the Fig. 11 delay circuit
-(600 steps, 2-vCPU x86 host) a one-job :class:`_Batch` took 212-373 ms
-against the scalar loop's 142-184 ms at 8 segments, and 255-337 ms
-against 163-252 ms at 20 segments.  With one row to vectorise over, the
-array bookkeeping per Newton iteration costs more than the Python
-re-stamping it replaces.
+performance but never results.
 """
 
 from __future__ import annotations
@@ -60,20 +61,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.dc import dc_operating_point
+from repro.circuit import mna
 from repro.circuit.mna import (
     GMIN,
     NEWTON_DAMPING_LIMIT,
     NEWTON_TOLERANCE,
-    TRANSIENT_NEWTON_ITERATIONS,
-    CompanionState,
+    BandLayout,
+    ConvergenceError,
     MNAAssembler,
+    uses_band,
 )
 from repro.circuit.mosfet import evaluate_stack, parameter_stack
 from repro.circuit.netlist import Circuit
-from repro.circuit.compiled import resolve_backend
 from repro.circuit.transient import (
     TransientResult,
+    dc_start,
     transient_analysis,
     validate_transient_args,
 )
@@ -127,21 +129,13 @@ def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
     )
 
 
-def _stamp_conductance_stack(
-    matrices: np.ndarray, a: int | None, b: int | None, g: np.ndarray
-) -> None:
-    """Vector twin of ``MNAAssembler._stamp_conductance`` over the batch axis."""
-    if a is not None:
-        matrices[:, a, a] += g
-    if b is not None:
-        matrices[:, b, b] += g
-    if a is not None and b is not None:
-        matrices[:, a, b] -= g
-        matrices[:, b, a] -= g
-
-
 class _Batch:
-    """Precompiled stacked dense system for one group of same-topology jobs."""
+    """Precompiled stacked system for one group of same-topology jobs.
+
+    Each job's matrix is one row of :attr:`static_matrices`: ``size * size``
+    dense entries below the band threshold, a :class:`~repro.circuit.mna.BandLayout`
+    array from it on; :meth:`_cell` maps a coordinate to its column there.
+    """
 
     def __init__(self, jobs: list[TransientJob]):
         self.jobs = jobs
@@ -149,87 +143,135 @@ class _Batch:
         self.assemblers = [MNAAssembler(job.circuit) for job in jobs]
         base = self.assemblers[0]
         self.size = base.size
-        self.n_nodes = base.n_nodes
         first = jobs[0]
-        self.method = first.method
         self.trapezoidal = first.method == "trapezoidal"
         self.use_dc_start = first.use_dc_start
         self.n_steps = int(round(first.stop_time / first.time_step))
         self.nonlinear = bool(first.circuit.mosfets)
-        self.dt = np.array([job.time_step for job in jobs])
+        dt = np.array([job.time_step for job in jobs])
         # Per-job time axes, exactly as the serial path builds them.
         self.times = [
             np.linspace(0.0, self.n_steps * job.time_step, self.n_steps + 1)
             for job in jobs
         ]
+        self.band = BandLayout(base) if uses_band(self.size) else None
 
         circuit = first.circuit
         index = base.node_index
-        self.res_idx = [(index(r.a), index(r.b)) for r in circuit.resistors]
-        self.cap_idx = [(index(c.a), index(c.b)) for c in circuit.capacitors]
-        self.ind_idx = [(index(l.a), index(l.b)) for l in circuit.inductors]
-        self.iso_idx = [(index(s.positive), index(s.negative)) for s in circuit.current_sources]
-        self.vso_idx = [
-            (base.vsource_index(p), index(s.positive), index(s.negative))
-            for p, s in enumerate(circuit.voltage_sources)
-        ]
-        self.mos_idx = [
+        res_idx = [(index(r.a), index(r.b)) for r in circuit.resistors]
+        cap_idx = [(index(c.a), index(c.b)) for c in circuit.capacitors]
+        ind_idx = [(index(l.a), index(l.b)) for l in circuit.inductors]
+        iso_idx = [(index(s.positive), index(s.negative)) for s in circuit.current_sources]
+        self.vso_rows = [base.vsource_index(p) for p in range(len(circuit.voltage_sources))]
+        mos_idx = [
             (index(m.drain), index(m.gate), index(m.source)) for m in circuit.mosfets
         ]
         self.mos_params = parameter_stack(
             [[m.parameters for m in job.circuit.mosfets] for job in jobs]
         )
-        self.mos_terminals = self._padded_columns(self.mos_idx, 3)
-        self.cap_terminals = self._padded_columns(self.cap_idx, 2)
-        self.ind_terminals = self._padded_columns(self.ind_idx, 2)
+        self.mos_terminals = self._padded_columns(mos_idx, 3)
+        self.cap_terminals = self._padded_columns(cap_idx, 2)
+        self.ind_terminals = self._padded_columns(ind_idx, 2)
 
-        # Per-element value vectors across the batch axis.  The derived
+        # Element values as (elements x jobs) arrays.  The derived
         # conductances repeat the scalar expressions of MNAAssembler.assemble
         # elementwise, so every job's value is bit-for-bit the serial one.
-        self.res_g = [
-            1.0 / np.array([job.circuit.resistors[p].resistance for job in jobs])
-            for p in range(len(circuit.resistors))
-        ]
-        # Capacitor and inductor values are (elements x jobs) arrays.
-        self.cap_c = np.array(
-            [[c.capacitance for c in job.circuit.capacitors] for job in jobs]
-        ).T
-        self.cap_zero = [c.capacitance == 0.0 for c in circuit.capacitors]
+        res_g = 1.0 / np.array([[r.resistance for r in job.circuit.resistors] for job in jobs]).T
+        cap_c = np.array([[c.capacitance for c in job.circuit.capacitors] for job in jobs]).T
+        ind_l = np.array([[l.inductance for l in job.circuit.inductors] for job in jobs]).T
+        cap_zero = [c.capacitance == 0.0 for c in circuit.capacitors]
         if self.trapezoidal:
-            self.cap_geq = 2.0 * self.cap_c / self.dt
+            self.cap_geq = 2.0 * cap_c / dt
+            self.ind_geq = dt / (2.0 * ind_l)
         else:
-            self.cap_geq = self.cap_c / self.dt
-        self.ind_l = np.array(
-            [[l.inductance for l in job.circuit.inductors] for job in jobs]
-        ).T
-        if self.trapezoidal:
-            self.ind_geq = self.dt / (2.0 * self.ind_l)
-        else:
-            self.ind_geq = self.dt / self.ind_l
+            self.cap_geq = cap_c / dt
+            self.ind_geq = dt / ind_l
 
         # Static stacked matrix: everything MNAAssembler.assemble stamps
-        # before the MOSFET loop, in the same statement order.  Matrix and
-        # rhs accumulations never mix targets, so splitting them preserves
-        # each entry's accumulation order (hence its bits).
-        matrices = np.zeros((self.n_jobs, self.size, self.size))
-        for i in range(self.n_nodes):
-            matrices[:, i, i] += GMIN
-        for p, (a, b) in enumerate(self.res_idx):
-            _stamp_conductance_stack(matrices, a, b, self.res_g[p])
-        for p, (a, b) in enumerate(self.cap_idx):
-            if self.cap_zero[p]:
-                continue
-            _stamp_conductance_stack(matrices, a, b, self.cap_geq[p])
-        for p, (a, b) in enumerate(self.ind_idx):
-            _stamp_conductance_stack(matrices, a, b, self.ind_geq[p])
-        for row, p, n in self.vso_idx:
+        # before the MOSFET loop, in the same statement order, added by one
+        # ordered np.add.at.  Matrix and rhs accumulations never mix
+        # targets, so splitting them preserves each entry's accumulation
+        # order (hence its bits).
+        cells: list[int] = []
+        values: list = []
+
+        def stamp(row: int, col: int, value) -> None:
+            cells.append(self._cell(row, col))
+            values.append(np.broadcast_to(value, (self.n_jobs,)))
+
+        def stamp_conductance(a: int | None, b: int | None, g) -> None:
+            if a is not None:
+                stamp(a, a, g)
+            if b is not None:
+                stamp(b, b, g)
+            if a is not None and b is not None:
+                stamp(a, b, -g)
+                stamp(b, a, -g)
+
+        for i in range(base.n_nodes):
+            stamp(i, i, GMIN)
+        for (a, b), g in zip(res_idx, res_g):
+            stamp_conductance(a, b, g)
+        for (a, b), zero, g in zip(cap_idx, cap_zero, self.cap_geq):
+            if not zero:
+                stamp_conductance(a, b, g)
+        for (a, b), g in zip(ind_idx, self.ind_geq):
+            stamp_conductance(a, b, g)
+        for row, source in zip(self.vso_rows, circuit.voltage_sources):
+            p, n = index(source.positive), index(source.negative)
             if p is not None:
-                matrices[:, p, row] += 1.0
-                matrices[:, row, p] += 1.0
+                stamp(p, row, 1.0)
+                stamp(row, p, 1.0)
             if n is not None:
-                matrices[:, n, row] -= 1.0
-                matrices[:, row, n] -= 1.0
-        self.static_matrices = matrices
+                stamp(n, row, -1.0)
+                stamp(row, n, -1.0)
+        storage = self.size * (self.size if self.band is None else self.band.rows)
+        self.static_matrices = np.zeros((self.n_jobs, storage))
+        if cells:
+            np.add.at(self.static_matrices, (slice(None), np.array(cells)), np.array(values).T)
+
+        # Right-hand-side pushes, in the assembler's order: capacitor p
+        # pushes its companion current from b into a, inductor and current
+        # source p push theirs from a into b.  Entry 2q of the signed
+        # current stack is -current q, entry 2q + 1 is +current q.
+        pushes = [(b, a) for a, b in cap_idx] + ind_idx + iso_idx
+        skipped = cap_zero + [False] * (len(ind_idx) + len(iso_idx))
+        self.push_cells, self.push_entries = self._signed_targets(
+            [
+                (node, 2 * q + sign)
+                for q, (nodes, skip) in enumerate(zip(pushes, skipped))
+                if not skip
+                for sign, node in enumerate(nodes)
+            ]
+        )
+
+        # MOSFET stamps in the assembler's order, as (row, column) terminals
+        # (0 drain, 1 gate, 2 source) and coefficient k: entry k * devices + p
+        # is the k-th of (gm, gds, -(gm + gds), -gm, -gds, gm + gds) of
+        # device p.  The constant part i_eq is pushed from drain into source.
+        n_mos = len(mos_idx)
+        matrix_stamps = []
+        rhs_stamps = []
+        for p, nodes in enumerate(mos_idx):
+            for k, (row, col) in enumerate(((0, 1), (0, 0), (0, 2), (2, 1), (2, 0), (2, 2))):
+                if nodes[row] is not None and nodes[col] is not None:
+                    matrix_stamps.append((self._cell(nodes[row], nodes[col]), k * n_mos + p))
+            rhs_stamps += [(nodes[0], p), (nodes[2], n_mos + p)]
+        self.mos_cells, self.mos_entries = self._signed_targets(matrix_stamps)
+        self.mos_rhs_cells, self.mos_rhs_entries = self._signed_targets(rhs_stamps)
+
+    def _cell(self, row: int, col: int) -> int:
+        """Column of matrix entry ``(row, col)`` in a job's storage row."""
+        if self.band is None:
+            return row * self.size + col
+        return self.band.index(row, col)
+
+    @staticmethod
+    def _signed_targets(stamps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """(target, source entry) pairs as index arrays, ground targets dropped."""
+        kept = [pair for pair in stamps if pair[0] is not None]
+        targets, entries = np.array(kept, dtype=np.intp).reshape(-1, 2).T
+        return targets, entries
 
     def _padded_columns(self, terminals: list[tuple], width: int) -> list[np.ndarray]:
         """Per-terminal node columns into a ground-padded solution.
@@ -237,13 +279,8 @@ class _Batch:
         Ground maps to the extra slot ``size``, which always holds the 0.0
         the dense assembler uses for a grounded terminal.
         """
-        return [
-            np.array(
-                [self.size if nodes[i] is None else nodes[i] for nodes in terminals],
-                dtype=np.intp,
-            )
-            for i in range(width)
-        ]
+        padded = [[self.size if node is None else node for node in nodes] for nodes in terminals]
+        return list(np.array(padded, dtype=np.intp).reshape(-1, width).T)
 
     @staticmethod
     def _branch_voltages(padded: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
@@ -253,47 +290,31 @@ class _Batch:
 
     # --- per-step right-hand side (everything before the MOSFET loop) ------
 
+    def _source_values(self, kind: str, step: int) -> np.ndarray:
+        """Waveform values of every ``kind`` source, (sources x jobs)."""
+        per_job = [getattr(job.circuit, kind) for job in self.jobs]
+        return np.array(
+            [
+                [sources[p].value(self.times[k][step]) for k, sources in enumerate(per_job)]
+                for p in range(len(per_job[0]))
+            ],
+            dtype=float,
+        ).reshape(-1, self.n_jobs)
+
     def _base_rhs(self, step: int, cap_v, cap_i, ind_i, ind_v) -> np.ndarray:
-        rhs = np.zeros((self.n_jobs, self.size))
         if self.trapezoidal:
             cap_ieq = self.cap_geq * cap_v + cap_i
-        else:
-            cap_ieq = self.cap_geq * cap_v
-        for p, (a, b) in enumerate(self.cap_idx):
-            if self.cap_zero[p]:
-                continue
-            # _stamp_current(rhs, b, a, ieq): rhs[b] -= ieq; rhs[a] += ieq.
-            if b is not None:
-                rhs[:, b] -= cap_ieq[p]
-            if a is not None:
-                rhs[:, a] += cap_ieq[p]
-        if self.trapezoidal:
             ind_ieq = ind_i + self.ind_geq * ind_v
         else:
+            cap_ieq = self.cap_geq * cap_v
             ind_ieq = ind_i
-        for p, (a, b) in enumerate(self.ind_idx):
-            if a is not None:
-                rhs[:, a] -= ind_ieq[p]
-            if b is not None:
-                rhs[:, b] += ind_ieq[p]
-        for p, (a, b) in enumerate(self.iso_idx):
-            values = np.array(
-                [
-                    job.circuit.current_sources[p].value(self.times[k][step])
-                    for k, job in enumerate(self.jobs)
-                ]
-            )
-            if a is not None:
-                rhs[:, a] -= values
-            if b is not None:
-                rhs[:, b] += values
-        for p, (row, _, _) in enumerate(self.vso_idx):
-            rhs[:, row] += np.array(
-                [
-                    job.circuit.voltage_sources[p].value(self.times[k][step])
-                    for k, job in enumerate(self.jobs)
-                ]
-            )
+        currents = np.concatenate(
+            (cap_ieq, ind_ieq, self._source_values("current_sources", step))
+        )
+        signed = np.stack((-currents, currents), axis=1).reshape(-1, self.n_jobs)
+        rhs = np.zeros((self.n_jobs, self.size))
+        np.add.at(rhs, (slice(None), self.push_cells), signed[self.push_entries].T)
+        rhs[:, self.vso_rows] += self._source_values("voltage_sources", step).T
         return rhs
 
     def _stamp_mosfets(
@@ -308,9 +329,9 @@ class _Batch:
         The model runs once over the ``(rows x devices)`` array
         (:func:`repro.circuit.mosfet.evaluate_stack`, bit for bit the scalar
         :meth:`~repro.circuit.mosfet.MOSFET.evaluate`).  The stamps are then
-        added device by device in the dense assembler's order, so every matrix
-        and right-hand-side entry accumulates the same terms in the same
-        sequence as the per-job path.
+        added by one ordered ``np.add.at`` each for the matrix and the
+        right-hand side, so every entry accumulates the same terms in the
+        same sequence as the per-job path.
         """
         padded = np.zeros((guess.shape[0], self.size + 1))
         padded[:, : self.size] = guess
@@ -318,27 +339,39 @@ class _Batch:
         v_gs = v_g - v_s
         v_ds = v_d - v_s
         i_ds, gm, gds = evaluate_stack(parameters, v_gs, v_ds)
-        i_eq = (i_ds - gm * v_gs - gds * v_ds).T
-        g_sum = (gm + gds).T
-        gm = gm.T
-        gds = gds.T
-        for p, (d, g, s) in enumerate(self.mos_idx):
-            if d is not None:
-                if g is not None:
-                    matrices[:, d, g] += gm[p]
-                matrices[:, d, d] += gds[p]
-                if s is not None:
-                    matrices[:, d, s] -= g_sum[p]
-            if s is not None:
-                if g is not None:
-                    matrices[:, s, g] -= gm[p]
-                if d is not None:
-                    matrices[:, s, d] -= gds[p]
-                matrices[:, s, s] += g_sum[p]
-            if d is not None:
-                rhs[:, d] -= i_eq[p]
-            if s is not None:
-                rhs[:, s] += i_eq[p]
+        g_sum = gm + gds
+        coefficients = np.concatenate((gm, gds, -g_sum, -gm, -gds, g_sum), axis=1)
+        np.add.at(matrices, (slice(None), self.mos_cells), coefficients[:, self.mos_entries])
+        i_eq = i_ds - gm * v_gs - gds * v_ds
+        pushed = np.concatenate((-i_eq, i_eq), axis=1)
+        np.add.at(rhs, (slice(None), self.mos_rhs_cells), pushed[:, self.mos_rhs_entries])
+
+    def _advance_state(self, padded: np.ndarray, cap_v, cap_i, ind_i, ind_v) -> tuple:
+        """Companion state ``(cap_v, cap_i, ind_i, ind_v)`` after a step whose
+        ground-padded solutions are ``padded``.
+
+        Vector twin of :meth:`MNAAssembler.update_state`, whose coefficients
+        2C/dt, C/dt, dt/2L and dt/L are the cap_geq and ind_geq values.
+        """
+        cap_now = self._branch_voltages(padded, self.cap_terminals)
+        ind_now = self._branch_voltages(padded, self.ind_terminals)
+        if self.trapezoidal:
+            cap_i = self.cap_geq * (cap_now - cap_v) - cap_i
+            ind_i = ind_i + self.ind_geq * (ind_now + ind_v)
+        else:
+            cap_i = self.cap_geq * (cap_now - cap_v)
+            ind_i = ind_i + self.ind_geq * ind_now
+        return cap_now, cap_i, ind_i, ind_now
+
+    def _solve(self, matrices: np.ndarray, rhs: np.ndarray, time: float) -> np.ndarray:
+        """Solve every row: one stacked dense ``gesv``, or a ``dgbsv`` per row."""
+        try:
+            if self.band is None:
+                stack = matrices.reshape(-1, self.size, self.size)
+                return np.linalg.solve(stack, rhs[..., None])[..., 0]
+            return np.array([self.band.solve(a, b) for a, b in zip(matrices, rhs)])
+        except np.linalg.LinAlgError as error:
+            raise RuntimeError(f"singular MNA matrix at t={time}: {error}") from error
 
     # --- full run ----------------------------------------------------------
 
@@ -346,60 +379,51 @@ class _Batch:
         n_jobs, size = self.n_jobs, self.size
         solutions = np.zeros((n_jobs, size))
 
-        n_cap = len(self.cap_idx)
-        n_ind = len(self.ind_idx)
-        cap_v = np.zeros((n_cap, n_jobs))
-        cap_i = np.zeros((n_cap, n_jobs))
-        ind_i = np.zeros((n_ind, n_jobs))
-        ind_v = np.zeros((n_ind, n_jobs))
-        for k, job in enumerate(self.jobs):
-            initial = CompanionState.initial(job.circuit)
-            for p, capacitor in enumerate(job.circuit.capacitors):
-                cap_v[p, k] = initial.capacitor_voltages[capacitor.name]
-            for p, inductor in enumerate(job.circuit.inductors):
-                ind_i[p, k] = initial.inductor_currents[inductor.name]
-
-        if self.use_dc_start and size > 0:
-            for k, job in enumerate(self.jobs):
-                assembler = self.assemblers[k]
-                dc = dc_operating_point(job.circuit, time=0.0)
-                for name, voltage in dc.node_voltages.items():
-                    solutions[k, assembler.node_index(name)] = voltage
-                for position, source in enumerate(job.circuit.voltage_sources):
-                    solutions[k, assembler.vsource_index(position)] = dc.source_currents[
-                        source.name
-                    ]
-                for p, capacitor in enumerate(job.circuit.capacitors):
-                    cap_v[p, k] = dc.voltage(capacitor.a) - dc.voltage(capacitor.b)
-                    cap_i[p, k] = 0.0
-                ind_i[:, k] = 0.0
-                ind_v[:, k] = 0.0
-
+        # Companion state, (elements x jobs): element initial conditions,
+        # or capacitors charged to the DC operating point.
+        cap_v = np.array(
+            [[c.initial_voltage for c in job.circuit.capacitors] for job in self.jobs], float
+        ).T
+        ind_i = np.array(
+            [[l.initial_current for l in job.circuit.inductors] for job in self.jobs], float
+        ).T
+        cap_i = np.zeros_like(cap_v)
+        ind_v = np.zeros_like(ind_i)
         padded = np.zeros((n_jobs, size + 1))
+        if self.use_dc_start and size > 0:
+            for k, assembler in enumerate(self.assemblers):
+                solutions[k] = dc_start(assembler)
+            padded[:, :size] = solutions
+            cap_v = self._branch_voltages(padded, self.cap_terminals)
+            ind_i = np.zeros_like(ind_i)
+
         matrix_buffer = np.empty_like(self.static_matrices)
-        trace = np.empty((n_jobs, self.n_steps + 1, size))
-        trace[:, 0] = solutions
+        # Time on the last axis: every waveform cut from it is a view, not a copy.
+        trace = np.empty((n_jobs, size, self.n_steps + 1))
+        trace[:, :, 0] = solutions
 
         all_rows = np.arange(n_jobs)
+        max_iterations = mna.TRANSIENT_NEWTON_ITERATIONS
         for step in range(1, self.n_steps + 1):
             base_rhs = self._base_rhs(step, cap_v, cap_i, ind_i, ind_v)
             if not self.nonlinear:
                 # One linear solve per step, like newton_solve's early return.
                 # The stacked solve is bitwise-identical to per-slice solves.
-                solutions = np.linalg.solve(
-                    self.static_matrices, base_rhs[..., None]
-                )[..., 0]
+                solutions = self._solve(self.static_matrices, base_rhs, self.times[0][step])
             else:
                 # Per-row Newton with newton_solve's damping and stopping
                 # rule; a row leaves the active set once it converges.
                 active = all_rows
-                for _ in range(TRANSIENT_NEWTON_ITERATIONS):
+                pending = np.full(n_jobs, np.nan)
+                for _ in range(max_iterations):
                     guess = solutions[active]
                     matrices = matrix_buffer[: active.size]
                     np.take(self.static_matrices, active, axis=0, out=matrices)
                     rhs = base_rhs[active]
                     self._stamp_mosfets(matrices, rhs, self.mos_params[:, active], guess)
-                    new_solutions = np.linalg.solve(matrices, rhs[..., None])[..., 0]
+                    new_solutions = self._solve(
+                        matrices, rhs, self.times[active[0]][step]
+                    )
 
                     delta = new_solutions - guess
                     max_delta = np.max(np.abs(delta), axis=1)
@@ -408,54 +432,22 @@ class _Batch:
                         scale = NEWTON_DAMPING_LIMIT / max_delta[damped]
                         new_solutions[damped] = guess[damped] + delta[damped] * scale[:, None]
                     solutions[active] = new_solutions
-                    active = active[~(max_delta < NEWTON_TOLERANCE)]
+                    unconverged = ~(max_delta < NEWTON_TOLERANCE)
+                    active, pending = active[unconverged], max_delta[unconverged]
                     if not active.size:
                         break
                 if active.size:
                     time = self.times[active[0]][step]
-                    raise RuntimeError(
-                        f"Newton iteration did not converge at t={time} "
-                        f"after {TRANSIENT_NEWTON_ITERATIONS} iterations"
-                    )
+                    raise ConvergenceError(time, max_iterations, float(pending[0]), size)
 
-            # State update: vector twin of MNAAssembler.update_state, whose
-            # coefficients 2C/dt, C/dt, dt/2L and dt/L are the cap_geq and
-            # ind_geq values.
             padded[:, :size] = solutions
-            cap_now = self._branch_voltages(padded, self.cap_terminals)
-            if self.trapezoidal:
-                cap_i = self.cap_geq * (cap_now - cap_v) - cap_i
-            else:
-                cap_i = self.cap_geq * (cap_now - cap_v)
-            cap_v = cap_now
-            ind_now = self._branch_voltages(padded, self.ind_terminals)
-            if self.trapezoidal:
-                ind_i = ind_i + self.ind_geq * (ind_now + ind_v)
-            else:
-                ind_i = ind_i + self.ind_geq * ind_now
-            ind_v = ind_now
+            cap_v, cap_i, ind_i, ind_v = self._advance_state(padded, cap_v, cap_i, ind_i, ind_v)
+            trace[:, :, step] = solutions
 
-            trace[:, step] = solutions
-
-        results = []
-        for k, job in enumerate(self.jobs):
-            assembler = self.assemblers[k]
-            voltages = {
-                name: np.ascontiguousarray(trace[k][:, assembler.node_index(name)])
-                for name in assembler.node_names
-            }
-            currents = {
-                source.name: np.ascontiguousarray(
-                    trace[k][:, assembler.vsource_index(position)]
-                )
-                for position, source in enumerate(job.circuit.voltage_sources)
-            }
-            results.append(
-                TransientResult(
-                    times=self.times[k], node_voltages=voltages, source_currents=currents
-                )
-            )
-        return results
+        return [
+            TransientResult.from_trace(assembler, times, job_trace.T)
+            for assembler, times, job_trace in zip(self.assemblers, self.times, trace)
+        ]
 
 
 def _run_serial(job: TransientJob) -> TransientResult:
@@ -469,45 +461,38 @@ def _run_serial(job: TransientJob) -> TransientResult:
 
 
 def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
-    """Evaluate transient jobs, batching same-topology dense groups.
+    """Evaluate transient jobs, batching same-topology groups.
 
-    Results are returned in job order and are bitwise-identical to calling
-    :func:`~repro.circuit.transient.transient_analysis` per job (see module
-    docstring).  Jobs that resolve to the sparse backend, singleton groups,
-    and groups whose stacked kernel raises run per job through the serial
-    path instead.
+    Results are returned in job order and equal calling
+    :func:`~repro.circuit.transient.transient_analysis` per job bit for bit
+    (see module docstring).  Singleton groups, and groups whose stacked
+    kernel raises, run per job through that function instead; it runs a
+    job at or above the band threshold as a one-job stack.
     """
     results: list[TransientResult | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
-    serial_indices: list[int] = []
     for position, job in enumerate(jobs):
         validate_transient_args(job.stop_time, job.time_step, job.method)
-        assembler = MNAAssembler(job.circuit)
-        if resolve_backend(assembler.size) != "dense":
-            serial_indices.append(position)
-            continue
-        groups.setdefault(topology_signature(job, assembler), []).append(position)
-
-    for position in serial_indices:
-        results[position] = _run_serial(jobs[position])
+        signature = topology_signature(job, MNAAssembler(job.circuit))
+        groups.setdefault(signature, []).append(position)
 
     for indices in groups.values():
-        if len(indices) == 1:
-            metrics.counter("repro_batch_groups_total", mode="serial").inc()
-            results[indices[0]] = _run_serial(jobs[indices[0]])
-            continue
         group_jobs = [jobs[i] for i in indices]
-        try:
-            with trace_span("circuit.batch", n_jobs=len(group_jobs)):
-                group_results = _Batch(group_jobs).run()
-            metrics.counter("repro_batch_groups_total", mode="stacked").inc()
-            metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
-        except Exception:
-            # Never let batching change observable behaviour: rerun the
-            # group serially so a genuinely failing job raises the same
-            # error a serial caller would see.
-            metrics.counter("repro_batch_groups_total", mode="fallback").inc()
-            group_results = [_run_serial(job) for job in group_jobs]
+        if len(group_jobs) == 1:
+            metrics.counter("repro_batch_groups_total", mode="serial").inc()
+            group_results = [_run_serial(group_jobs[0])]
+        else:
+            try:
+                with trace_span("circuit.batch", n_jobs=len(group_jobs)):
+                    group_results = _Batch(group_jobs).run()
+                metrics.counter("repro_batch_groups_total", mode="stacked").inc()
+                metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
+            except Exception:
+                # Never let batching change observable behaviour: rerun the
+                # group serially so a genuinely failing job raises the same
+                # error a serial caller would see.
+                metrics.counter("repro_batch_groups_total", mode="fallback").inc()
+                group_results = [_run_serial(job) for job in group_jobs]
         for index, result in zip(indices, group_results):
             results[index] = result
 

@@ -5,11 +5,8 @@ given time (default 0) and the nonlinear system is solved by Newton
 iteration.  The result seeds transient analyses so that simulations start
 from a consistent bias point.
 
-Like the transient front end, the solve is routed by circuit size (see
-:func:`repro.circuit.compiled.resolve_backend`): circuits below the sparse
-threshold keep the dense one-shot assembly, large ladders compile the
-topology once and solve through sparse LU -- same Newton damping, same
-convergence test, identical operating points to solver precision.
+The solve is :func:`~repro.circuit.mna.newton_solve`, in band storage from
+:data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on.
 """
 
 from __future__ import annotations
@@ -18,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.compiled import ArrayState, CompiledMNA, resolve_backend
-from repro.circuit.mna import DC_NEWTON_ITERATIONS, MNAAssembler, newton_solve
+from repro.circuit import mna
+from repro.circuit.mna import MNAAssembler, newton_solve
 from repro.circuit.netlist import Circuit
 
 
@@ -86,24 +83,13 @@ def dc_operating_point(
     if supply_levels:
         guess[: assembler.n_nodes] = 0.5 * max(supply_levels)
 
-    if resolve_backend(assembler.size) == "sparse":
-        compiled = CompiledMNA(
-            circuit, dt=None, assembler=assembler, capacitors_open=True
-        )
-        solution = compiled.solve_step(
-            time,
-            guess,
-            ArrayState.zeros(circuit),
-            max_iterations=DC_NEWTON_ITERATIONS,
-        )
-    else:
-        solution = newton_solve(
-            assembler,
-            time,
-            guess,
-            capacitors_open=True,
-            max_iterations=DC_NEWTON_ITERATIONS,
-        )
+    solution = newton_solve(
+        assembler,
+        time,
+        guess,
+        capacitors_open=True,
+        max_iterations=mna.DC_NEWTON_ITERATIONS,
+    )
 
     node_voltages = {
         name: float(solution[assembler.node_index(name)]) for name in assembler.node_names

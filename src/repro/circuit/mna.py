@@ -1,4 +1,4 @@
-"""Modified nodal analysis (MNA) assembly (dense reference path).
+"""Modified nodal analysis (MNA) assembly, Newton solve and band layout.
 
 The assembler maps a :class:`~repro.circuit.netlist.Circuit` onto the dense
 MNA matrix equation ``A x = b`` where ``x`` stacks the non-ground node
@@ -7,16 +7,10 @@ Nonlinear MOSFETs are handled by Newton iteration: each call to
 :meth:`MNAAssembler.assemble` linearises them around the supplied operating
 point, so repeated solves converge to the nonlinear solution.
 
-This is the *reference* implementation: every stamp is written out
-explicitly, one Python statement per matrix entry, which makes it the
-ground truth the compiled sparse path
-(:class:`repro.circuit.compiled.CompiledMNA` -- topology compiled once,
-values refreshed per step, LU factorizations reused) is parity-tested
-against.  It is also the faster backend below
-:data:`~repro.circuit.compiled.SPARSE_SIZE_THRESHOLD` unknowns, where a
-dense LAPACK solve on a contiguous array beats any sparse setup, so
-:func:`repro.circuit.transient.transient_analysis` still routes small
-circuits (and :mod:`repro.circuit.dc` all one-shot DC solves) through it.
+Every stamp is written out explicitly, one Python statement per matrix
+entry: the ground truth the stacked kernel (:mod:`repro.circuit.batched`)
+replays bit for bit.  From :data:`BAND_SIZE_THRESHOLD` unknowns on, systems
+are solved in LAPACK band storage (:class:`BandLayout`).
 """
 
 from __future__ import annotations
@@ -43,6 +37,35 @@ TRANSIENT_NEWTON_ITERATIONS = 60
 
 DC_NEWTON_ITERATIONS = 200
 """Newton iteration cap of a DC operating-point solve."""
+
+BAND_SIZE_THRESHOLD = 64
+"""Number of MNA unknowns from which a system is stored and solved in band
+form (:class:`BandLayout`).  Below it a dense LAPACK solve wins; every
+paper-default circuit has 14-30 unknowns.  Read only through :func:`uses_band`."""
+
+
+def uses_band(size: int) -> bool:
+    """Whether a system of ``size`` unknowns takes the band layout."""
+    return size >= BAND_SIZE_THRESHOLD
+
+
+class ConvergenceError(RuntimeError):
+    """Newton iteration hit its cap without meeting :data:`NEWTON_TOLERANCE`.
+
+    ``time`` is the simulation time of the failing solve (second),
+    ``iterations`` the cap reached, ``max_delta`` the largest ``|delta|`` of
+    the last iteration and ``size`` the number of unknowns.
+    """
+
+    def __init__(self, time: float, iterations: int, max_delta: float, size: int):
+        super().__init__(
+            f"Newton iteration did not converge at t={time} after {iterations} "
+            f"iterations (max |delta| {max_delta:.3e}, {size} unknowns)"
+        )
+        self.time = time
+        self.iterations = iterations
+        self.max_delta = max_delta
+        self.size = size
 
 
 @dataclass
@@ -324,6 +347,92 @@ class MNAAssembler:
         )
 
 
+class BandLayout:
+    """LAPACK band storage of one circuit's MNA matrix.
+
+    The unknowns are ordered once by reverse Cuthill-McKee over every
+    coordinate a stamp can touch: the static element pattern plus the MOSFET
+    terminal couplings.  Under that ordering entry ``(i, j)`` lives in row
+    ``kl + ku + i - j`` of the ``(2 kl + ku + 1, size)`` array ``dgbsv``
+    takes; its first ``kl`` rows are pivoting workspace.  Each band array is
+    held transposed, as a C-order ``(size, rows)`` block, which is LAPACK's
+    column-major layout, so it reaches ``dgbsv`` without a copy.  Right-hand
+    sides and solutions stay in the assembler's order; only :meth:`solve`
+    permutes.
+    """
+
+    def __init__(self, assembler: MNAAssembler):
+        from scipy.linalg.lapack import dgbsv
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        self._dgbsv = dgbsv
+        self.size = size = assembler.size
+        rows, cols = self._stamp_pattern(assembler)
+        graph = coo_matrix(
+            (np.ones(2 * rows.size), (np.r_[rows, cols], np.r_[cols, rows])),
+            shape=(size, size),
+        ).tocsr()
+        self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
+        self.position = np.empty(size, dtype=np.intp)
+        self.position[self.order] = np.arange(size)
+        offsets = self.position[rows] - self.position[cols]
+        self.kl = int(offsets.max(initial=0))
+        self.ku = int(-offsets.min(initial=0))
+        self.rows = 2 * self.kl + self.ku + 1
+
+    @staticmethod
+    def _stamp_pattern(assembler: MNAAssembler) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of every matrix entry a stamp can touch."""
+        index = assembler.node_index
+        circuit = assembler.circuit
+        entries = [(i, i) for i in range(assembler.n_nodes)]
+        for element in circuit.resistors + circuit.capacitors + circuit.inductors:
+            nodes = [n for n in (index(element.a), index(element.b)) if n is not None]
+            entries += [(x, y) for x in nodes for y in nodes]
+        for position, source in enumerate(circuit.voltage_sources):
+            row = assembler.vsource_index(position)
+            for node in (index(source.positive), index(source.negative)):
+                if node is not None:
+                    entries += [(node, row), (row, node)]
+        for mosfet in circuit.mosfets:
+            d, g, s = index(mosfet.drain), index(mosfet.gate), index(mosfet.source)
+            entries += [
+                (x, y) for x in (d, s) for y in (d, g, s) if x is not None and y is not None
+            ]
+        pattern = np.array(entries, dtype=np.intp).reshape(-1, 2)
+        return pattern[:, 0], pattern[:, 1]
+
+    def index(self, row, col):
+        """Flat position of matrix entry ``(row, col)`` in a band array
+        (elementwise for index arrays)."""
+        i, j = self.position[row], self.position[col]
+        return j * self.rows + self.kl + self.ku + i - j
+
+    def gather(self, matrix: np.ndarray) -> np.ndarray:
+        """Band array of a dense ``(size, size)`` matrix, whose nonzeros all
+        lie on the stamp pattern."""
+        rows, cols = np.nonzero(matrix)
+        band = np.zeros(self.size * self.rows)
+        band[self.index(rows, cols)] = matrix[rows, cols]
+        return band
+
+    def solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A x = rhs`` for a band array ``band`` (left unchanged).
+
+        Raises :class:`numpy.linalg.LinAlgError` for a singular matrix,
+        like :func:`numpy.linalg.solve`.
+        """
+        _, _, x, info = self._dgbsv(
+            self.kl, self.ku, band.reshape(self.size, self.rows).T, rhs[self.order]
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+        solution = np.empty(self.size)
+        solution[self.order] = x
+        return solution
+
+
 def newton_solve(
     assembler: MNAAssembler,
     time: float,
@@ -349,22 +458,30 @@ def newton_solve(
     max_iterations:
         Newton iteration cap (:data:`TRANSIENT_NEWTON_ITERATIONS` or
         :data:`DC_NEWTON_ITERATIONS`).  Damping and the convergence test
-        follow :data:`NEWTON_DAMPING_LIMIT` and :data:`NEWTON_TOLERANCE`.
+        follow :data:`NEWTON_DAMPING_LIMIT` and :data:`NEWTON_TOLERANCE`;
+        the linear solve is :func:`numpy.linalg.solve` below
+        :data:`BAND_SIZE_THRESHOLD` unknowns and a band ``dgbsv`` from it on.
 
     Raises
     ------
-    RuntimeError
-        If the iteration does not converge.
+    ConvergenceError
+        If the iteration does not converge (a :class:`RuntimeError`, like
+        the one raised for a singular matrix).
     """
     solution = initial_guess.astype(float).copy()
     nonlinear = bool(assembler.circuit.mosfets)
+    band = BandLayout(assembler) if uses_band(assembler.size) else None
+    max_delta = float("nan")
 
     for _ in range(max_iterations):
         matrix, rhs = assembler.assemble(
             time, solution, state=state, dt=dt, method=method, capacitors_open=capacitors_open
         )
         try:
-            new_solution = np.linalg.solve(matrix, rhs)
+            if band is None:
+                new_solution = np.linalg.solve(matrix, rhs)
+            else:
+                new_solution = band.solve(band.gather(matrix), rhs)
         except np.linalg.LinAlgError as error:
             raise RuntimeError(f"singular MNA matrix at t={time}: {error}") from error
 
@@ -384,6 +501,4 @@ def newton_solve(
         if max_delta < NEWTON_TOLERANCE:
             return solution
 
-    raise RuntimeError(
-        f"Newton iteration did not converge at t={time} after {max_iterations} iterations"
-    )
+    raise ConvergenceError(time, max_iterations, max_delta, assembler.size)

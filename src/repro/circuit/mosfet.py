@@ -85,52 +85,6 @@ class MOSFET:
     source: str
     parameters: MOSFETParameters
 
-    # --- normalised (N-type, vds >= 0) model --------------------------------------
-
-    def _normal_mode(self, vgs: float, vds: float) -> tuple[float, float, float]:
-        """Current and derivatives of an N-type device with ``vds >= 0``.
-
-        Returns ``(i_d, di/dvgs, di/dvds)``.  The gate overdrive is replaced by
-        the softplus ``V_eff = n_s ln(1 + exp((V_gs - V_th) / n_s))`` so that
-        the square-law expressions blend smoothly into an exponential
-        sub-threshold tail; the current and both derivatives are continuous
-        everywhere, which keeps the Newton iterations of the MNA solver stable
-        around the switching threshold.
-        """
-        p = self.parameters
-        beta = p.beta
-        lam = p.channel_length_modulation
-        slope = p.subthreshold_slope
-        overdrive = vgs - p.threshold_voltage
-
-        # Softplus effective overdrive and its derivative (logistic function).
-        x = overdrive / slope
-        if x > 30.0:
-            v_eff = overdrive
-            dv_eff = 1.0
-        elif x < -30.0:
-            v_eff = slope * math.exp(x)
-            dv_eff = math.exp(x)
-        else:
-            v_eff = slope * math.log1p(math.exp(x))
-            dv_eff = 1.0 / (1.0 + math.exp(-x))
-
-        if vds < v_eff:
-            # Triode region.
-            core = v_eff * vds - 0.5 * vds**2
-            i_d = beta * core * (1.0 + lam * vds)
-            d_vgs = beta * vds * (1.0 + lam * vds) * dv_eff
-            d_vds = beta * (v_eff - vds) * (1.0 + lam * vds) + beta * core * lam
-            return i_d, d_vgs, d_vds
-
-        # Saturation.
-        i_d = 0.5 * beta * v_eff**2 * (1.0 + lam * vds)
-        d_vgs = beta * v_eff * (1.0 + lam * vds) * dv_eff
-        d_vds = 0.5 * beta * v_eff**2 * lam
-        return i_d, d_vgs, d_vds
-
-    # --- terminal-referred model -----------------------------------------------------
-
     def evaluate(self, v_gs: float, v_ds: float) -> tuple[float, float, float]:
         """Current and small-signal derivatives ``(i_ds, gm, gds)``.
 
@@ -139,22 +93,16 @@ class MOSFET:
         and ``gds = d i_ds / d v_ds`` are the derivatives with respect to the
         *terminal* voltages, which is what the MNA Newton stamps need.
         """
-        sign = float(self.parameters.polarity)
-        vgs_n = sign * v_gs
-        vds_n = sign * v_ds
-
-        if vds_n >= 0.0:
-            i_n, d_vgs_n, d_vds_n = self._normal_mode(vgs_n, vds_n)
-        else:
-            # Reverse conduction: drain and source swap roles.  The controlling
-            # voltage becomes v_gd and the current reverses.
-            i_f, d_vg_f, d_vd_f = self._normal_mode(vgs_n - vds_n, -vds_n)
-            i_n = -i_f
-            d_vgs_n = -d_vg_f
-            d_vds_n = d_vg_f + d_vd_f
-
-        # d(sign * i_n)/d(v_gs) = sign * d(i_n)/d(vgs_n) * sign = d(i_n)/d(vgs_n)
-        return sign * i_n, d_vgs_n, d_vds_n
+        p = self.parameters
+        return _evaluate(
+            float(p.polarity),
+            p.threshold_voltage,
+            p.beta,
+            p.channel_length_modulation,
+            p.subthreshold_slope,
+            v_gs,
+            v_ds,
+        )
 
     def drain_current(self, v_gs: float, v_ds: float) -> float:
         """Drain-to-source current in ampere for the given terminal voltages."""
@@ -181,6 +129,76 @@ class MOSFET:
         if i_on <= 0:
             return float("inf")
         return 0.75 * v_dd / i_on
+
+
+# --- scalar model ---------------------------------------------------------------------
+
+def _normal_mode(
+    threshold: float, beta: float, lam: float, slope: float, vgs: float, vds: float
+) -> tuple[float, float, float]:
+    """Current and derivatives of an N-type device with ``vds >= 0``.
+
+    Returns ``(i_d, di/dvgs, di/dvds)``.  The gate overdrive is replaced by
+    the softplus ``V_eff = n_s ln(1 + exp((V_gs - V_th) / n_s))`` so that
+    the square-law expressions blend smoothly into an exponential
+    sub-threshold tail; the current and both derivatives are continuous
+    everywhere, which keeps the Newton iterations of the MNA solver stable
+    around the switching threshold.
+    """
+    overdrive = vgs - threshold
+
+    # Softplus effective overdrive and its derivative (logistic function).
+    x = overdrive / slope
+    if x > 30.0:
+        v_eff = overdrive
+        dv_eff = 1.0
+    elif x < -30.0:
+        v_eff = slope * math.exp(x)
+        dv_eff = math.exp(x)
+    else:
+        v_eff = slope * math.log1p(math.exp(x))
+        dv_eff = 1.0 / (1.0 + math.exp(-x))
+
+    if vds < v_eff:
+        # Triode region.
+        core = v_eff * vds - 0.5 * vds**2
+        i_d = beta * core * (1.0 + lam * vds)
+        d_vgs = beta * vds * (1.0 + lam * vds) * dv_eff
+        d_vds = beta * (v_eff - vds) * (1.0 + lam * vds) + beta * core * lam
+        return i_d, d_vgs, d_vds
+
+    # Saturation.
+    i_d = 0.5 * beta * v_eff**2 * (1.0 + lam * vds)
+    d_vgs = beta * v_eff * (1.0 + lam * vds) * dv_eff
+    d_vds = 0.5 * beta * v_eff**2 * lam
+    return i_d, d_vgs, d_vds
+
+
+def _evaluate(
+    sign: float,
+    threshold: float,
+    beta: float,
+    lam: float,
+    slope: float,
+    v_gs: float,
+    v_ds: float,
+) -> tuple[float, float, float]:
+    """:meth:`MOSFET.evaluate` of a device given by its model scalars."""
+    vgs_n = sign * v_gs
+    vds_n = sign * v_ds
+
+    if vds_n >= 0.0:
+        i_n, d_vgs_n, d_vds_n = _normal_mode(threshold, beta, lam, slope, vgs_n, vds_n)
+    else:
+        # Reverse conduction: drain and source swap roles.  The controlling
+        # voltage becomes v_gd and the current reverses.
+        i_f, d_vg_f, d_vd_f = _normal_mode(threshold, beta, lam, slope, vgs_n - vds_n, -vds_n)
+        i_n = -i_f
+        d_vgs_n = -d_vg_f
+        d_vds_n = d_vg_f + d_vd_f
+
+    # d(sign * i_n)/d(v_gs) = sign * d(i_n)/d(vgs_n) * sign = d(i_n)/d(vgs_n)
+    return sign * i_n, d_vgs_n, d_vds_n
 
 
 # --- stacked model ------------------------------------------------------------------
@@ -214,6 +232,11 @@ def _per_element(function, values: np.ndarray) -> np.ndarray:
 _square = functools.partial(pow, exp=2)
 """Python's ``v**2`` (libm ``pow``), without a Python-level call per element."""
 
+SCALAR_STACK_SIZE = 64
+"""Largest device count :func:`evaluate_stack` runs through the scalar model:
+its array path costs ~70 numpy calls at any size (2-vCPU x86 host: four
+devices 64 us as arrays, 8 us one by one; crossover near 70)."""
+
 
 def evaluate_stack(
     parameters: np.ndarray, v_gs: np.ndarray, v_ds: np.ndarray
@@ -229,8 +252,14 @@ def evaluate_stack(
     some values, which would break the content hashes of every circuit
     result.  Both branches of each region test are computed and the scalar
     path's branch is selected, so the answer is the scalar one element by
-    element.
+    element.  Stacks of at most :data:`SCALAR_STACK_SIZE` devices run the
+    scalar model itself, element by element.
     """
+    if v_gs.size <= SCALAR_STACK_SIZE:
+        columns = np.concatenate((parameters, np.stack((v_gs, v_ds)))).reshape(7, -1)
+        values = np.array(list(map(_evaluate, *columns.tolist())), dtype=float).reshape(-1, 3)
+        i_ds, gm, gds = values.T.reshape((3, *v_gs.shape))
+        return i_ds, gm, gds
     sign, threshold, beta, lam, slope = parameters
     with np.errstate(all="ignore"):
         vgs_n = sign * v_gs

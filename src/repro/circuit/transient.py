@@ -6,13 +6,12 @@ nonlinear MNA system by Newton iteration at every step.  Results are exposed
 as numpy arrays per node, which is what the delay-measurement helpers of
 :mod:`repro.circuit.delay` operate on.
 
-Two solver backends share this front end, chosen by circuit size in
-:func:`repro.circuit.compiled.resolve_backend`: small circuits keep the
-dense assembler, larger ones run through the compiled sparse stamping path
-with factorization reuse.  Both record every step into one preallocated
-``(n_steps + 1, size)`` trace array; the per-node waveform dict is cut from
-it once at the end instead of being filled name-by-name inside the step
-loop.
+Circuits below :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns run
+the scalar dense loop here (:meth:`~repro.circuit.mna.MNAAssembler.assemble`
+plus :func:`~repro.circuit.mna.newton_solve` per step); larger ones run as a
+one-job band stack of :mod:`repro.circuit.batched`.  Both record every step
+into one ``(n_steps + 1, size)`` trace array and cut the per-node waveforms
+from it once at the end.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.compiled import ArrayState, CompiledMNA, resolve_backend
+from repro.circuit import mna
 from repro.circuit.dc import dc_operating_point
-from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve
+from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve, uses_band
 from repro.circuit.netlist import Circuit, is_ground
-from repro.obs.metrics import record_solver_stats
 from repro.obs.trace import trace_span
 
 
@@ -69,6 +67,35 @@ class TransientResult:
         """Number of stored time points."""
         return int(self.times.size)
 
+    @classmethod
+    def from_trace(
+        cls, assembler: MNAAssembler, times: np.ndarray, trace: np.ndarray
+    ) -> "TransientResult":
+        """Waveforms cut from a ``(n_steps + 1, size)`` solution trace."""
+        return cls(
+            times=times,
+            node_voltages={
+                name: np.ascontiguousarray(trace[:, assembler.node_index(name)])
+                for name in assembler.node_names
+            },
+            source_currents={
+                source.name: np.ascontiguousarray(trace[:, assembler.vsource_index(position)])
+                for position, source in enumerate(assembler.circuit.voltage_sources)
+            },
+        )
+
+
+def dc_start(assembler: MNAAssembler) -> np.ndarray:
+    """The ``t = 0`` DC operating point as an MNA solution vector."""
+    circuit = assembler.circuit
+    dc = dc_operating_point(circuit, time=0.0)
+    solution = np.zeros(assembler.size)
+    for name, voltage in dc.node_voltages.items():
+        solution[assembler.node_index(name)] = voltage
+    for position, source in enumerate(circuit.voltage_sources):
+        solution[assembler.vsource_index(position)] = dc.source_currents[source.name]
+    return solution
+
 
 def validate_transient_args(stop_time: float, time_step: float, method: str) -> None:
     """Argument checks shared by the serial and the batched transient."""
@@ -104,9 +131,10 @@ def transient_analysis(
         sources at their ``t = 0`` values; when False all node voltages start
         at 0 V and capacitor initial voltages are honoured.
 
-    The backend follows :func:`repro.circuit.compiled.resolve_backend`.
-    Both backends run the same Newton iteration, capped at
-    :data:`~repro.circuit.mna.TRANSIENT_NEWTON_ITERATIONS` per step.
+    Circuits of :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` or more
+    unknowns run as a one-job band stack.  Both paths run the same Newton
+    iteration, capped at :data:`~repro.circuit.mna.TRANSIENT_NEWTON_ITERATIONS`
+    per step.
 
     Returns
     -------
@@ -116,72 +144,47 @@ def transient_analysis(
 
     assembler = MNAAssembler(circuit)
     n_steps = int(round(stop_time / time_step))
+    if uses_band(assembler.size):
+        from repro.circuit.batched import TransientJob, _Batch
+
+        job = TransientJob(circuit, stop_time, time_step, method, use_dc_start)
+        with trace_span(
+            "circuit.transient", backend="band", size=assembler.size, n_steps=n_steps
+        ):
+            return _Batch([job]).run()[0]
+
     times = np.linspace(0.0, n_steps * time_step, n_steps + 1)
 
     solution = np.zeros(assembler.size)
     state = CompanionState.initial(circuit)
 
     if use_dc_start and assembler.size > 0:
-        dc = dc_operating_point(circuit, time=0.0)
-        for name, voltage in dc.node_voltages.items():
-            solution[assembler.node_index(name)] = voltage
-        for position, source in enumerate(circuit.voltage_sources):
-            solution[assembler.vsource_index(position)] = dc.source_currents[source.name]
-        # Capacitors start charged to their DC voltages.
-        state = CompanionState(
-            capacitor_voltages={
-                c.name: dc.voltage(c.a) - dc.voltage(c.b) for c in circuit.capacitors
-            },
-            capacitor_currents={c.name: 0.0 for c in circuit.capacitors},
-            inductor_currents={l.name: 0.0 for l in circuit.inductors},
-            inductor_voltages={l.name: 0.0 for l in circuit.inductors},
-        )
+        solution = dc_start(assembler)
+        voltage = assembler.node_voltage
+        # Capacitors start charged to their DC voltages, inductors at rest.
+        state.capacitor_voltages = {
+            c.name: voltage(solution, c.a) - voltage(solution, c.b) for c in circuit.capacitors
+        }
+        state.inductor_currents = {l.name: 0.0 for l in circuit.inductors}
 
     trace = np.empty((n_steps + 1, assembler.size))
     trace[0] = solution
 
-    resolved_backend = resolve_backend(assembler.size)
     with trace_span(
-        "circuit.transient",
-        backend=resolved_backend,
-        size=assembler.size,
-        n_steps=n_steps,
-    ) as span:
-        if resolved_backend == "sparse":
-            compiled = CompiledMNA(
-                circuit, dt=time_step, method=method, assembler=assembler
+        "circuit.transient", backend="dense", size=assembler.size, n_steps=n_steps
+    ):
+        for step in range(1, n_steps + 1):
+            time = times[step]
+            solution = newton_solve(
+                assembler,
+                time,
+                solution,
+                state=state,
+                dt=time_step,
+                method=method,
+                max_iterations=mna.TRANSIENT_NEWTON_ITERATIONS,
             )
-            array_state = ArrayState.from_companion(state, circuit)
-            for step in range(1, n_steps + 1):
-                solution = compiled.solve_step(times[step], solution, array_state)
-                array_state = compiled.update_state(solution, array_state)
-                trace[step] = solution
-            # One sync per analysis: the compiled solver's counters feed the
-            # shared registry (and the open span) without per-step overhead.
-            record_solver_stats(compiled.stats)
-            span.set("solver", compiled.stats.as_dict())
-        else:
-            for step in range(1, n_steps + 1):
-                time = times[step]
-                solution = newton_solve(
-                    assembler,
-                    time,
-                    solution,
-                    state=state,
-                    dt=time_step,
-                    method=method,
-                )
-                state = assembler.update_state(
-                    solution, state, time_step, method=method
-                )
-                trace[step] = solution
+            state = assembler.update_state(solution, state, time_step, method=method)
+            trace[step] = solution
 
-    voltages = {
-        name: np.ascontiguousarray(trace[:, assembler.node_index(name)])
-        for name in assembler.node_names
-    }
-    currents = {
-        source.name: np.ascontiguousarray(trace[:, assembler.vsource_index(position)])
-        for position, source in enumerate(circuit.voltage_sources)
-    }
-    return TransientResult(times=times, node_voltages=voltages, source_currents=currents)
+    return TransientResult.from_trace(assembler, times, trace)

@@ -26,7 +26,6 @@ from repro.obs.metrics import (
     gauge,
     histogram,
     metrics_snapshot,
-    record_solver_stats,
     render_prometheus,
     reset_metrics,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "histogram",
     "load_spans",
     "metrics_snapshot",
-    "record_solver_stats",
     "render_critical_path",
     "render_prometheus",
     "render_summary",

@@ -20,9 +20,6 @@ repro_cache_events_total               counter    outcome=hit|miss
 repro_points_executed_total            counter    executor=serial|process
 repro_point_wall_seconds               histogram  --
 repro_dispatch_overhead_seconds_total  counter    executor=process
-repro_solver_steps_total               counter    --
-repro_solver_iterations_total          counter    --
-repro_solver_factorizations_total      counter    --
 repro_batch_groups_total               counter    mode=stacked|serial|fallback
 repro_batch_group_points               histogram  --
 repro_claim_outcomes_total             counter    status
@@ -49,7 +46,6 @@ __all__ = [
     "gauge",
     "histogram",
     "metrics_snapshot",
-    "record_solver_stats",
     "render_prometheus",
     "reset_metrics",
 ]
@@ -285,15 +281,3 @@ def render_prometheus() -> str:
 def reset_metrics() -> None:
     """Clear the default registry (test isolation)."""
     REGISTRY.reset()
-
-
-def record_solver_stats(stats: Any) -> None:
-    """Absorb one solve's ``SolverStats`` deltas into the solver counters.
-
-    Accepts any object with ``steps`` / ``iterations`` / ``factorizations``
-    attributes so :mod:`repro.circuit` need not import this module.
-    """
-    for field in ("steps", "iterations", "factorizations"):
-        amount = getattr(stats, field, 0)
-        if amount:
-            counter(f"repro_solver_{field}_total").inc(amount)

@@ -1,4 +1,4 @@
-"""``python -m repro list`` does not import the heavy scipy subpackages."""
+"""Cold imports do not load the heavy scipy subpackages."""
 
 import os
 import subprocess
@@ -29,3 +29,22 @@ def test_repro_list_imports_neither_scipy_stats_nor_optimize():
     assert "scipy.sparse" in loaded  # the probe does see scipy imports
     for heavy in ("scipy.stats", "scipy.optimize"):
         assert heavy not in loaded
+
+
+def test_import_repro_circuit_loads_no_scipy_sparse():
+    # The band layout imports ``scipy.sparse.csgraph`` only when a large
+    # circuit needs its ordering.
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.circuit; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+        ],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -2,8 +2,8 @@
 
 This is the body :func:`repro.circuit.crosstalk.analyze_crosstalk` had
 before it ran its three victim/aggressor transients as one stack.  It runs
-every transient through :func:`repro.circuit.transient.transient_analysis`
-under ``solver_backend("dense")``, one call per case.  The stacked
+every transient through the dense scalar transient of ``dense_reference.py``,
+one call per case, at any size.  The stacked
 implementation must equal it bit for bit (``test_crosstalk_stack.py``), and
 the ``crosstalk`` case of ``benchmarks/perf/harness.py`` times it as its
 reference side.
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.compiled import solver_backend
+from dense_reference import dense_transient_analysis
+
 from repro.circuit.crosstalk import CrosstalkResult, _build_pair
 from repro.circuit.delay import crossing_time
 from repro.circuit.inverter import Inverter
 from repro.circuit.technology import NODE_45NM, TechnologyNode
-from repro.circuit.transient import transient_analysis
 from repro.core.line import InterconnectLine
 
 
@@ -38,42 +38,41 @@ def analyze_crosstalk_reference(
     stop_time = max(simulation_margin * elmore, 100e-12)
     dt = stop_time / n_time_steps
 
-    with solver_backend("dense"):
-        # Case 1: quiet victim (held), switching aggressor -> glitch on the victim.
-        circuit, v_dd = _build_pair(
-            line, coupling_capacitance, technology, victim_switches=False,
-            aggressor_switches=True, aggressor_rising=True,
-        )
-        result = transient_analysis(circuit, stop_time, dt)
-        victim_far = result.voltage("vfar")
-        baseline = victim_far[0]
-        noise_peak = float(np.max(np.abs(victim_far - baseline)))
+    # Case 1: quiet victim (held), switching aggressor -> glitch on the victim.
+    circuit, v_dd = _build_pair(
+        line, coupling_capacitance, technology, victim_switches=False,
+        aggressor_switches=True, aggressor_rising=True,
+    )
+    result = dense_transient_analysis(circuit, stop_time, dt)
+    victim_far = result.voltage("vfar")
+    baseline = victim_far[0]
+    noise_peak = float(np.max(np.abs(victim_far - baseline)))
 
-        # Case 2: victim switches alone.
-        circuit_quiet, _ = _build_pair(
-            line, coupling_capacitance, technology, victim_switches=True,
-            aggressor_switches=False, aggressor_rising=True,
-        )
-        quiet = transient_analysis(circuit_quiet, stop_time, dt)
-        t_in = crossing_time(quiet.times, quiet.voltage("vin"), v_dd / 2)
-        t_quiet = (
-            crossing_time(quiet.times, quiet.voltage("vfar"), v_dd / 2, start_time=t_in)
-            - t_in
-        )
+    # Case 2: victim switches alone.
+    circuit_quiet, _ = _build_pair(
+        line, coupling_capacitance, technology, victim_switches=True,
+        aggressor_switches=False, aggressor_rising=True,
+    )
+    quiet = dense_transient_analysis(circuit_quiet, stop_time, dt)
+    t_in = crossing_time(quiet.times, quiet.voltage("vin"), v_dd / 2)
+    t_quiet = (
+        crossing_time(quiet.times, quiet.voltage("vfar"), v_dd / 2, start_time=t_in)
+        - t_in
+    )
 
-        # Case 3: victim switches while the aggressor switches the other way.
-        circuit_opp, _ = _build_pair(
-            line, coupling_capacitance, technology, victim_switches=True,
-            aggressor_switches=True, aggressor_rising=False,
+    # Case 3: victim switches while the aggressor switches the other way.
+    circuit_opp, _ = _build_pair(
+        line, coupling_capacitance, technology, victim_switches=True,
+        aggressor_switches=True, aggressor_rising=False,
+    )
+    opposite = dense_transient_analysis(circuit_opp, stop_time, dt)
+    t_in_opp = crossing_time(opposite.times, opposite.voltage("vin"), v_dd / 2)
+    t_opposite = (
+        crossing_time(
+            opposite.times, opposite.voltage("vfar"), v_dd / 2, start_time=t_in_opp
         )
-        opposite = transient_analysis(circuit_opp, stop_time, dt)
-        t_in_opp = crossing_time(opposite.times, opposite.voltage("vin"), v_dd / 2)
-        t_opposite = (
-            crossing_time(
-                opposite.times, opposite.voltage("vfar"), v_dd / 2, start_time=t_in_opp
-            )
-            - t_in_opp
-        )
+        - t_in_opp
+    )
 
     return CrosstalkResult(
         noise_peak=noise_peak,

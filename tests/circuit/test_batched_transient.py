@@ -25,7 +25,8 @@ from repro.circuit.delay import (
 )
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import MNAAssembler
-from repro.circuit.mosfet import MOSFETParameters
+from repro.circuit import mosfet
+from repro.circuit.mosfet import MOSFET, MOSFETParameters, parameter_stack
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.doping import DopingProfile
@@ -389,3 +390,30 @@ class TestFusedMosfetStamp:
             # Bytes, not a tolerance: signed zeros and the last bit count.
             assert matrices[row].tobytes() == want_matrix.tobytes(), guess
             assert rhs[row].tobytes() == want_rhs.tobytes(), guess
+
+    @pytest.mark.parametrize("rows", [1, 16, 17])
+    def test_scalar_and_array_model_paths_agree(self, monkeypatch, rows):
+        """Both ``evaluate_stack`` paths are ``MOSFET.evaluate`` byte for byte.
+
+        Four devices per row: 1 and 16 rows take the scalar path by default,
+        17 rows the array path; each size is also forced onto the other.
+        """
+        devices = [
+            MOSFET(f"m{i}", "d", "g", "s", _probe_parameters(polarity, scale))
+            for i, (polarity, scale) in enumerate([(1, 1.0), (-1, 1.0), (1, 3.0), (-1, 3.0)])
+        ]
+        pairs = list(itertools.product(self.VOLTAGES, repeat=2))
+        picks = np.arange(rows * len(devices)) * 7 % len(pairs)
+        grid = np.array([pairs[i] for i in picks]).reshape(rows, len(devices), 2)
+        v_gs, v_ds = grid[..., 0].copy(), grid[..., 1].copy()
+        parameters = parameter_stack([[device.parameters for device in devices]] * rows)
+        want = np.array(
+            [
+                [device.evaluate(a, b) for device, a, b in zip(devices, row_gs, row_ds)]
+                for row_gs, row_ds in zip(v_gs.tolist(), v_ds.tolist())
+            ]
+        ).transpose(2, 0, 1)
+        for limit in (0, 10**6):
+            monkeypatch.setattr(mosfet, "SCALAR_STACK_SIZE", limit)
+            got = np.array(mosfet.evaluate_stack(parameters, v_gs, v_ds))
+            assert got.tobytes() == want.tobytes(), limit

@@ -1,10 +1,12 @@
-"""Compiled sparse MNA: structure, parity and backend-selection tests.
+"""The stacked kernel's sparse layout: structure, routing and parity tests.
 
-The compiled path must be a drop-in replacement for the dense assembler:
-identical matrices/rhs for identical inputs, identical waveforms from
-``transient_analysis`` regardless of backend, and a well-defined size
-threshold with a test override.  Tests pick a backend with the
-``solver_backend`` context manager; no entry point takes it per call.
+From :data:`repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on, the stacked
+kernel (:class:`repro.circuit.batched._Batch`) holds each matrix in LAPACK
+band storage, the one sparse format of the circuit solver.  It must stamp
+the dense assembler's matrix entry for entry and give the waveforms of the
+dense reference analyses (``dense_reference.py``) to 1e-9.  The
+``band_everywhere`` fixture lowers the threshold to 0, so small circuits
+exercise the band path too.
 """
 
 import importlib
@@ -14,28 +16,18 @@ import pkgutil
 import numpy as np
 import pytest
 
-from repro.circuit import (
-    Circuit,
-    SPARSE_SIZE_THRESHOLD,
-    Step,
-    resolve_backend,
-    solver_backend,
-    transient_analysis,
-)
-from repro.circuit.compiled import ArrayState, CompiledMNA
+from dense_reference import dense_transient_analysis
+
+from repro.circuit import Circuit, Step, transient_analysis
+from repro.circuit import batched
+from repro.circuit.batched import TransientJob, _Batch
 from repro.circuit.inverter import Inverter, add_supply
-from repro.circuit.mna import CompanionState, MNAAssembler
+from repro.circuit.mna import BAND_SIZE_THRESHOLD, CompanionState, MNAAssembler, uses_band
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
 
 PARITY_RTOL = 1.0e-9
-
-
-def _transient(backend: str, *args, **kwargs):
-    """``transient_analysis`` with every solve forced onto ``backend``."""
-    with solver_backend(backend):
-        return transient_analysis(*args, **kwargs)
 
 
 def _rc_ladder_circuit(n_segments: int = 30) -> Circuit:
@@ -87,31 +79,26 @@ def _max_relative_error(a, b) -> float:
 
 class TestBackendSelection:
     def test_small_circuits_stay_dense(self):
-        assert resolve_backend(SPARSE_SIZE_THRESHOLD - 1) == "dense"
+        assert not uses_band(BAND_SIZE_THRESHOLD - 1)
+        circuit = _inverter_line_circuit()
+        assert MNAAssembler(circuit).size < BAND_SIZE_THRESHOLD
+        assert _Batch([TransientJob(circuit, 1e-10, 1e-12)]).band is None
 
     def test_large_circuits_go_sparse(self):
-        assert resolve_backend(SPARSE_SIZE_THRESHOLD) == "sparse"
-
-    def test_explicit_argument_wins(self):
-        with solver_backend("sparse"):
-            assert resolve_backend(2) == "sparse"
-        with solver_backend("dense"):
-            assert resolve_backend(10_000) == "dense"
-
-    def test_override_context(self):
-        with solver_backend("sparse"):
-            assert resolve_backend(2) == "sparse"
-            with solver_backend("dense"):
-                assert resolve_backend(10_000) == "dense"
-            assert resolve_backend(2) == "sparse"
-        assert resolve_backend(2) == "dense"
+        assert uses_band(BAND_SIZE_THRESHOLD)
+        circuit = _rc_ladder_circuit(n_segments=80)
+        assert MNAAssembler(circuit).size >= BAND_SIZE_THRESHOLD
+        layout = _Batch([TransientJob(circuit, 1e-10, 1e-12)]).band
+        # Reverse Cuthill-McKee unrolls the ladder: a few diagonals, not
+        # the alphabetical node order's scattered pattern.
+        assert layout is not None
+        assert layout.kl <= 2 and layout.ku <= 2
 
     def test_no_per_call_solver_knobs(self):
-        """``solver_backend`` is the only way to pick a solver: no other
-        public function, class or method of ``repro.circuit`` takes a
-        backend, a Newton policy or a Newton tuning argument."""
+        """No public function, class or method of ``repro.circuit`` takes a
+        solver, a Newton policy or a Newton tuning argument, and no
+        exported name offers a backend or a sparse path to pick."""
         import repro.circuit
-        from repro.circuit import compiled
 
         knobs = {
             "backend",
@@ -121,7 +108,7 @@ class TestBackendSelection:
             "damping_limit",
             "max_newton_iterations",
         }
-        overrides = {"solver_backend"}
+        overrides: set[str] = set()
         for info in pkgutil.iter_modules(repro.circuit.__path__):
             module = importlib.import_module(f"repro.circuit.{info.name}")
             members = []
@@ -142,115 +129,139 @@ class TestBackendSelection:
             for name, member in members:
                 taken = knobs & set(inspect.signature(member).parameters)
                 assert not taken, f"{module.__name__}.{name} takes {sorted(taken)}"
-        solver_names = {
-            name for name in dir(compiled) if "solver" in name.lower() and not name.startswith("_")
-        }
-        assert solver_names == overrides | {"SolverStats"}
-        with pytest.raises(TypeError):
-            resolve_backend(2, "sparse")  # type: ignore[call-arg]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            with solver_backend("magic"):
-                pass  # pragma: no cover
+        for name in repro.circuit.__all__:
+            assert "backend" not in name.lower() and "sparse" not in name.lower(), name
 
 
 class TestCompiledAssembly:
-    """The compiled system must match the dense assembler entry for entry."""
+    """The band matrix must equal the dense assembler's entry for entry."""
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     @pytest.mark.parametrize(
         "builder", [_rc_ladder_circuit, _rlc_circuit, _inverter_line_circuit]
     )
-    def test_matrix_and_rhs_match_dense(self, builder, method):
+    def test_matrix_and_rhs_match_dense(self, band_everywhere, builder, method):
         circuit = builder()
         dt = 1e-12
+        batch = _Batch([TransientJob(circuit, 1e-10, dt, method=method)])
+        layout = batch.band
+        assert layout is not None
         assembler = MNAAssembler(circuit)
-        compiled = CompiledMNA(circuit, dt=dt, method=method)
+        size = assembler.size
 
         rng = np.random.default_rng(7)
-        guess = rng.normal(scale=0.4, size=assembler.size)
+        guess = rng.normal(scale=0.4, size=size)
         state = CompanionState.initial(circuit)
-        dense_matrix, dense_rhs = assembler.assemble(
-            3e-12, guess, state=state, dt=dt, method=method
+        step = 3
+        want_matrix, want_rhs = assembler.assemble(
+            batch.times[0][step], guess, state=state, dt=dt, method=method
         )
-        sparse_matrix, sparse_rhs = compiled.assemble(
-            3e-12, guess, ArrayState.from_companion(state, circuit)
+
+        cap_v = np.array([[state.capacitor_voltages[c.name]] for c in circuit.capacitors])
+        ind_i = np.array([[state.inductor_currents[l.name]] for l in circuit.inductors])
+        rhs = batch._base_rhs(
+            step,
+            cap_v.reshape(-1, 1),
+            np.zeros((len(circuit.capacitors), 1)),
+            ind_i.reshape(-1, 1),
+            np.zeros((len(circuit.inductors), 1)),
         )
-        np.testing.assert_allclose(
-            sparse_matrix.toarray(), dense_matrix, rtol=1e-13, atol=1e-30
-        )
-        np.testing.assert_allclose(sparse_rhs, dense_rhs, rtol=1e-13, atol=1e-30)
+        band = batch.static_matrices.copy()
+        batch._stamp_mosfets(band, rhs, batch.mos_params, guess[None, :])
+
+        unpacked = np.zeros((size, size))
+        for row in range(size):
+            for col in range(size):
+                offset = layout.position[row] - layout.position[col]
+                if -layout.ku <= offset <= layout.kl:
+                    unpacked[row, col] = band[0, layout.index(row, col)]
+        # Bytes, not a tolerance: the band path stamps the same terms in
+        # the same order; every entry outside the band must be zero.
+        assert unpacked.tobytes() == want_matrix.tobytes()
+        assert rhs[0].tobytes() == want_rhs.tobytes()
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_update_state_matches_dense(self, method):
         circuit = _rlc_circuit()
         dt = 2e-12
         assembler = MNAAssembler(circuit)
-        compiled = CompiledMNA(circuit, dt=dt, method=method)
+        batch = _Batch([TransientJob(circuit, 1e-10, dt, method=method)])
         rng = np.random.default_rng(11)
         solution = rng.normal(size=assembler.size)
-
         state = CompanionState.initial(circuit)
-        dense_next = assembler.update_state(solution, state, dt, method=method)
-        array_next = compiled.update_state(
-            solution, ArrayState.from_companion(state, circuit)
-        ).to_companion(circuit)
-        for name, value in dense_next.capacitor_voltages.items():
-            assert array_next.capacitor_voltages[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.capacitor_currents.items():
-            assert array_next.capacitor_currents[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.inductor_currents.items():
-            assert array_next.inductor_currents[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.inductor_voltages.items():
-            assert array_next.inductor_voltages[name] == pytest.approx(value, rel=1e-13)
+        state.capacitor_currents = {c.name: 1e-4 for c in circuit.capacitors}
+        state.inductor_voltages = {l.name: 0.3 for l in circuit.inductors}
 
-    def test_validation(self):
+        want = assembler.update_state(solution, state, dt, method=method)
+        fields = {
+            "capacitor_voltages": circuit.capacitors,
+            "capacitor_currents": circuit.capacitors,
+            "inductor_currents": circuit.inductors,
+            "inductor_voltages": circuit.inductors,
+        }
+        columns = [
+            np.array([getattr(state, field)[e.name] for e in elements]).reshape(-1, 1)
+            for field, elements in fields.items()
+        ]
+        got = batch._advance_state(np.append(solution, 0.0)[None, :], *columns)
+        for values, (field, elements) in zip(got, fields.items()):
+            assert values[:, 0].tolist() == [getattr(want, field)[e.name] for e in elements]
+
+    def test_validation(self, band_everywhere):
         circuit = _rc_ladder_circuit(4)
         with pytest.raises(ValueError):
-            CompiledMNA(circuit, dt=1e-12, method="euler")
+            transient_analysis(circuit, 1e-10, 1e-12, method="euler")
         with pytest.raises(ValueError):
-            CompiledMNA(circuit, dt=0.0)
+            transient_analysis(circuit, 1e-10, 0.0)
 
 
 class TestTransientParity:
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
-    def test_linear_ladder_waveforms_match(self, method):
+    def test_linear_ladder_waveforms_match(self, band_everywhere, method):
         circuit = _rc_ladder_circuit()
-        dense = _transient("dense", circuit, 1e-9, 4e-12, method=method)
-        sparse = _transient("sparse", circuit, 1e-9, 4e-12, method=method)
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
+        dense = dense_transient_analysis(circuit, 1e-9, 4e-12, method=method)
+        band = transient_analysis(circuit, 1e-9, 4e-12, method=method)
+        assert _max_relative_error(dense, band) < PARITY_RTOL
         for source in ("vin",):
             np.testing.assert_allclose(
-                dense.current(source), sparse.current(source), rtol=1e-9, atol=1e-15
+                dense.current(source), band.current(source), rtol=1e-9, atol=1e-15
             )
 
-    def test_rlc_waveforms_match(self):
+    def test_rlc_waveforms_match(self, band_everywhere):
         circuit = _rlc_circuit()
-        dense = _transient("dense", circuit, 2e-10, 5e-13)
-        sparse = _transient("sparse", circuit, 2e-10, 5e-13)
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
+        dense = dense_transient_analysis(circuit, 2e-10, 5e-13)
+        band = transient_analysis(circuit, 2e-10, 5e-13)
+        assert _max_relative_error(dense, band) < PARITY_RTOL
 
-    def test_nonlinear_waveforms_match(self):
+    def test_nonlinear_waveforms_match(self, band_everywhere):
         circuit = _inverter_line_circuit()
-        dense = _transient("dense", circuit, 3e-10, 1e-12)
-        sparse = _transient("sparse", circuit, 3e-10, 1e-12)
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
+        dense = dense_transient_analysis(circuit, 3e-10, 1e-12)
+        band = transient_analysis(circuit, 3e-10, 1e-12)
+        assert _max_relative_error(dense, band) < PARITY_RTOL
 
-    def test_no_dc_start_honours_initial_conditions(self):
+    def test_no_dc_start_honours_initial_conditions(self, band_everywhere):
         circuit = Circuit("ic")
         circuit.add_voltage_source("vin", "a", "0", 1.0)
         circuit.add_resistor("r1", "a", "b", 1e3)
         circuit.add_capacitor("c1", "b", "0", 1e-12, initial_voltage=0.25)
-        dense = _transient("dense", circuit, 1e-9, 2e-12, use_dc_start=False)
-        sparse = _transient("sparse", circuit, 1e-9, 2e-12, use_dc_start=False)
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
-        assert sparse.voltage("b")[0] == pytest.approx(0.0)
+        dense = dense_transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False)
+        band = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False)
+        assert _max_relative_error(dense, band) < PARITY_RTOL
+        assert band.voltage("b")[0] == pytest.approx(0.0)
 
-    def test_sparse_default_for_large_circuit(self):
-        """Auto-selection must route big circuits through the sparse path."""
+    def test_sparse_default_for_large_circuit(self, monkeypatch):
+        """A large circuit runs as a one-job band stack by default."""
+        layouts = []
+        run = batched._Batch.run
+
+        def recorded(self):
+            layouts.append(self.band)
+            return run(self)
+
+        monkeypatch.setattr(batched._Batch, "run", recorded)
         circuit = _rc_ladder_circuit(n_segments=80)
-        assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
+        assert MNAAssembler(circuit).size >= BAND_SIZE_THRESHOLD
         auto = transient_analysis(circuit, 4e-10, 4e-12)
-        forced = _transient("sparse", circuit, 4e-10, 4e-12)
-        assert _max_relative_error(auto, forced) == 0.0
+        assert len(layouts) == 1 and layouts[0] is not None
+        dense = dense_transient_analysis(circuit, 4e-10, 4e-12)
+        assert _max_relative_error(dense, auto) < PARITY_RTOL

@@ -1,24 +1,36 @@
-"""DC operating point through the compiled sparse path (backend routing).
+"""DC operating point: routing by size and band-solve parity.
 
-Tests pick a backend with the ``solver_backend`` context manager; no entry
-point takes it per call.
+:func:`~repro.circuit.dc.dc_operating_point` assembles densely and solves
+through :func:`~repro.circuit.mna.newton_solve`, whose linear solve is a
+band ``dgbsv`` from :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns
+on.  The oracle is the dense DC analysis of ``dense_reference.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuit import (
-    SPARSE_SIZE_THRESHOLD,
-    Circuit,
-    CompiledMNA,
-    dc_operating_point,
-    solver_backend,
-)
-from repro.circuit.compiled import ArrayState
+from dense_reference import dense_dc_operating_point
+
+from repro.circuit import Circuit, dc_operating_point
+from repro.circuit import mna
 from repro.circuit.inverter import Inverter, add_supply
-from repro.circuit.mna import MNAAssembler
+from repro.circuit.mna import BAND_SIZE_THRESHOLD, MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
 from repro.core.line import DistributedRC
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Sizes of every band layout built while the test runs."""
+    sizes = []
+    init = mna.BandLayout.__init__
+
+    def recorded(self, assembler):
+        sizes.append(assembler.size)
+        init(self, assembler)
+
+    monkeypatch.setattr(mna.BandLayout, "__init__", recorded)
+    return sizes
 
 
 def _large_ladder(n_segments: int = 120) -> Circuit:
@@ -53,12 +65,6 @@ def _nonlinear_line(n_segments: int = 100) -> Circuit:
     return circuit
 
 
-def _dc(backend: str, circuit: Circuit):
-    """``dc_operating_point`` forced onto ``backend``."""
-    with solver_backend(backend):
-        return dc_operating_point(circuit)
-
-
 def _worst_delta(a, b) -> float:
     node = max(abs(a.node_voltages[n] - b.node_voltages[n]) for n in a.node_voltages)
     current = max(abs(a.source_currents[s] - b.source_currents[s]) for s in a.source_currents)
@@ -68,78 +74,66 @@ def _worst_delta(a, b) -> float:
 class TestDCParity:
     def test_large_linear_ladder(self):
         circuit = _large_ladder()
-        assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = _dc("dense", circuit)
-        sparse = _dc("sparse", circuit)
-        assert _worst_delta(dense, sparse) <= 1.0e-9
+        assert MNAAssembler(circuit).size >= BAND_SIZE_THRESHOLD
+        dense = dense_dc_operating_point(circuit)
+        band = dc_operating_point(circuit)
+        assert _worst_delta(dense, band) <= 1.0e-9
         # Sanity: the ladder actually divides the supply.
-        assert 0.9 < sparse.voltage("far") < 1.0
+        assert 0.9 < band.voltage("far") < 1.0
 
     def test_large_nonlinear_line(self):
         circuit = _nonlinear_line()
-        assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = _dc("dense", circuit)
-        sparse = _dc("sparse", circuit)
-        assert _worst_delta(dense, sparse) <= 1.0e-9
+        assert MNAAssembler(circuit).size >= BAND_SIZE_THRESHOLD
+        dense = dense_dc_operating_point(circuit)
+        band = dc_operating_point(circuit)
+        assert _worst_delta(dense, band) <= 1.0e-9
 
-    def test_auto_routing_follows_threshold(self):
-        """Auto selection equals the explicit backend on both sides of the
-        threshold (small circuits keep dense, large ones go sparse)."""
+    def test_auto_routing_follows_threshold(self, layouts):
+        """Large circuits solve in band storage; small ones keep the dense
+        solve and equal the dense reference bit for bit."""
         large = _large_ladder()
-        auto = dc_operating_point(large)
-        sparse = _dc("sparse", large)
-        assert _worst_delta(auto, sparse) == 0.0
+        dc_operating_point(large)
+        assert layouts == [MNAAssembler(large).size]
 
         small = Circuit("divider")
         small.add_voltage_source("v1", "a", "0", 2.0)
         small.add_resistor("r1", "a", "b", 1.0e3)
         small.add_resistor("r2", "b", "0", 1.0e3)
-        assert MNAAssembler(small).size < SPARSE_SIZE_THRESHOLD
+        assert MNAAssembler(small).size < BAND_SIZE_THRESHOLD
         auto_small = dc_operating_point(small)
-        dense_small = _dc("dense", small)
-        assert _worst_delta(auto_small, dense_small) == 0.0
+        assert len(layouts) == 1
+        assert _worst_delta(auto_small, dense_dc_operating_point(small)) == 0.0
         assert auto_small.voltage("b") == pytest.approx(1.0, rel=1e-9)
 
-    def test_solver_backend_override_applies(self):
-        """The global override used by parity harnesses reaches the DC solve."""
-        circuit = _large_ladder()
-        with solver_backend("dense"):
-            dense = dc_operating_point(circuit)
-        with solver_backend("sparse"):
-            sparse = dc_operating_point(circuit)
-        assert _worst_delta(dense, sparse) <= 1.0e-9
-
-    def test_small_circuit_explicit_sparse_works(self):
+    def test_small_circuit_explicit_sparse_works(self, band_everywhere):
+        """A small circuit forced into band storage solves correctly."""
         small = Circuit("divider")
         small.add_voltage_source("v1", "a", "0", 2.0)
         small.add_resistor("r1", "a", "b", 1.0e3)
         small.add_resistor("r2", "b", "0", 1.0e3)
-        sparse = _dc("sparse", small)
-        assert sparse.voltage("b") == pytest.approx(1.0, rel=1e-9)
+        band = dc_operating_point(small)
+        assert _worst_delta(band, dense_dc_operating_point(small)) <= 1.0e-9
+        assert band.voltage("b") == pytest.approx(1.0, rel=1e-9)
 
 
 class TestDCCompiledSystem:
-    def test_dc_compile_requires_no_dt(self):
-        circuit = _large_ladder(n_segments=4)
-        compiled = CompiledMNA(circuit, dt=None, capacitors_open=True)
-        assert compiled.capacitors_open
-        with pytest.raises(ValueError, match="positive dt"):
-            CompiledMNA(circuit, dt=None)
-
-    def test_update_state_is_transient_only(self):
-        circuit = _large_ladder(n_segments=4)
-        compiled = CompiledMNA(circuit, dt=None, capacitors_open=True)
-        solution = compiled.solve_step(0.0, np.zeros(compiled.size), ArrayState.zeros(circuit))
-        with pytest.raises(RuntimeError, match="companion models"):
-            compiled.update_state(solution, ArrayState.zeros(circuit))
-
-    def test_inductor_becomes_short_at_dc(self):
+    def test_inductor_becomes_short_at_dc(self, request):
         circuit = Circuit("rl")
         circuit.add_voltage_source("v1", "a", "0", 1.0)
         circuit.add_resistor("r1", "a", "b", 1.0e3)
         circuit.add_inductor("l1", "b", "c", 1.0e-9)
         circuit.add_resistor("r2", "c", "0", 1.0e3)
-        dense = _dc("dense", circuit)
-        sparse = _dc("sparse", circuit)
-        assert _worst_delta(dense, sparse) <= 1.0e-9
-        assert sparse.voltage("b") == pytest.approx(sparse.voltage("c"), abs=1e-6)
+        dense = dense_dc_operating_point(circuit)
+        # Four unknowns: the default route is the dense solve, bit for bit.
+        assert _worst_delta(dense, dc_operating_point(circuit)) == 0.0
+
+        # The 1e9 S short gives the matrix a condition number of ~2e12, so
+        # two elimination orders may differ by up to cond * eps (both sit
+        # ~6e-6 V from the analytic 0.5 V).  The band order is held to that
+        # bound and to the short itself.
+        request.getfixturevalue("band_everywhere")
+        band = dc_operating_point(circuit)
+        assembler = MNAAssembler(circuit)
+        matrix, _ = assembler.assemble(0.0, np.zeros(assembler.size), capacitors_open=True)
+        assert _worst_delta(dense, band) <= np.linalg.cond(matrix) * np.finfo(float).eps
+        assert band.voltage("b") == pytest.approx(band.voltage("c"), abs=1e-6)

@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counter,
     metrics_snapshot,
-    record_solver_stats,
     reset_metrics,
 )
 
@@ -112,23 +111,4 @@ class TestModuleRegistry:
         assert (
             metrics_snapshot()["counters"]["repro_test_events_total"] == 1
         )
-        reset_metrics()
-
-    def test_record_solver_stats_absorbs_counters(self):
-        class Stats:
-            steps = 10
-            iterations = 25
-            factorizations = 3
-
-        reset_metrics()
-        record_solver_stats(Stats())
-        counters = metrics_snapshot()["counters"]
-        assert counters["repro_solver_steps_total"] == 10
-        assert counters["repro_solver_iterations_total"] == 25
-        assert counters["repro_solver_factorizations_total"] == 3
-        reset_metrics()
-        Stats.iterations = 0
-        record_solver_stats(Stats())
-        counters = metrics_snapshot()["counters"]
-        assert "repro_solver_iterations_total" not in counters  # zero elided
         reset_metrics()
