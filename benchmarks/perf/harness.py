@@ -40,13 +40,7 @@ import numpy as np
 from repro.api import Engine, SweepSpec
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.crosstalk import analyze_crosstalk
-from repro.circuit.delay import (
-    _build_delay_benchmark,
-    _measure_from_result,
-    measure_inverter_line_delay,
-    measure_inverter_line_delay_batch,
-)
-from repro.circuit.technology import NODE_45NM
+from repro.circuit.delay import measure_inverter_line_delay, measure_inverter_line_delay_batch
 from repro.circuit.mna import MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
 from repro.core import InterconnectLine, MWCNTInterconnect
@@ -62,7 +56,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "tests", "circuit"),
 )
 from crosstalk_reference import analyze_crosstalk_reference  # noqa: E402
-from dense_reference import dense_transient_analysis  # noqa: E402
+from dense_reference import dense_inverter_line_delay, dense_transient_analysis  # noqa: E402
 
 PARITY_RTOL = 1.0e-9
 
@@ -213,13 +207,7 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
     )
     line = InterconnectLine(tube, n_segments=n_segments)
 
-    def dense_reference():
-        circuit, stop, dt, v_dd = _build_delay_benchmark(
-            line, NODE_45NM, 1.0, 1.0, 5.0e-12, True, 8.0, n_steps
-        )
-        return _measure_from_result(dense_transient_analysis(circuit, stop, dt), v_dd)
-
-    legacy_s, reference = _timed(dense_reference)
+    legacy_s, reference = _timed(lambda: dense_inverter_line_delay(line, n_steps))
     fast_s, candidate = _timed(lambda: measure_inverter_line_delay(line, n_time_steps=n_steps))
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay

@@ -1,52 +1,35 @@
 """The stacked circuit kernel: same-topology transients solved in lockstep.
 
 Sweep points over one interconnect topology differ only in element *values*
-(resistances, capacitances, source waveforms, MOSFET parameters) -- the MNA
-pattern, node numbering and step count are identical.  The serial path pays
-the full Python re-stamping cost per point per step; this module evaluates a
-whole batch of such circuits in lockstep instead:
+-- the MNA pattern, node numbering and step count are identical -- so this
+module evaluates a whole batch of such circuits in lockstep:
 
 * the static part of every MNA matrix (GMIN, resistors, companion
-  conductances, voltage-source rows) is built **once** into a stacked
-  array -- the per-step / per-iteration Python re-stamp disappears;
+  conductances, voltage-source rows) is built **once** into a stacked array;
 * the MOSFET linearisation runs once per Newton iteration over an
-  ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`);
-  its stamps, like the companion and source terms of the right-hand side,
-  are added by one ordered ``np.add.at`` through precomputed flat indices;
+  ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`)
+  and is stamped by ordered ``np.add.at`` calls through precomputed flat
+  indices; the companion and source terms of the right-hand side are one
+  ``np.bincount`` per step;
 * the Newton bookkeeping (per-row max |delta|, damping, the set of rows
-  still iterating) and the companion-state update are array operations;
-* only source waveform evaluation still runs per job.
+  still iterating) and the companion-state update are array operations.
 
 Below :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns each job
-holds a dense ``size x size`` matrix and all jobs are solved by one stacked
+holds a dense matrix and all jobs are solved by one stacked
 ``np.linalg.solve``.  From the threshold on each job holds its matrix in
-LAPACK band storage (:class:`repro.circuit.mna.BandLayout`) and each active
-job gets one ``dgbsv`` call: ``O(size)`` per copy and per solve instead of
-``O(size**2)`` and ``O(size**3)``.
+LAPACK band storage (:class:`repro.circuit.mna.BandLayout`): one ``dgbsv``
+per active job, a refined solve for each accepted Newton iterate, and a
+linear circuit factorized once.  :func:`~repro.circuit.transient.transient_analysis`
+runs a circuit at or above the threshold as a one-job stack.
 
-This is the paper-default path: ``fig12`` and ``variability_delay`` run all
-their transients as one stack through
-:func:`repro.circuit.delay.measure_inverter_line_delay_batch`, and
-:func:`repro.circuit.crosstalk.analyze_crosstalk` its three.
-:func:`~repro.circuit.transient.transient_analysis` runs a circuit at or
-above the band threshold as a one-job stack.
-
-**Bitwise identity is a hard contract** for the dense layout.  It replays the
-exact floating-point statement sequence of :class:`~repro.circuit.mna.MNAAssembler`
-plus :func:`~repro.circuit.mna.newton_solve`, vectorised over the batch
-axis.  Arithmetic ``+ - * /`` runs as numpy ufuncs, which perform the same
-IEEE operations as the scalar statements; ``exp``, ``log1p`` and ``**2``
-stay per element through :mod:`math` and Python's ``**``, because numpy's
-SIMD ``exp``/``log1p`` and its ``v * v`` squaring differ from libm in the
-last bit of some values.  A stacked ``np.linalg.solve`` is bitwise-identical
-to per-slice solves, and each matrix and right-hand-side entry accumulates
-its terms in the scalar order (``np.add.at`` applies repeated indices in
-turn, and ``x - y`` is ``x + (-y)`` in IEEE arithmetic).  Batched results
-therefore carry the content hashes of serial per-point runs.  The band
-layout stamps the same terms in the same order but eliminates in another
-order, so it agrees with the dense path to solver precision (the tests hold
-it to 1e-9); a large job alone is a one-job band stack, so batching never
-changes its bits either.
+**Bitwise identity is a hard contract** for the dense layout: it replays the
+floating-point statement sequence of :class:`~repro.circuit.mna.MNAAssembler`
+plus :func:`~repro.circuit.mna.newton_solve` over the batch axis (the rules
+are in ``docs/PERFORMANCE.md``), so batched results carry the content hashes
+of serial per-point runs.  The band layout stamps the same terms in the same
+order but eliminates in another order, so it agrees with the dense path to
+solver precision (the tests hold it to 1e-9); a large job alone is a one-job
+band stack, so batching never changes its bits either.
 
 Jobs are grouped by a structural signature (matrix size, element topology,
 zero-capacitance pattern, step count, method); singleton groups, and every
@@ -192,12 +175,12 @@ class _Batch:
         # ordered np.add.at.  Matrix and rhs accumulations never mix
         # targets, so splitting them preserves each entry's accumulation
         # order (hence its bits).
-        cells: list[int] = []
+        coordinates: list[tuple[int, int]] = []
         values: list = []
 
         def stamp(row: int, col: int, value) -> None:
-            cells.append(self._cell(row, col))
-            values.append(np.broadcast_to(value, (self.n_jobs,)))
+            coordinates.append((row, col))
+            values.append(value)
 
         def stamp_conductance(a: int | None, b: int | None, g) -> None:
             if a is not None:
@@ -227,8 +210,12 @@ class _Batch:
                 stamp(row, n, -1.0)
         storage = self.size * (self.size if self.band is None else self.band.rows)
         self.static_matrices = np.zeros((self.n_jobs, storage))
-        if cells:
-            np.add.at(self.static_matrices, (slice(None), np.array(cells)), np.array(values).T)
+        if coordinates:
+            rows, cols = np.array(coordinates).T
+            table = np.empty((len(values), self.n_jobs))
+            for k, value in enumerate(values):
+                table[k] = value
+            np.add.at(self.static_matrices, (slice(None), self._cell(rows, cols)), table.T)
 
         # Right-hand-side pushes, in the assembler's order: capacitor p
         # pushes its companion current from b into a, inductor and current
@@ -244,6 +231,7 @@ class _Batch:
                 for sign, node in enumerate(nodes)
             ]
         )
+        self.push_bins = (np.arange(self.n_jobs)[:, None] * self.size + self.push_cells).ravel()
 
         # MOSFET stamps in the assembler's order, as (row, column) terminals
         # (0 drain, 1 gate, 2 source) and coefficient k: entry k * devices + p
@@ -260,8 +248,9 @@ class _Batch:
         self.mos_cells, self.mos_entries = self._signed_targets(matrix_stamps)
         self.mos_rhs_cells, self.mos_rhs_entries = self._signed_targets(rhs_stamps)
 
-    def _cell(self, row: int, col: int) -> int:
-        """Column of matrix entry ``(row, col)`` in a job's storage row."""
+    def _cell(self, row, col):
+        """Column of matrix entry ``(row, col)`` in a job's storage row
+        (elementwise for index arrays)."""
         if self.band is None:
             return row * self.size + col
         return self.band.index(row, col)
@@ -312,8 +301,12 @@ class _Batch:
             (cap_ieq, ind_ieq, self._source_values("current_sources", step))
         )
         signed = np.stack((-currents, currents), axis=1).reshape(-1, self.n_jobs)
-        rhs = np.zeros((self.n_jobs, self.size))
-        np.add.at(rhs, (slice(None), self.push_cells), signed[self.push_entries].T)
+        # bincount adds each bin's pushes to 0.0 in turn: np.add.at into
+        # zeros, bit for bit, without its per-element overhead.
+        # (Without pushes bincount returns integers.)
+        rhs = np.bincount(
+            self.push_bins, signed[self.push_entries].T.ravel(), self.n_jobs * self.size
+        ).astype(float, copy=False).reshape(self.n_jobs, self.size)
         rhs[:, self.vso_rows] += self._source_values("voltage_sources", step).T
         return rhs
 
@@ -363,13 +356,17 @@ class _Batch:
             ind_i = ind_i + self.ind_geq * ind_now
         return cap_now, cap_i, ind_i, ind_now
 
-    def _solve(self, matrices: np.ndarray, rhs: np.ndarray, time: float) -> np.ndarray:
-        """Solve every row: one stacked dense ``gesv``, or a ``dgbsv`` per row."""
+    def _solve(
+        self, matrices: np.ndarray, rhs: np.ndarray, time: float, factors=None
+    ) -> tuple[np.ndarray, list | None]:
+        """Solve every row: one stacked dense ``gesv`` (no factors), or
+        :meth:`BandLayout.solve <repro.circuit.mna.BandLayout.solve>`, which
+        reuses the band LU ``factors`` when given and returns them."""
         try:
             if self.band is None:
                 stack = matrices.reshape(-1, self.size, self.size)
-                return np.linalg.solve(stack, rhs[..., None])[..., 0]
-            return np.array([self.band.solve(a, b) for a, b in zip(matrices, rhs)])
+                return np.linalg.solve(stack, rhs[..., None])[..., 0], None
+            return self.band.solve(matrices, rhs, factors)
         except np.linalg.LinAlgError as error:
             raise RuntimeError(f"singular MNA matrix at t={time}: {error}") from error
 
@@ -404,12 +401,16 @@ class _Batch:
 
         all_rows = np.arange(n_jobs)
         max_iterations = mna.TRANSIENT_NEWTON_ITERATIONS
+        factors = None
         for step in range(1, self.n_steps + 1):
             base_rhs = self._base_rhs(step, cap_v, cap_i, ind_i, ind_v)
             if not self.nonlinear:
                 # One linear solve per step, like newton_solve's early return.
-                # The stacked solve is bitwise-identical to per-slice solves.
-                solutions = self._solve(self.static_matrices, base_rhs, self.times[0][step])
+                # The stacked solve is bitwise-identical to per-slice solves;
+                # a band matrix, which never changes, is factorized once.
+                solutions, factors = self._solve(
+                    self.static_matrices, base_rhs, self.times[0][step], factors
+                )
             else:
                 # Per-row Newton with newton_solve's damping and stopping
                 # rule; a row leaves the active set once it converges.
@@ -421,7 +422,7 @@ class _Batch:
                     np.take(self.static_matrices, active, axis=0, out=matrices)
                     rhs = base_rhs[active]
                     self._stamp_mosfets(matrices, rhs, self.mos_params[:, active], guess)
-                    new_solutions = self._solve(
+                    new_solutions, factors = self._solve(
                         matrices, rhs, self.times[active[0]][step]
                     )
 
@@ -431,9 +432,18 @@ class _Batch:
                     if damped.any():
                         scale = NEWTON_DAMPING_LIMIT / max_delta[damped]
                         new_solutions[damped] = guess[damped] + delta[damped] * scale[:, None]
+                    converged = max_delta < NEWTON_TOLERANCE
+                    if self.band is not None and converged.any():
+                        # A converged row's iterate is accepted: refine it.
+                        rows = np.flatnonzero(converged)
+                        new_solutions[rows] = self.band.refine(
+                            self.band.entries(matrices[rows]),
+                            rhs[rows],
+                            new_solutions[rows],
+                            [factors[row] for row in rows],
+                        )
                     solutions[active] = new_solutions
-                    unconverged = ~(max_delta < NEWTON_TOLERANCE)
-                    active, pending = active[unconverged], max_delta[unconverged]
+                    active, pending = active[~converged], max_delta[~converged]
                     if not active.size:
                         break
                 if active.size:

@@ -1,9 +1,9 @@
 """DC operating-point analysis.
 
-Capacitors are opened, inductors are shorted, sources are evaluated at a
-given time (default 0) and the nonlinear system is solved by Newton
-iteration.  The result seeds transient analyses so that simulations start
-from a consistent bias point.
+Capacitors are opened, inductors are shorted (zero-volt branches), sources
+are evaluated at a given time (default 0) and the nonlinear system is
+solved by Newton iteration.  The result seeds transient analyses so that
+simulations start from a consistent bias point.
 
 The solve is :func:`~repro.circuit.mna.newton_solve`, in band storage from
 :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on.
@@ -76,7 +76,7 @@ def dc_operating_point(
     if assembler.size == 0:
         return DCResult(node_voltages={}, source_currents={})
 
-    guess = np.zeros(assembler.size)
+    guess = np.zeros(assembler.dc_size)
     # A supply-aware starting guess speeds up and stabilises CMOS circuits:
     # start every node halfway to the largest DC source magnitude.
     supply_levels = [abs(v.value(time)) for v in circuit.voltage_sources]

@@ -2,7 +2,8 @@
 
 The assembler maps a :class:`~repro.circuit.netlist.Circuit` onto the dense
 MNA matrix equation ``A x = b`` where ``x`` stacks the non-ground node
-voltages followed by the branch currents of the independent voltage sources.
+voltages followed by the branch currents of the independent voltage sources
+(and, in DC, of the inductors, which are shorts).
 Nonlinear MOSFETs are handled by Newton iteration: each call to
 :meth:`MNAAssembler.assemble` linearises them around the supplied operating
 point, so repeated solves converge to the nonlinear solution.
@@ -111,6 +112,9 @@ class MNAAssembler:
         self.n_nodes = len(self.node_names)
         self.n_vsources = len(circuit.voltage_sources)
         self.size = self.n_nodes + self.n_vsources
+        # A DC solve shorts every inductor through a zero-volt branch, whose
+        # current is one more unknown after the voltage-source currents.
+        self.dc_size = self.size + len(circuit.inductors)
 
     # --- index helpers --------------------------------------------------------------
 
@@ -152,6 +156,17 @@ class MNAAssembler:
             matrix[b, a] -= g
 
     @staticmethod
+    def _stamp_branch(matrix: np.ndarray, row: int, p: int | None, n: int | None) -> None:
+        """Stamp the incidence of a branch current (unknown ``row``) flowing
+        from node ``p`` through the branch to node ``n``."""
+        if p is not None:
+            matrix[p, row] += 1.0
+            matrix[row, p] += 1.0
+        if n is not None:
+            matrix[n, row] -= 1.0
+            matrix[row, n] -= 1.0
+
+    @staticmethod
     def _stamp_current(rhs: np.ndarray, a: int | None, b: int | None, current: float) -> None:
         """Stamp a current source pushing ``current`` from node ``a`` into node ``b``."""
         if a is not None:
@@ -186,16 +201,18 @@ class MNAAssembler:
         method:
             ``"trapezoidal"`` or ``"backward_euler"`` companion models.
         capacitors_open:
-            DC mode -- capacitors are removed and inductors become shorts
-            (modelled as very large conductances).
+            DC mode -- capacitors are removed and inductors become shorts:
+            zero-volt branches whose currents follow the voltage-source
+            currents, so the system has :attr:`dc_size` unknowns.
         """
         if method not in ("trapezoidal", "backward_euler"):
             raise ValueError(f"unknown integration method {method!r}")
         if not capacitors_open and (state is None or dt is None or dt <= 0):
             raise ValueError("transient assembly needs a previous state and a positive dt")
 
-        matrix = np.zeros((self.size, self.size))
-        rhs = np.zeros(self.size)
+        size = self.dc_size if capacitors_open else self.size
+        matrix = np.zeros((size, size))
+        rhs = np.zeros(size)
 
         # gmin keeps nodes that are only touched by gates / open capacitors regular.
         for i in range(self.n_nodes):
@@ -227,12 +244,12 @@ class MNAAssembler:
             # the conductance term so that v = v_prev gives zero current).
             self._stamp_current(rhs, b, a, ieq)
 
-        for inductor in self.circuit.inductors:
+        for position, inductor in enumerate(self.circuit.inductors):
             a = self.node_index(inductor.a)
             b = self.node_index(inductor.b)
             if capacitors_open:
-                # DC: an inductor is a short; model as a large conductance.
-                self._stamp_conductance(matrix, a, b, 1.0e9)
+                # DC: an inductor is a short, a zero-volt branch.
+                self._stamp_branch(matrix, self.size + position, a, b)
                 continue
             i_prev = state.inductor_currents[inductor.name]
             v_prev = state.inductor_voltages[inductor.name]
@@ -255,14 +272,9 @@ class MNAAssembler:
 
         for position, source in enumerate(self.circuit.voltage_sources):
             row = self.vsource_index(position)
-            p = self.node_index(source.positive)
-            n = self.node_index(source.negative)
-            if p is not None:
-                matrix[p, row] += 1.0
-                matrix[row, p] += 1.0
-            if n is not None:
-                matrix[n, row] -= 1.0
-                matrix[row, n] -= 1.0
+            self._stamp_branch(
+                matrix, row, self.node_index(source.positive), self.node_index(source.negative)
+            )
             rhs[row] += source.value(time)
 
         for mosfet in self.circuit.mosfets:
@@ -353,22 +365,23 @@ class BandLayout:
     The unknowns are ordered once by reverse Cuthill-McKee over every
     coordinate a stamp can touch: the static element pattern plus the MOSFET
     terminal couplings.  Under that ordering entry ``(i, j)`` lives in row
-    ``kl + ku + i - j`` of the ``(2 kl + ku + 1, size)`` array ``dgbsv``
-    takes; its first ``kl`` rows are pivoting workspace.  Each band array is
-    held transposed, as a C-order ``(size, rows)`` block, which is LAPACK's
-    column-major layout, so it reaches ``dgbsv`` without a copy.  Right-hand
-    sides and solutions stay in the assembler's order; only :meth:`solve`
-    permutes.
+    ``kl + ku + i - j`` of the ``(2 kl + ku + 1, size)`` array LAPACK's band
+    routines take; its first ``kl`` rows are pivoting workspace.  Each band
+    array is held transposed, as a C-order ``(size, rows)`` block, which is
+    LAPACK's column-major layout, so it reaches LAPACK without a copy.
+    Right-hand sides and solutions stay in the assembler's order; only
+    :meth:`solve` and :meth:`refine` permute.  ``capacitors_open`` selects the DC system of
+    :meth:`MNAAssembler.assemble`, with its inductor branches.
     """
 
-    def __init__(self, assembler: MNAAssembler):
-        from scipy.linalg.lapack import dgbsv
+    def __init__(self, assembler: MNAAssembler, capacitors_open: bool = False):
+        from scipy.linalg.lapack import dgbsv, dgbtrs
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        self._dgbsv = dgbsv
-        self.size = size = assembler.size
-        rows, cols = self._stamp_pattern(assembler)
+        self._dgbsv, self._dgbtrs = dgbsv, dgbtrs
+        self.size = size = assembler.dc_size if capacitors_open else assembler.size
+        rows, cols = self._stamp_pattern(assembler, capacitors_open)
         graph = coo_matrix(
             (np.ones(2 * rows.size), (np.r_[rows, cols], np.r_[cols, rows])),
             shape=(size, size),
@@ -380,19 +393,39 @@ class BandLayout:
         self.kl = int(offsets.max(initial=0))
         self.ku = int(-offsets.min(initial=0))
         self.rows = 2 * self.kl + self.ku + 1
+        # The stamp pattern plus the diagonal, sorted by row: every row has
+        # an entry, so ``refine`` sums each row's products by ``reduceat``.
+        diagonal = np.arange(size)
+        keys = np.unique(np.r_[rows, diagonal] * size + np.r_[cols, diagonal])
+        pattern_rows, self._pattern_columns = np.divmod(keys, size)
+        self._pattern_cells = self.index(pattern_rows, self._pattern_columns)
+        self._row_starts = np.flatnonzero(np.diff(pattern_rows, prepend=-1))
 
     @staticmethod
-    def _stamp_pattern(assembler: MNAAssembler) -> tuple[np.ndarray, np.ndarray]:
+    def _stamp_pattern(
+        assembler: MNAAssembler, capacitors_open: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Rows and columns of every matrix entry a stamp can touch."""
         index = assembler.node_index
         circuit = assembler.circuit
         entries = [(i, i) for i in range(assembler.n_nodes)]
-        for element in circuit.resistors + circuit.capacitors + circuit.inductors:
+        branches = [
+            (assembler.vsource_index(position), source.positive, source.negative)
+            for position, source in enumerate(circuit.voltage_sources)
+        ]
+        two_terminal = circuit.resistors + circuit.capacitors
+        if capacitors_open:
+            branches += [
+                (assembler.size + position, inductor.a, inductor.b)
+                for position, inductor in enumerate(circuit.inductors)
+            ]
+        else:
+            two_terminal = two_terminal + circuit.inductors
+        for element in two_terminal:
             nodes = [n for n in (index(element.a), index(element.b)) if n is not None]
             entries += [(x, y) for x in nodes for y in nodes]
-        for position, source in enumerate(circuit.voltage_sources):
-            row = assembler.vsource_index(position)
-            for node in (index(source.positive), index(source.negative)):
+        for row, positive, negative in branches:
+            for node in (index(positive), index(negative)):
                 if node is not None:
                     entries += [(node, row), (row, node)]
         for mosfet in circuit.mosfets:
@@ -417,20 +450,75 @@ class BandLayout:
         band[self.index(rows, cols)] = matrix[rows, cols]
         return band
 
-    def solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` for a band array ``band`` (left unchanged).
+    def solve(
+        self,
+        bands: np.ndarray,
+        rhs: np.ndarray,
+        factors: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """Solve ``A_k x_k = rhs_k`` for a stack of band arrays (left
+        unchanged) and right-hand sides, ``(jobs, size)``.
 
-        Raises :class:`numpy.linalg.LinAlgError` for a singular matrix,
-        like :func:`numpy.linalg.solve`.
+        One ``dgbsv`` per job; given the ``factors`` an earlier call
+        returned for the same ``bands``, one ``dgbtrs`` instead.  Returns
+        the solutions and the LU factors.  Raises
+        :class:`numpy.linalg.LinAlgError` for a singular matrix, like
+        :func:`numpy.linalg.solve`.
         """
-        _, _, x, info = self._dgbsv(
-            self.kl, self.ku, band.reshape(self.size, self.rows).T, rhs[self.order]
+        b = rhs[:, self.order]
+        if factors is not None:
+            return self._unpermute(self._substitute(factors, b)), factors
+        factors, x = [], []
+        for band, column in zip(bands, b):
+            lu, pivots, solution, info = self._dgbsv(
+                self.kl, self.ku, band.reshape(self.size, self.rows).T, column
+            )
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+            factors.append((lu, pivots))
+            x.append(solution)
+        return self._unpermute(np.array(x)), factors
+
+    def entries(self, bands: np.ndarray) -> np.ndarray:
+        """Every stamp-pattern entry of each band array, in extended
+        precision (``np.longdouble``): the matrix :meth:`refine` takes."""
+        return bands[:, self._pattern_cells].astype(np.longdouble)
+
+    def refine(
+        self,
+        entries: np.ndarray,
+        rhs: np.ndarray,
+        solutions: np.ndarray,
+        factors: list[tuple[np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """One step of iterative refinement of :meth:`solve`'s ``solutions``
+        for matrices given by their :meth:`entries`.
+
+        The residual is accumulated in extended precision, so the refined
+        result is the solution of the stamped system to within a few units
+        in the last place, whatever the elimination order: the rounding
+        error the band ordering adds is removed.  (Where ``np.longdouble``
+        is plain double precision the step still runs, with less to gain.)
+        """
+        product = np.add.reduceat(
+            entries * solutions[:, self._pattern_columns], self._row_starts, axis=1
         )
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
-        solution = np.empty(self.size)
-        solution[self.order] = x
-        return solution
+        residual = (rhs - product).astype(float)
+        return solutions + self._unpermute(self._substitute(factors, residual[:, self.order]))
+
+    def _substitute(self, factors, b: np.ndarray) -> np.ndarray:
+        """Forward and back substitution through each job's LU factors."""
+        return np.array(
+            [
+                self._dgbtrs(lu, self.kl, self.ku, column, pivots)[0]
+                for (lu, pivots), column in zip(factors, b)
+            ]
+        )
+
+    def _unpermute(self, x: np.ndarray) -> np.ndarray:
+        solutions = np.empty_like(x)
+        solutions[:, self.order] = x
+        return solutions
 
 
 def newton_solve(
@@ -452,7 +540,8 @@ def newton_solve(
     time:
         Simulation time for source evaluation.
     initial_guess:
-        Starting solution vector (previous time point or zeros).
+        Starting solution vector (previous time point or zeros), of
+        :attr:`MNAAssembler.dc_size` unknowns when ``capacitors_open``.
     state, dt, method, capacitors_open:
         Passed through to :meth:`MNAAssembler.assemble`.
     max_iterations:
@@ -460,7 +549,8 @@ def newton_solve(
         :data:`DC_NEWTON_ITERATIONS`).  Damping and the convergence test
         follow :data:`NEWTON_DAMPING_LIMIT` and :data:`NEWTON_TOLERANCE`;
         the linear solve is :func:`numpy.linalg.solve` below
-        :data:`BAND_SIZE_THRESHOLD` unknowns and a band ``dgbsv`` from it on.
+        :data:`BAND_SIZE_THRESHOLD` unknowns and :meth:`BandLayout.solve`
+        from it on.
 
     Raises
     ------
@@ -470,7 +560,8 @@ def newton_solve(
     """
     solution = initial_guess.astype(float).copy()
     nonlinear = bool(assembler.circuit.mosfets)
-    band = BandLayout(assembler) if uses_band(assembler.size) else None
+    size = assembler.dc_size if capacitors_open else assembler.size
+    band = BandLayout(assembler, capacitors_open) if uses_band(size) else None
     max_delta = float("nan")
 
     for _ in range(max_iterations):
@@ -481,7 +572,9 @@ def newton_solve(
             if band is None:
                 new_solution = np.linalg.solve(matrix, rhs)
             else:
-                new_solution = band.solve(band.gather(matrix), rhs)
+                bands = band.gather(matrix)[None]
+                stacked, factors = band.solve(bands, rhs[None])
+                new_solution = stacked[0]
         except np.linalg.LinAlgError as error:
             raise RuntimeError(f"singular MNA matrix at t={time}: {error}") from error
 
@@ -499,6 +592,9 @@ def newton_solve(
             solution = new_solution
 
         if max_delta < NEWTON_TOLERANCE:
+            if band is not None:
+                # The accepted iterate of a nonlinear band solve is refined.
+                solution = band.refine(band.entries(bands), rhs[None], stacked, factors)[0]
             return solution
 
-    raise ConvergenceError(time, max_iterations, max_delta, assembler.size)
+    raise ConvergenceError(time, max_iterations, max_delta, size)

@@ -22,12 +22,9 @@ PARITY_RTOL = 1.0e-9
 # Small-but-representative parameters per circuit-backed experiment: the
 # parity property does not depend on problem size, so keep the test fast.
 FAST_PARAMS = {
-    # At 200 um doping cuts the delay by ~3 %.  (At 50 um the doped and
-    # pristine delays differ by 0.08 %, and ``delay_reduction_percent``,
-    # 100 * (1 - ratio), magnifies a 1e-12 delay difference 1250-fold.)
     "fig12": {
         "diameters_nm": (10.0,),
-        "lengths_um": (200.0,),
+        "lengths_um": (50.0,),
         "channel_counts": (2.0, 6.0),
         "n_segments": 8,
         "use_transient": True,

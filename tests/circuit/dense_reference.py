@@ -2,18 +2,28 @@
 
 These are the scalar dense transient and DC analyses as they stood before
 large circuits moved to band storage: :meth:`MNAAssembler.assemble` plus
-``np.linalg.solve`` at every Newton iteration, at any size.  Below
-:data:`repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns they are the library
-path bit for bit; above it the library solves in band storage and the
-tests hold it to these analyses within 1e-9.  ``crosstalk_reference.py``
-and the reference sides of ``benchmarks/perf/harness.py`` run on them.
+``np.linalg.solve`` at every Newton iteration, at any size.  (The DC
+analysis sizes its guess by ``dc_size``, since a DC inductor is a zero-volt
+branch.)  Below :data:`repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns
+they are the library path bit for bit; above it the library solves in band
+storage and the tests hold it to these analyses within 1e-9.
+``crosstalk_reference.py`` and the reference sides of
+``benchmarks/perf/harness.py`` run on them.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from repro.circuit.dc import DCResult
+from repro.circuit.delay import (
+    DelayMeasurement,
+    _build_delay_benchmark,
+    _measure_from_result,
+    measure_inverter_line_delay,
+)
 from repro.circuit.mna import (
     DC_NEWTON_ITERATIONS,
     NEWTON_DAMPING_LIMIT,
@@ -24,6 +34,7 @@ from repro.circuit.mna import (
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientResult, validate_transient_args
+from repro.core import InterconnectLine
 
 
 def dense_newton_solve(
@@ -76,7 +87,7 @@ def dense_dc_operating_point(circuit: Circuit, time: float = 0.0) -> DCResult:
     if assembler.size == 0:
         return DCResult(node_voltages={}, source_currents={})
 
-    guess = np.zeros(assembler.size)
+    guess = np.zeros(assembler.dc_size)
     # A supply-aware starting guess speeds up and stabilises CMOS circuits:
     # start every node halfway to the largest DC source magnitude.
     supply_levels = [abs(v.value(time)) for v in circuit.voltage_sources]
@@ -152,3 +163,25 @@ def dense_transient_analysis(
         for position, source in enumerate(circuit.voltage_sources)
     }
     return TransientResult(times=times, node_voltages=voltages, source_currents=currents)
+
+
+def dense_inverter_line_delay(line: InterconnectLine, n_time_steps: int) -> DelayMeasurement:
+    """:func:`~repro.circuit.delay.measure_inverter_line_delay` at its
+    default settings, with the transient run by :func:`dense_transient_analysis`."""
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(measure_inverter_line_delay).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    }
+    circuit, stop_time, time_step, v_dd = _build_delay_benchmark(
+        line,
+        technology=defaults["technology"],
+        driver_size=defaults["driver_size"],
+        receiver_size=defaults["receiver_size"],
+        input_rise_time=defaults["input_rise_time"],
+        rising_input=defaults["rising_input"],
+        simulation_margin=defaults["simulation_margin"],
+        n_time_steps=n_time_steps,
+    )
+    result = dense_transient_analysis(circuit, stop_time, time_step, method=defaults["method"])
+    return _measure_from_result(result, v_dd)

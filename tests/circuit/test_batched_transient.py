@@ -130,6 +130,21 @@ class TestBatchedTransient:
             ]
         )
 
+    def test_stacked_kernel_without_companion_terms(self):
+        """Resistive dividers: no capacitor, inductor or current source
+        pushes anything into the right-hand side."""
+
+        def circuit(resistance):
+            c = Circuit("divider")
+            c.add_voltage_source("vin", "a", "0", Step(0.0, 1.0, rise_time=5e-12))
+            c.add_resistor("r1", "a", "b", 1e3)
+            c.add_resistor("r2", "b", "0", resistance)
+            return c
+
+        _assert_stacked_kernel_matches_serial(
+            [TransientJob(circuit(resistance), 2e-11, 1e-12) for resistance in (1e3, 3e3)]
+        )
+
     def test_stacked_kernel_damped_newton(self):
         """A cold start on a 3 V supply drives damped Newton updates in some rows."""
 

@@ -2,9 +2,11 @@
 
 :func:`repro.circuit.mna.newton_solve` solves in band storage from
 :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on, and the stacked
-kernel runs large transients in band storage.  These tests pin both against
-the dense reference (``dense_reference.py``) on a pathologically
-conditioned switching circuit.
+kernel runs large transients in band storage, refactorizing every Newton
+iteration of a nonlinear circuit and factorizing a linear one once.  These
+tests pin both against the dense reference (``dense_reference.py``) on a
+pathologically conditioned switching circuit, and count the factorizations
+of a linear one.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from dense_reference import dense_newton_solve, dense_transient_analysis
 
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.inverter import Inverter, add_supply
+from repro.circuit import mna
 from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
@@ -50,21 +53,25 @@ def _inverter_line_circuit(n_segments: int = 12, contact_resistance: float = 1e-
 
 class TestSparseNewtonParity:
     def test_matches_dense_newton_solve_per_step(self, band_everywhere):
-        """Lockstep band vs dense Newton from the same state: every step
-        <= 1e-9."""
+        """Band and dense Newton, each stepping its own solution and state
+        through 300 steps in lockstep: every step <= 1e-9."""
         circuit = _inverter_line_circuit()
         assembler = MNAAssembler(circuit)
         dt = 1e-12
         state = CompanionState.initial(circuit)
+        dense_state = CompanionState.initial(circuit)
         solution = np.zeros(assembler.size)
+        dense_solution = np.zeros(assembler.size)
         worst = 0.0
         for step in range(1, 301):
             t = step * dt
-            band = newton_solve(assembler, t, solution, state=state, dt=dt)
-            dense = dense_newton_solve(assembler, t, solution, state=state, dt=dt)
-            worst = max(worst, float(np.max(np.abs(band - dense))))
-            solution = dense
+            solution = newton_solve(assembler, t, solution, state=state, dt=dt)
             state = assembler.update_state(solution, state, dt)
+            dense_solution = dense_newton_solve(
+                assembler, t, dense_solution, state=dense_state, dt=dt
+            )
+            dense_state = assembler.update_state(dense_solution, dense_state, dt)
+            worst = max(worst, float(np.max(np.abs(solution - dense_solution))))
         assert worst < PARITY_RTOL
 
     def test_transient_waveforms_match_dense(self, band_everywhere):
@@ -85,3 +92,25 @@ class TestSparseNewtonParity:
             for node in dense.node_voltages
         )
         assert worst / scale < 20 * PARITY_RTOL
+
+
+class TestFactorizationReuse:
+    def test_linear_circuit_factorizes_once(self, band_everywhere, monkeypatch):
+        """A linear circuit has one band factorization for the whole analysis."""
+        circuit = Circuit("rc")
+        circuit.add_voltage_source("vin", "a", "0", Step(0.0, 1.0, rise_time=1e-12))
+        circuit.add_resistor("r1", "a", "b", 1e3)
+        circuit.add_capacitor("c1", "b", "0", 1e-12)
+        factorized = []
+        solve = mna.BandLayout.solve
+
+        def counted(self, bands, rhs, factors=None):
+            if factors is None:
+                factorized.append(len(bands))
+            return solve(self, bands, rhs, factors)
+
+        monkeypatch.setattr(mna.BandLayout, "solve", counted)
+        band = transient_analysis(circuit, 49e-12, 1e-12, use_dc_start=False)
+        assert factorized == [1]
+        dense = dense_transient_analysis(circuit, 49e-12, 1e-12, use_dc_start=False)
+        np.testing.assert_allclose(band.voltage("b"), dense.voltage("b"), rtol=0, atol=1e-15)
