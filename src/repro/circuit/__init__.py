@@ -10,13 +10,15 @@ This subpackage provides the equivalent machinery:
 * :mod:`repro.circuit.technology` -- 45 nm / 14 nm technology-node parameters,
 * :mod:`repro.circuit.netlist` -- the circuit container (nodes, elements,
   SPICE-like export),
-* :mod:`repro.circuit.mna` -- modified nodal analysis assembly, the Newton
-  solve and the band layout of large systems,
-* :mod:`repro.circuit.dc` -- Newton DC operating point,
+* :mod:`repro.circuit.mna` -- the index map of the modified nodal analysis
+  unknowns, the Newton constants and the band layout of large systems,
+* :mod:`repro.circuit.batched` -- the stacked circuit kernel, the one MNA
+  assembler and Newton loop: same-topology circuits solved as one stack,
+  bit-identical to one-job stacks; circuits of 64 or more unknowns (long
+  ladders) in band storage,
+* :mod:`repro.circuit.dc` -- DC operating point, a one-job DC stack,
 * :mod:`repro.circuit.transient` -- backward-Euler / trapezoidal transient,
-* :mod:`repro.circuit.batched` -- the stacked circuit kernel: same-topology
-  transients solved as one stack, bit-identical to per-job runs; circuits
-  of 64 or more unknowns (long ladders) in band storage,
+  a one-job transient stack,
 * :mod:`repro.circuit.inverter` -- CMOS inverter cells and chains,
 * :mod:`repro.circuit.rcline` -- distributed RC ladder expansion of
   interconnect lines,

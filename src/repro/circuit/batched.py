@@ -1,11 +1,13 @@
-"""The stacked circuit kernel: same-topology transients solved in lockstep.
+"""The stacked circuit kernel: the one MNA assembler and Newton loop.
 
 Sweep points over one interconnect topology differ only in element *values*
 -- the MNA pattern, node numbering and step count are identical -- so this
-module evaluates a whole batch of such circuits in lockstep:
+module evaluates a whole batch of such circuits in lockstep, and a single
+circuit as a batch of one:
 
 * the static part of every MNA matrix (GMIN, resistors, companion
-  conductances, voltage-source rows) is built **once** into a stacked array;
+  conductances, voltage-source and DC inductor rows) is built **once** into
+  a stacked array;
 * the MOSFET linearisation runs once per Newton iteration over an
   ``(active jobs x devices)`` array (:func:`repro.circuit.mosfet.evaluate_stack`)
   and is stamped by ordered ``np.add.at`` calls through precomputed flat
@@ -14,28 +16,31 @@ module evaluates a whole batch of such circuits in lockstep:
 * the Newton bookkeeping (per-row max |delta|, damping, the set of rows
   still iterating) and the companion-state update are array operations.
 
+One stamping builder makes either system: the transient one, or the DC one
+(capacitors open, inductors zero-volt branches).  One Newton method solves
+each transient step and the DC operating point; a stack computes the DC
+start of all its jobs together.  :func:`~repro.circuit.dc.dc_operating_point`
+and :func:`~repro.circuit.transient.transient_analysis` are one-job stacks.
+
 Below :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns each job
 holds a dense matrix and all jobs are solved by one stacked
 ``np.linalg.solve``.  From the threshold on each job holds its matrix in
 LAPACK band storage (:class:`repro.circuit.mna.BandLayout`): one ``dgbsv``
 per active job, a refined solve for each accepted Newton iterate, and a
-linear circuit factorized once.  :func:`~repro.circuit.transient.transient_analysis`
-runs a circuit at or above the threshold as a one-job stack.
+linear circuit factorized once.
 
-**Bitwise identity is a hard contract** for the dense layout: it replays the
-floating-point statement sequence of :class:`~repro.circuit.mna.MNAAssembler`
-plus :func:`~repro.circuit.mna.newton_solve` over the batch axis (the rules
-are in ``docs/PERFORMANCE.md``), so batched results carry the content hashes
-of serial per-point runs.  The band layout stamps the same terms in the same
-order but eliminates in another order, so it agrees with the dense path to
-solver precision (the tests hold it to 1e-9); a large job alone is a one-job
-band stack, so batching never changes its bits either.
+**Bitwise identity is a hard contract** for the dense layout: it replays
+the floating-point statement sequence of the scalar dense assembler and
+Newton loop kept as the test oracle (``tests/circuit/dense_reference.py``)
+over the batch axis (the rules are in ``docs/PERFORMANCE.md``), so a job's
+bits never depend on the stack it runs in.  The band layout stamps the same
+terms in the same order but eliminates in another order, so it agrees with
+the dense path to solver precision (the tests hold it to 1e-9).
 
 Jobs are grouped by a structural signature (matrix size, element topology,
 zero-capacitance pattern, step count, method); singleton groups, and every
-job of a group whose stacked solve fails, run through
-:func:`~repro.circuit.transient.transient_analysis`, so batching can change
-performance but never results.
+job of a group whose stacked solve fails, run as one-job stacks, so
+batching can change performance but never results.
 """
 
 from __future__ import annotations
@@ -56,12 +61,7 @@ from repro.circuit.mna import (
 )
 from repro.circuit.mosfet import evaluate_stack, parameter_stack
 from repro.circuit.netlist import Circuit
-from repro.circuit.transient import (
-    TransientResult,
-    dc_start,
-    transient_analysis,
-    validate_transient_args,
-)
+from repro.circuit.transient import TransientResult, validate_transient_args
 from repro.obs import metrics
 from repro.obs.trace import trace_span
 
@@ -113,33 +113,38 @@ def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
 
 
 class _Batch:
-    """Precompiled stacked system for one group of same-topology jobs.
+    """The stacked MNA system of same-topology circuits: the one assembler
+    and the one Newton loop of the circuit solver.
 
-    Each job's matrix is one row of :attr:`static_matrices`: ``size * size``
-    dense entries below the band threshold, a :class:`~repro.circuit.mna.BandLayout`
-    array from it on; :meth:`_cell` maps a coordinate to its column there.
+    Given ``time_steps`` (one per circuit) it is the transient system of
+    ``method``'s companion models; without them the DC system: capacitors
+    open, each inductor a zero-volt branch whose current follows the
+    voltage-source currents (:attr:`MNAAssembler.dc_size` unknowns).  Each
+    circuit's static matrix is one row of :attr:`static_matrices`: ``size *
+    size`` dense entries below the band threshold, a
+    :class:`~repro.circuit.mna.BandLayout` array from it on; :meth:`_cell`
+    maps a coordinate to its column there.
     """
 
-    def __init__(self, jobs: list[TransientJob]):
-        self.jobs = jobs
-        self.n_jobs = len(jobs)
-        self.assemblers = [MNAAssembler(job.circuit) for job in jobs]
+    def __init__(
+        self,
+        circuits: list[Circuit],
+        time_steps: list[float] | None = None,
+        method: str = "trapezoidal",
+    ):
+        self.circuits = circuits
+        self.n_jobs = len(circuits)
+        self.assemblers = [MNAAssembler(circuit) for circuit in circuits]
         base = self.assemblers[0]
-        self.size = base.size
-        first = jobs[0]
-        self.trapezoidal = first.method == "trapezoidal"
-        self.use_dc_start = first.use_dc_start
-        self.n_steps = int(round(first.stop_time / first.time_step))
-        self.nonlinear = bool(first.circuit.mosfets)
-        dt = np.array([job.time_step for job in jobs])
-        # Per-job time axes, exactly as the serial path builds them.
-        self.times = [
-            np.linspace(0.0, self.n_steps * job.time_step, self.n_steps + 1)
-            for job in jobs
-        ]
-        self.band = BandLayout(base) if uses_band(self.size) else None
+        capacitors_open = time_steps is None
+        self.size = base.dc_size if capacitors_open else base.size
+        self.time_steps = time_steps
+        self.trapezoidal = method == "trapezoidal"
+        self.nonlinear = bool(circuits[0].mosfets)
+        self.band = BandLayout(base, capacitors_open) if uses_band(self.size) else None
+        self._factors = None
 
-        circuit = first.circuit
+        circuit = circuits[0]
         index = base.node_index
         res_idx = [(index(r.a), index(r.b)) for r in circuit.resistors]
         cap_idx = [(index(c.a), index(c.b)) for c in circuit.capacitors]
@@ -149,29 +154,29 @@ class _Batch:
         mos_idx = [
             (index(m.drain), index(m.gate), index(m.source)) for m in circuit.mosfets
         ]
-        self.mos_params = parameter_stack(
-            [[m.parameters for m in job.circuit.mosfets] for job in jobs]
-        )
+        self.mos_params = parameter_stack([[m.parameters for m in c.mosfets] for c in circuits])
         self.mos_terminals = self._padded_columns(mos_idx, 3)
         self.cap_terminals = self._padded_columns(cap_idx, 2)
         self.ind_terminals = self._padded_columns(ind_idx, 2)
 
         # Element values as (elements x jobs) arrays.  The derived
-        # conductances repeat the scalar expressions of MNAAssembler.assemble
-        # elementwise, so every job's value is bit-for-bit the serial one.
-        res_g = 1.0 / np.array([[r.resistance for r in job.circuit.resistors] for job in jobs]).T
-        cap_c = np.array([[c.capacitance for c in job.circuit.capacitors] for job in jobs]).T
-        ind_l = np.array([[l.inductance for l in job.circuit.inductors] for job in jobs]).T
+        # conductances are the scalar expressions of the dense assembler,
+        # elementwise, so every job's value is bit-for-bit its own.
+        res_g = 1.0 / np.array([[r.resistance for r in c.resistors] for c in circuits]).T
         cap_zero = [c.capacitance == 0.0 for c in circuit.capacitors]
-        if self.trapezoidal:
-            self.cap_geq = 2.0 * cap_c / dt
-            self.ind_geq = dt / (2.0 * ind_l)
-        else:
-            self.cap_geq = cap_c / dt
-            self.ind_geq = dt / ind_l
+        if not capacitors_open:
+            dt = np.array(time_steps)
+            cap_c = np.array([[e.capacitance for e in c.capacitors] for c in circuits]).T
+            ind_l = np.array([[e.inductance for e in c.inductors] for c in circuits]).T
+            if self.trapezoidal:
+                self.cap_geq = 2.0 * cap_c / dt
+                self.ind_geq = dt / (2.0 * ind_l)
+            else:
+                self.cap_geq = cap_c / dt
+                self.ind_geq = dt / ind_l
 
-        # Static stacked matrix: everything MNAAssembler.assemble stamps
-        # before the MOSFET loop, in the same statement order, added by one
+        # Static stacked matrix: everything the dense assembler stamps
+        # before the MOSFETs, in the same statement order, added by one
         # ordered np.add.at.  Matrix and rhs accumulations never mix
         # targets, so splitting them preserves each entry's accumulation
         # order (hence its bits).
@@ -195,13 +200,24 @@ class _Batch:
             stamp(i, i, GMIN)
         for (a, b), g in zip(res_idx, res_g):
             stamp_conductance(a, b, g)
-        for (a, b), zero, g in zip(cap_idx, cap_zero, self.cap_geq):
-            if not zero:
+        if capacitors_open:
+            # DC: capacitors are open, inductors zero-volt branches.
+            branches = [(base.size + p, a, b) for p, (a, b) in enumerate(ind_idx)]
+            companions, skipped = [], []
+        else:
+            for (a, b), zero, g in zip(cap_idx, cap_zero, self.cap_geq):
+                if not zero:
+                    stamp_conductance(a, b, g)
+            for (a, b), g in zip(ind_idx, self.ind_geq):
                 stamp_conductance(a, b, g)
-        for (a, b), g in zip(ind_idx, self.ind_geq):
-            stamp_conductance(a, b, g)
+            branches = []
+            # Capacitor p pushes its companion current from b into a,
+            # inductor p from a into b.
+            companions = [(b, a) for a, b in cap_idx] + ind_idx
+            skipped = cap_zero + [False] * len(ind_idx)
         for row, source in zip(self.vso_rows, circuit.voltage_sources):
-            p, n = index(source.positive), index(source.negative)
+            branches.append((row, index(source.positive), index(source.negative)))
+        for row, p, n in branches:
             if p is not None:
                 stamp(p, row, 1.0)
                 stamp(row, p, 1.0)
@@ -216,13 +232,14 @@ class _Batch:
             for k, value in enumerate(values):
                 table[k] = value
             np.add.at(self.static_matrices, (slice(None), self._cell(rows, cols)), table.T)
+        if self.nonlinear:
+            self._matrix_buffer = np.empty_like(self.static_matrices)
 
-        # Right-hand-side pushes, in the assembler's order: capacitor p
-        # pushes its companion current from b into a, inductor and current
-        # source p push theirs from a into b.  Entry 2q of the signed
-        # current stack is -current q, entry 2q + 1 is +current q.
-        pushes = [(b, a) for a, b in cap_idx] + ind_idx + iso_idx
-        skipped = cap_zero + [False] * (len(ind_idx) + len(iso_idx))
+        # Right-hand-side pushes, in the assembler's order: the companion
+        # currents, then current source p from a into b.  Entry 2q of the
+        # signed current stack is -current q, entry 2q + 1 is +current q.
+        pushes = companions + iso_idx
+        skipped += [False] * len(iso_idx)
         self.push_cells, self.push_entries = self._signed_targets(
             [
                 (node, 2 * q + sign)
@@ -277,29 +294,35 @@ class _Batch:
         a, b = columns
         return (padded[:, a] - padded[:, b]).T
 
-    # --- per-step right-hand side (everything before the MOSFET loop) ------
+    # --- right-hand side and MOSFET stamps ---------------------------------
 
-    def _source_values(self, kind: str, step: int) -> np.ndarray:
-        """Waveform values of every ``kind`` source, (sources x jobs)."""
-        per_job = [getattr(job.circuit, kind) for job in self.jobs]
+    def _source_values(self, kind: str, times) -> np.ndarray:
+        """Waveform values of every ``kind`` source at each job's time,
+        (sources x jobs)."""
+        per_job = [getattr(circuit, kind) for circuit in self.circuits]
         return np.array(
             [
-                [sources[p].value(self.times[k][step]) for k, sources in enumerate(per_job)]
+                [sources[p].value(time) for time, sources in zip(times, per_job)]
                 for p in range(len(per_job[0]))
             ],
             dtype=float,
         ).reshape(-1, self.n_jobs)
 
-    def _base_rhs(self, step: int, cap_v, cap_i, ind_i, ind_v) -> np.ndarray:
-        if self.trapezoidal:
-            cap_ieq = self.cap_geq * cap_v + cap_i
-            ind_ieq = ind_i + self.ind_geq * ind_v
-        else:
-            cap_ieq = self.cap_geq * cap_v
-            ind_ieq = ind_i
-        currents = np.concatenate(
-            (cap_ieq, ind_ieq, self._source_values("current_sources", step))
-        )
+    def _base_rhs(self, times, state: tuple = ()) -> np.ndarray:
+        """Right-hand side before the MOSFET stamps, with the sources at each
+        job's time.  A transient step passes the companion ``state``
+        ``(cap_v, cap_i, ind_i, ind_v)``; the DC system has none."""
+        currents = [self._source_values("current_sources", times)]
+        if state:
+            cap_v, cap_i, ind_i, ind_v = state
+            if self.trapezoidal:
+                cap_ieq = self.cap_geq * cap_v + cap_i
+                ind_ieq = ind_i + self.ind_geq * ind_v
+            else:
+                cap_ieq = self.cap_geq * cap_v
+                ind_ieq = ind_i
+            currents = [cap_ieq, ind_ieq] + currents
+        currents = np.concatenate(currents)
         signed = np.stack((-currents, currents), axis=1).reshape(-1, self.n_jobs)
         # bincount adds each bin's pushes to 0.0 in turn: np.add.at into
         # zeros, bit for bit, without its per-element overhead.
@@ -307,7 +330,7 @@ class _Batch:
         rhs = np.bincount(
             self.push_bins, signed[self.push_entries].T.ravel(), self.n_jobs * self.size
         ).astype(float, copy=False).reshape(self.n_jobs, self.size)
-        rhs[:, self.vso_rows] += self._source_values("voltage_sources", step).T
+        rhs[:, self.vso_rows] += self._source_values("voltage_sources", times).T
         return rhs
 
     def _stamp_mosfets(
@@ -324,7 +347,7 @@ class _Batch:
         :meth:`~repro.circuit.mosfet.MOSFET.evaluate`).  The stamps are then
         added by one ordered ``np.add.at`` each for the matrix and the
         right-hand side, so every entry accumulates the same terms in the
-        same sequence as the per-job path.
+        same sequence as the dense assembler.
         """
         padded = np.zeros((guess.shape[0], self.size + 1))
         padded[:, : self.size] = guess
@@ -341,11 +364,8 @@ class _Batch:
 
     def _advance_state(self, padded: np.ndarray, cap_v, cap_i, ind_i, ind_v) -> tuple:
         """Companion state ``(cap_v, cap_i, ind_i, ind_v)`` after a step whose
-        ground-padded solutions are ``padded``.
-
-        Vector twin of :meth:`MNAAssembler.update_state`, whose coefficients
-        2C/dt, C/dt, dt/2L and dt/L are the cap_geq and ind_geq values.
-        """
+        ground-padded solutions are ``padded``; the coefficients 2C/dt, C/dt,
+        dt/2L and dt/L are the cap_geq and ind_geq values."""
         cap_now = self._branch_voltages(padded, self.cap_terminals)
         ind_now = self._branch_voltages(padded, self.ind_terminals)
         if self.trapezoidal:
@@ -355,6 +375,8 @@ class _Batch:
             cap_i = self.cap_geq * (cap_now - cap_v)
             ind_i = ind_i + self.ind_geq * ind_now
         return cap_now, cap_i, ind_i, ind_now
+
+    # --- solves -------------------------------------------------------------
 
     def _solve(
         self, matrices: np.ndarray, rhs: np.ndarray, time: float, factors=None
@@ -370,104 +392,122 @@ class _Batch:
         except np.linalg.LinAlgError as error:
             raise RuntimeError(f"singular MNA matrix at t={time}: {error}") from error
 
-    # --- full run ----------------------------------------------------------
+    def _newton(
+        self, base_rhs: np.ndarray, guess: np.ndarray, times, max_iterations: int
+    ) -> np.ndarray:
+        """Newton solve of every job's system from ``guess``, (jobs, size).
 
-    def run(self) -> list[TransientResult]:
+        A linear system is solved exactly in one step (damping would only
+        distort it); its matrix never changes, so a band LU is factorized
+        once per batch.  A nonlinear job iterates until its largest update
+        is below :data:`~repro.circuit.mna.NEWTON_TOLERANCE`, each update
+        scaled down to :data:`~repro.circuit.mna.NEWTON_DAMPING_LIMIT`, and
+        then leaves the active set; a band job's accepted iterate is
+        refined.  ``times`` holds each job's source time.
+        """
+        if not self.nonlinear:
+            solutions, self._factors = self._solve(
+                self.static_matrices, base_rhs, times[0], self._factors
+            )
+            return solutions
+        solutions = guess.copy()
+        active = np.arange(self.n_jobs)
+        for _ in range(max_iterations):
+            guess = solutions[active]
+            matrices = self._matrix_buffer[: active.size]
+            np.take(self.static_matrices, active, axis=0, out=matrices)
+            rhs = base_rhs[active]
+            self._stamp_mosfets(matrices, rhs, self.mos_params[:, active], guess)
+            new_solutions, factors = self._solve(matrices, rhs, times[active[0]])
+
+            delta = new_solutions - guess
+            max_delta = np.abs(delta).max(axis=1)
+            damped = max_delta > NEWTON_DAMPING_LIMIT
+            if damped.any():
+                scale = NEWTON_DAMPING_LIMIT / max_delta[damped]
+                new_solutions[damped] = guess[damped] + delta[damped] * scale[:, None]
+            converged = max_delta < NEWTON_TOLERANCE
+            if self.band is not None and converged.any():
+                rows = np.flatnonzero(converged)
+                new_solutions[rows] = self.band.refine(
+                    self.band.entries(matrices[rows]),
+                    rhs[rows],
+                    new_solutions[rows],
+                    [factors[row] for row in rows],
+                )
+            solutions[active] = new_solutions
+            if converged.all():
+                return solutions
+            active, max_delta = active[~converged], max_delta[~converged]
+        raise ConvergenceError(times[active[0]], max_iterations, float(max_delta[0]), self.size)
+
+    def dc(self, time: float) -> np.ndarray:
+        """DC operating points of the DC system, sources at ``time``, as
+        (jobs, dc_size) solutions."""
+        guess = np.zeros((self.n_jobs, self.size))
+        # A supply-aware starting guess speeds up and stabilises CMOS
+        # circuits: start every node halfway to the largest DC source magnitude.
+        for row, assembler in zip(guess, self.assemblers):
+            supply_levels = [abs(v.value(time)) for v in assembler.circuit.voltage_sources]
+            if supply_levels:
+                row[: assembler.n_nodes] = 0.5 * max(supply_levels)
+        times = [time] * self.n_jobs
+        with trace_span("circuit.dc", n_jobs=self.n_jobs, size=self.size):
+            return self._newton(
+                self._base_rhs(times), guess, times, mna.DC_NEWTON_ITERATIONS
+            )
+
+    def run(self, n_steps: int, use_dc_start: bool) -> list[TransientResult]:
+        """Fixed-step transients of the transient system, ``n_steps`` steps
+        of each job's time step, from the DC operating point at ``t = 0``
+        or (without ``use_dc_start``) from the element initial conditions."""
         n_jobs, size = self.n_jobs, self.size
+        times = np.array(
+            [np.linspace(0.0, n_steps * dt, n_steps + 1) for dt in self.time_steps]
+        )
         solutions = np.zeros((n_jobs, size))
 
         # Companion state, (elements x jobs): element initial conditions,
-        # or capacitors charged to the DC operating point.
+        # or capacitors charged to the DC operating point, inductors at rest.
         cap_v = np.array(
-            [[c.initial_voltage for c in job.circuit.capacitors] for job in self.jobs], float
+            [[c.initial_voltage for c in circuit.capacitors] for circuit in self.circuits], float
         ).T
         ind_i = np.array(
-            [[l.initial_current for l in job.circuit.inductors] for job in self.jobs], float
+            [[l.initial_current for l in circuit.inductors] for circuit in self.circuits], float
         ).T
         cap_i = np.zeros_like(cap_v)
         ind_v = np.zeros_like(ind_i)
         padded = np.zeros((n_jobs, size + 1))
-        if self.use_dc_start and size > 0:
-            for k, assembler in enumerate(self.assemblers):
-                solutions[k] = dc_start(assembler)
+        if use_dc_start and size > 0:
+            # The DC unknowns start with the transient ones.
+            solutions = _Batch(self.circuits).dc(0.0)[:, :size]
             padded[:, :size] = solutions
             cap_v = self._branch_voltages(padded, self.cap_terminals)
             ind_i = np.zeros_like(ind_i)
 
-        matrix_buffer = np.empty_like(self.static_matrices)
         # Time on the last axis: every waveform cut from it is a view, not a copy.
-        trace = np.empty((n_jobs, size, self.n_steps + 1))
+        trace = np.empty((n_jobs, size, n_steps + 1))
         trace[:, :, 0] = solutions
-
-        all_rows = np.arange(n_jobs)
-        max_iterations = mna.TRANSIENT_NEWTON_ITERATIONS
-        factors = None
-        for step in range(1, self.n_steps + 1):
-            base_rhs = self._base_rhs(step, cap_v, cap_i, ind_i, ind_v)
-            if not self.nonlinear:
-                # One linear solve per step, like newton_solve's early return.
-                # The stacked solve is bitwise-identical to per-slice solves;
-                # a band matrix, which never changes, is factorized once.
-                solutions, factors = self._solve(
-                    self.static_matrices, base_rhs, self.times[0][step], factors
-                )
-            else:
-                # Per-row Newton with newton_solve's damping and stopping
-                # rule; a row leaves the active set once it converges.
-                active = all_rows
-                pending = np.full(n_jobs, np.nan)
-                for _ in range(max_iterations):
-                    guess = solutions[active]
-                    matrices = matrix_buffer[: active.size]
-                    np.take(self.static_matrices, active, axis=0, out=matrices)
-                    rhs = base_rhs[active]
-                    self._stamp_mosfets(matrices, rhs, self.mos_params[:, active], guess)
-                    new_solutions, factors = self._solve(
-                        matrices, rhs, self.times[active[0]][step]
-                    )
-
-                    delta = new_solutions - guess
-                    max_delta = np.max(np.abs(delta), axis=1)
-                    damped = max_delta > NEWTON_DAMPING_LIMIT
-                    if damped.any():
-                        scale = NEWTON_DAMPING_LIMIT / max_delta[damped]
-                        new_solutions[damped] = guess[damped] + delta[damped] * scale[:, None]
-                    converged = max_delta < NEWTON_TOLERANCE
-                    if self.band is not None and converged.any():
-                        # A converged row's iterate is accepted: refine it.
-                        rows = np.flatnonzero(converged)
-                        new_solutions[rows] = self.band.refine(
-                            self.band.entries(matrices[rows]),
-                            rhs[rows],
-                            new_solutions[rows],
-                            [factors[row] for row in rows],
-                        )
-                    solutions[active] = new_solutions
-                    active, pending = active[~converged], max_delta[~converged]
-                    if not active.size:
-                        break
-                if active.size:
-                    time = self.times[active[0]][step]
-                    raise ConvergenceError(time, max_iterations, float(pending[0]), size)
-
+        for step in range(1, n_steps + 1):
+            base_rhs = self._base_rhs(times[:, step], (cap_v, cap_i, ind_i, ind_v))
+            solutions = self._newton(
+                base_rhs, solutions, times[:, step], mna.TRANSIENT_NEWTON_ITERATIONS
+            )
             padded[:, :size] = solutions
             cap_v, cap_i, ind_i, ind_v = self._advance_state(padded, cap_v, cap_i, ind_i, ind_v)
             trace[:, :, step] = solutions
 
         return [
-            TransientResult.from_trace(assembler, times, job_trace.T)
-            for assembler, times, job_trace in zip(self.assemblers, self.times, trace)
+            TransientResult.from_trace(assembler, job_times, job_trace.T)
+            for assembler, job_times, job_trace in zip(self.assemblers, times, trace)
         ]
 
 
-def _run_serial(job: TransientJob) -> TransientResult:
-    return transient_analysis(
-        job.circuit,
-        job.stop_time,
-        job.time_step,
-        method=job.method,
-        use_dc_start=job.use_dc_start,
-    )
+def _run_stack(jobs: list[TransientJob]) -> list[TransientResult]:
+    """Run jobs of one topology signature as one stack."""
+    first = jobs[0]
+    batch = _Batch([job.circuit for job in jobs], [job.time_step for job in jobs], first.method)
+    return batch.run(int(round(first.stop_time / first.time_step)), first.use_dc_start)
 
 
 def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
@@ -476,8 +516,7 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
     Results are returned in job order and equal calling
     :func:`~repro.circuit.transient.transient_analysis` per job bit for bit
     (see module docstring).  Singleton groups, and groups whose stacked
-    kernel raises, run per job through that function instead; it runs a
-    job at or above the band threshold as a one-job stack.
+    kernel raises, run as one-job stacks instead.
     """
     results: list[TransientResult | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -490,19 +529,19 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
         group_jobs = [jobs[i] for i in indices]
         if len(group_jobs) == 1:
             metrics.counter("repro_batch_groups_total", mode="serial").inc()
-            group_results = [_run_serial(group_jobs[0])]
+            group_results = _run_stack(group_jobs)
         else:
             try:
                 with trace_span("circuit.batch", n_jobs=len(group_jobs)):
-                    group_results = _Batch(group_jobs).run()
+                    group_results = _run_stack(group_jobs)
                 metrics.counter("repro_batch_groups_total", mode="stacked").inc()
                 metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
             except Exception:
                 # Never let batching change observable behaviour: rerun the
-                # group serially so a genuinely failing job raises the same
-                # error a serial caller would see.
+                # group job by job so a genuinely failing job raises the same
+                # error a one-job caller would see.
                 metrics.counter("repro_batch_groups_total", mode="fallback").inc()
-                group_results = [_run_serial(job) for job in group_jobs]
+                group_results = [_run_stack([job])[0] for job in group_jobs]
         for index, result in zip(indices, group_results):
             results[index] = result
 

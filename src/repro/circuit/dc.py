@@ -5,7 +5,8 @@ are evaluated at a given time (default 0) and the nonlinear system is
 solved by Newton iteration.  The result seeds transient analyses so that
 simulations start from a consistent bias point.
 
-The solve is :func:`~repro.circuit.mna.newton_solve`, in band storage from
+The solve is a one-job DC stack of the stacked kernel
+(:meth:`repro.circuit.batched._Batch.dc`), in band storage from
 :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on.
 """
 
@@ -13,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.circuit import mna
-from repro.circuit.mna import MNAAssembler, newton_solve
-from repro.circuit.netlist import Circuit
+from repro.circuit.batched import _Batch
+from repro.circuit.mna import MNAAssembler
+from repro.circuit.netlist import Circuit, is_ground
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,6 @@ class DCResult:
         """Voltage of a node (0 for ground)."""
         if node in self.node_voltages:
             return self.node_voltages[node]
-        from repro.circuit.netlist import is_ground
-
         if is_ground(node):
             return 0.0
         raise KeyError(f"unknown node {node!r}")
@@ -64,8 +61,9 @@ def dc_operating_point(
         Time at which source waveforms are evaluated (waveform-driven inputs
         take their ``t = time`` value as a DC level).
 
-    Newton runs up to :data:`~repro.circuit.mna.DC_NEWTON_ITERATIONS`
-    iterations with the shared damping and convergence constants of
+    Newton starts every node halfway to the largest source magnitude and
+    runs up to :data:`~repro.circuit.mna.DC_NEWTON_ITERATIONS` iterations
+    with the shared damping and convergence constants of
     :mod:`repro.circuit.mna`.
 
     Returns
@@ -75,21 +73,7 @@ def dc_operating_point(
     assembler = MNAAssembler(circuit)
     if assembler.size == 0:
         return DCResult(node_voltages={}, source_currents={})
-
-    guess = np.zeros(assembler.dc_size)
-    # A supply-aware starting guess speeds up and stabilises CMOS circuits:
-    # start every node halfway to the largest DC source magnitude.
-    supply_levels = [abs(v.value(time)) for v in circuit.voltage_sources]
-    if supply_levels:
-        guess[: assembler.n_nodes] = 0.5 * max(supply_levels)
-
-    solution = newton_solve(
-        assembler,
-        time,
-        guess,
-        capacitors_open=True,
-        max_iterations=mna.DC_NEWTON_ITERATIONS,
-    )
+    solution = _Batch([circuit]).dc(time)[0]
 
     node_voltages = {
         name: float(solution[assembler.node_index(name)]) for name in assembler.node_names

@@ -47,12 +47,22 @@ class Circuit:
     voltage_sources: list[VoltageSource] = field(default_factory=list)
     current_sources: list[CurrentSource] = field(default_factory=list)
     mosfets: list[MOSFET] = field(default_factory=list)
+    # Names taken so far: seeded from the constructor's lists, then kept by
+    # the add_* helpers, so adding an element costs O(1).
+    _names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._names = self.element_names()
 
     # --- bookkeeping ------------------------------------------------------------
 
     def _check_name(self, name: str) -> None:
-        if name in self.element_names():
+        if name in self._names:
             raise ValueError(f"duplicate element name {name!r}")
+
+    def _append(self, group: list, element) -> None:
+        group.append(element)
+        self._names.add(element.name)
 
     def element_names(self) -> set[str]:
         """Names of all elements currently in the circuit."""
@@ -96,7 +106,7 @@ class Circuit:
         """Add a resistor and return it."""
         self._check_name(name)
         element = Resistor(name, a, b, resistance)
-        self.resistors.append(element)
+        self._append(self.resistors, element)
         return element
 
     def add_capacitor(
@@ -105,7 +115,7 @@ class Circuit:
         """Add a capacitor and return it."""
         self._check_name(name)
         element = Capacitor(name, a, b, capacitance, initial_voltage)
-        self.capacitors.append(element)
+        self._append(self.capacitors, element)
         return element
 
     def add_inductor(
@@ -114,7 +124,7 @@ class Circuit:
         """Add an inductor and return it."""
         self._check_name(name)
         element = Inductor(name, a, b, inductance, initial_current)
-        self.inductors.append(element)
+        self._append(self.inductors, element)
         return element
 
     def add_voltage_source(
@@ -123,7 +133,7 @@ class Circuit:
         """Add an independent voltage source and return it."""
         self._check_name(name)
         element = VoltageSource(name, positive, negative, waveform)
-        self.voltage_sources.append(element)
+        self._append(self.voltage_sources, element)
         return element
 
     def add_current_source(
@@ -132,7 +142,7 @@ class Circuit:
         """Add an independent current source and return it."""
         self._check_name(name)
         element = CurrentSource(name, positive, negative, waveform)
-        self.current_sources.append(element)
+        self._append(self.current_sources, element)
         return element
 
     def add_mosfet(
@@ -141,7 +151,7 @@ class Circuit:
         """Add a MOSFET and return it."""
         self._check_name(name)
         element = MOSFET(name, drain, gate, source, parameters)
-        self.mosfets.append(element)
+        self._append(self.mosfets, element)
         return element
 
     # --- export ---------------------------------------------------------------------

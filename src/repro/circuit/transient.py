@@ -6,12 +6,10 @@ nonlinear MNA system by Newton iteration at every step.  Results are exposed
 as numpy arrays per node, which is what the delay-measurement helpers of
 :mod:`repro.circuit.delay` operate on.
 
-Circuits below :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns run
-the scalar dense loop here (:meth:`~repro.circuit.mna.MNAAssembler.assemble`
-plus :func:`~repro.circuit.mna.newton_solve` per step); larger ones run as a
-one-job band stack of :mod:`repro.circuit.batched`.  Both record every step
-into one ``(n_steps + 1, size)`` trace array and cut the per-node waveforms
-from it once at the end.
+:func:`transient_analysis` runs its circuit as a one-job stack of the
+stacked kernel (:mod:`repro.circuit.batched`), at every size.  The kernel
+records every step into one solution trace and cuts the per-node waveforms
+from it once at the end (:meth:`TransientResult.from_trace`).
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit import mna
-from repro.circuit.dc import dc_operating_point
-from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve, uses_band
+from repro.circuit.mna import MNAAssembler, uses_band
 from repro.circuit.netlist import Circuit, is_ground
 from repro.obs.trace import trace_span
 
@@ -85,20 +81,8 @@ class TransientResult:
         )
 
 
-def dc_start(assembler: MNAAssembler) -> np.ndarray:
-    """The ``t = 0`` DC operating point as an MNA solution vector."""
-    circuit = assembler.circuit
-    dc = dc_operating_point(circuit, time=0.0)
-    solution = np.zeros(assembler.size)
-    for name, voltage in dc.node_voltages.items():
-        solution[assembler.node_index(name)] = voltage
-    for position, source in enumerate(circuit.voltage_sources):
-        solution[assembler.vsource_index(position)] = dc.source_currents[source.name]
-    return solution
-
-
 def validate_transient_args(stop_time: float, time_step: float, method: str) -> None:
-    """Argument checks shared by the serial and the batched transient."""
+    """Argument checks of a transient job."""
     if stop_time <= 0 or time_step <= 0:
         raise ValueError("stop time and time step must be positive")
     if time_step > stop_time:
@@ -131,60 +115,19 @@ def transient_analysis(
         sources at their ``t = 0`` values; when False all node voltages start
         at 0 V and capacitor initial voltages are honoured.
 
-    Circuits of :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` or more
-    unknowns run as a one-job band stack.  Both paths run the same Newton
-    iteration, capped at :data:`~repro.circuit.mna.TRANSIENT_NEWTON_ITERATIONS`
-    per step.
+    The circuit runs as a one-job stack of :mod:`repro.circuit.batched`,
+    with Newton capped at :data:`~repro.circuit.mna.TRANSIENT_NEWTON_ITERATIONS`
+    iterations per step.
 
     Returns
     -------
     TransientResult
     """
+    from repro.circuit.batched import TransientJob, _run_stack
+
     validate_transient_args(stop_time, time_step, method)
-
-    assembler = MNAAssembler(circuit)
+    size = MNAAssembler(circuit).size
     n_steps = int(round(stop_time / time_step))
-    if uses_band(assembler.size):
-        from repro.circuit.batched import TransientJob, _Batch
-
-        job = TransientJob(circuit, stop_time, time_step, method, use_dc_start)
-        with trace_span(
-            "circuit.transient", backend="band", size=assembler.size, n_steps=n_steps
-        ):
-            return _Batch([job]).run()[0]
-
-    times = np.linspace(0.0, n_steps * time_step, n_steps + 1)
-
-    solution = np.zeros(assembler.size)
-    state = CompanionState.initial(circuit)
-
-    if use_dc_start and assembler.size > 0:
-        solution = dc_start(assembler)
-        voltage = assembler.node_voltage
-        # Capacitors start charged to their DC voltages, inductors at rest.
-        state.capacitor_voltages = {
-            c.name: voltage(solution, c.a) - voltage(solution, c.b) for c in circuit.capacitors
-        }
-        state.inductor_currents = {l.name: 0.0 for l in circuit.inductors}
-
-    trace = np.empty((n_steps + 1, assembler.size))
-    trace[0] = solution
-
-    with trace_span(
-        "circuit.transient", backend="dense", size=assembler.size, n_steps=n_steps
-    ):
-        for step in range(1, n_steps + 1):
-            time = times[step]
-            solution = newton_solve(
-                assembler,
-                time,
-                solution,
-                state=state,
-                dt=time_step,
-                method=method,
-                max_iterations=mna.TRANSIENT_NEWTON_ITERATIONS,
-            )
-            state = assembler.update_state(solution, state, time_step, method=method)
-            trace[step] = solution
-
-    return TransientResult.from_trace(assembler, times, trace)
+    backend = "band" if uses_band(size) else "dense"
+    with trace_span("circuit.transient", backend=backend, size=size, n_steps=n_steps):
+        return _run_stack([TransientJob(circuit, stop_time, time_step, method, use_dc_start)])[0]

@@ -12,10 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_reference import DenseAssembler, dense_transient_analysis
+
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.batched import (
     TransientJob,
     _Batch,
+    _run_stack,
     batched_transient_analysis,
     topology_signature,
 )
@@ -75,9 +78,10 @@ def _assert_results_identical(batched, serial):
 
 
 def _assert_stacked_kernel_matches_serial(jobs):
-    """The stacked kernel itself (no serial fallback), byte for byte."""
-    for got, job in zip(_Batch(jobs).run(), jobs):
-        want = transient_analysis(
+    """The stacked kernel itself (no per-job fallback) against the dense
+    scalar oracle, byte for byte."""
+    for got, job in zip(_run_stack(jobs), jobs):
+        want = dense_transient_analysis(
             job.circuit,
             job.stop_time,
             job.time_step,
@@ -386,7 +390,7 @@ class TestFusedMosfetStamp:
 
     def test_bitwise_equal_to_scalar_assembly(self):
         circuits = [_stamp_probe_circuit(1.0), _stamp_probe_circuit(3.0)]
-        batch = _Batch([TransientJob(circuit, 1e-10, 1e-12) for circuit in circuits])
+        batch = _Batch(circuits)
         assert batch.size == 3
 
         guesses = np.array(list(itertools.product(self.VOLTAGES, repeat=3)))
@@ -397,7 +401,7 @@ class TestFusedMosfetStamp:
         rhs = np.zeros((len(guesses), batch.size))
         batch._stamp_mosfets(matrices, rhs, batch.mos_params[:, jobs], guesses)
 
-        assemblers = [MNAAssembler(circuit) for circuit in circuits]
+        assemblers = [DenseAssembler(circuit) for circuit in circuits]
         for row, (guess, job) in enumerate(zip(guesses, jobs)):
             want_matrix, want_rhs = assemblers[job].assemble(
                 0.0, guess, capacitors_open=True

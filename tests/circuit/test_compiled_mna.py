@@ -3,8 +3,8 @@
 From :data:`repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on, the stacked
 kernel (:class:`repro.circuit.batched._Batch`) holds each matrix in LAPACK
 band storage, the one sparse format of the circuit solver.  It must stamp
-the dense assembler's matrix entry for entry and give the waveforms of the
-dense reference analyses (``dense_reference.py``) to 1e-9.  The
+the matrix of the dense oracle assembler (``dense_reference.py``) entry for
+entry and give the waveforms of the dense reference analyses to 1e-9.  The
 ``band_everywhere`` fixture lowers the threshold to 0, so small circuits
 exercise the band path too.
 """
@@ -16,19 +16,13 @@ import pkgutil
 import numpy as np
 import pytest
 
-from dense_reference import dense_transient_analysis
+from dense_reference import CompanionState, DenseAssembler, dense_transient_analysis
 
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit import batched
-from repro.circuit.batched import TransientJob, _Batch
+from repro.circuit.batched import _Batch
 from repro.circuit.inverter import Inverter, add_supply
-from repro.circuit.mna import (
-    BAND_SIZE_THRESHOLD,
-    BandLayout,
-    CompanionState,
-    MNAAssembler,
-    uses_band,
-)
+from repro.circuit.mna import BAND_SIZE_THRESHOLD, BandLayout, MNAAssembler, uses_band
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
@@ -88,13 +82,13 @@ class TestBackendSelection:
         assert not uses_band(BAND_SIZE_THRESHOLD - 1)
         circuit = _inverter_line_circuit()
         assert MNAAssembler(circuit).size < BAND_SIZE_THRESHOLD
-        assert _Batch([TransientJob(circuit, 1e-10, 1e-12)]).band is None
+        assert _Batch([circuit], [1e-12]).band is None
 
     def test_large_circuits_go_sparse(self):
         assert uses_band(BAND_SIZE_THRESHOLD)
         circuit = _rc_ladder_circuit(n_segments=80)
         assert MNAAssembler(circuit).size >= BAND_SIZE_THRESHOLD
-        layout = _Batch([TransientJob(circuit, 1e-10, 1e-12)]).band
+        layout = _Batch([circuit], [1e-12]).band
         # Reverse Cuthill-McKee unrolls the ladder: a few diagonals, not
         # the alphabetical node order's scattered pattern.
         assert layout is not None
@@ -142,6 +136,22 @@ class TestBackendSelection:
 class TestCompiledAssembly:
     """The band matrix must equal the dense assembler's entry for entry."""
 
+    @staticmethod
+    def _stamped(batch: _Batch, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """The batch's one band matrix with the MOSFETs stamped at
+        ``guess``, unpacked to a dense array."""
+        layout = batch.band
+        assert layout is not None
+        band = batch.static_matrices.copy()
+        batch._stamp_mosfets(band, rhs, batch.mos_params, guess[None, :])
+        unpacked = np.zeros((batch.size, batch.size))
+        for row in range(batch.size):
+            for col in range(batch.size):
+                offset = layout.position[row] - layout.position[col]
+                if -layout.ku <= offset <= layout.kl:
+                    unpacked[row, col] = band[0, layout.index(row, col)]
+        return unpacked
+
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     @pytest.mark.parametrize(
         "builder", [_rc_ladder_circuit, _rlc_circuit, _inverter_line_circuit]
@@ -149,49 +159,54 @@ class TestCompiledAssembly:
     def test_matrix_and_rhs_match_dense(self, band_everywhere, builder, method):
         circuit = builder()
         dt = 1e-12
-        batch = _Batch([TransientJob(circuit, 1e-10, dt, method=method)])
-        layout = batch.band
-        assert layout is not None
-        assembler = MNAAssembler(circuit)
-        size = assembler.size
+        batch = _Batch([circuit], [dt], method)
+        assembler = DenseAssembler(circuit)
 
         rng = np.random.default_rng(7)
-        guess = rng.normal(scale=0.4, size=size)
+        guess = rng.normal(scale=0.4, size=assembler.size)
         state = CompanionState.initial(circuit)
-        step = 3
+        time = np.linspace(0.0, 100 * dt, 101)[3]  # step 3 of a 100-step run
         want_matrix, want_rhs = assembler.assemble(
-            batch.times[0][step], guess, state=state, dt=dt, method=method
+            time, guess, state=state, dt=dt, method=method
         )
 
         cap_v = np.array([[state.capacitor_voltages[c.name]] for c in circuit.capacitors])
         ind_i = np.array([[state.inductor_currents[l.name]] for l in circuit.inductors])
-        rhs = batch._base_rhs(
-            step,
+        companion = (
             cap_v.reshape(-1, 1),
             np.zeros((len(circuit.capacitors), 1)),
             ind_i.reshape(-1, 1),
             np.zeros((len(circuit.inductors), 1)),
         )
-        band = batch.static_matrices.copy()
-        batch._stamp_mosfets(band, rhs, batch.mos_params, guess[None, :])
-
-        unpacked = np.zeros((size, size))
-        for row in range(size):
-            for col in range(size):
-                offset = layout.position[row] - layout.position[col]
-                if -layout.ku <= offset <= layout.kl:
-                    unpacked[row, col] = band[0, layout.index(row, col)]
+        rhs = batch._base_rhs([time], companion)
         # Bytes, not a tolerance: the band path stamps the same terms in
         # the same order; every entry outside the band must be zero.
-        assert unpacked.tobytes() == want_matrix.tobytes()
+        assert self._stamped(batch, rhs, guess).tobytes() == want_matrix.tobytes()
+        assert rhs[0].tobytes() == want_rhs.tobytes()
+
+    @pytest.mark.parametrize(
+        "builder", [_rc_ladder_circuit, _rlc_circuit, _inverter_line_circuit]
+    )
+    def test_dc_matrix_and_rhs_match_dense(self, band_everywhere, builder):
+        """The DC system: capacitors open, inductors zero-volt branches."""
+        circuit = builder()
+        batch = _Batch([circuit])
+        assembler = DenseAssembler(circuit)
+        assert batch.size == assembler.dc_size
+
+        guess = np.random.default_rng(5).normal(scale=0.4, size=assembler.dc_size)
+        time = 3e-12
+        want_matrix, want_rhs = assembler.assemble(time, guess, capacitors_open=True)
+        rhs = batch._base_rhs([time])
+        assert self._stamped(batch, rhs, guess).tobytes() == want_matrix.tobytes()
         assert rhs[0].tobytes() == want_rhs.tobytes()
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_update_state_matches_dense(self, method):
         circuit = _rlc_circuit()
         dt = 2e-12
-        assembler = MNAAssembler(circuit)
-        batch = _Batch([TransientJob(circuit, 1e-10, dt, method=method)])
+        assembler = DenseAssembler(circuit)
+        batch = _Batch([circuit], [dt], method)
         rng = np.random.default_rng(11)
         solution = rng.normal(size=assembler.size)
         state = CompanionState.initial(circuit)
@@ -230,7 +245,7 @@ class TestBandSolve:
         """On an ill-conditioned DC system (condition number ~4e8) the plain
         band LU is hundreds of units in the last place off the exact
         solution; one refinement step brings it within a few."""
-        assembler = MNAAssembler(_inverter_line_circuit())
+        assembler = DenseAssembler(_inverter_line_circuit())
         matrix, rhs = assembler.assemble(
             0.0, np.full(assembler.dc_size, 0.5), capacitors_open=True
         )
@@ -241,7 +256,9 @@ class TestBandSolve:
         ulp = np.finfo(float).eps * float(np.max(np.abs(exact)))
 
         layout = BandLayout(assembler, capacitors_open=True)
-        bands = layout.gather(matrix)[None]
+        rows, cols = np.nonzero(matrix)
+        bands = np.zeros((1, layout.size * layout.rows))
+        bands[0, layout.index(rows, cols)] = matrix[rows, cols]
         plain, factors = layout.solve(bands, rhs[None])
         refined = layout.refine(layout.entries(bands), rhs[None], plain, factors)
         assert np.max(np.abs(plain[0] - exact)) > 64 * ulp
@@ -287,9 +304,9 @@ class TestTransientParity:
         layouts = []
         run = batched._Batch.run
 
-        def recorded(self):
+        def recorded(self, *args):
             layouts.append(self.band)
-            return run(self)
+            return run(self, *args)
 
         monkeypatch.setattr(batched._Batch, "run", recorded)
         circuit = _rc_ladder_circuit(n_segments=80)

@@ -1,9 +1,9 @@
 """Newton non-convergence is a typed ``ConvergenceError`` on every path.
 
-Both Newton loops -- :func:`repro.circuit.mna.newton_solve` (DC and the
-scalar transient) and the stacked kernel ``_Batch.run`` -- raise it, on
-both sides of the band threshold, and the batched front end's per-job
-fallback re-raises it.
+The one Newton loop, the stacked kernel's ``_Batch._newton``, raises it for
+the DC operating point, for a one-job transient and for a stack, on both
+sides of the band threshold, and the batched front end's per-job fallback
+re-raises it.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.circuit import (
     transient_analysis,
 )
 from repro.circuit import mna
-from repro.circuit.batched import TransientJob, _Batch, batched_transient_analysis
+from repro.circuit.batched import TransientJob, _run_stack, batched_transient_analysis
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import BAND_SIZE_THRESHOLD, MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
@@ -84,7 +84,7 @@ def test_stacked_kernel_and_batched_fallback(one_iteration):
         for resistance in (2e3, 4e3)
     ]
     with pytest.raises(ConvergenceError) as info:
-        _Batch(jobs).run()
+        _run_stack(jobs)
     _check(info.value, jobs[0].circuit)
     # The stacked group fails, and its per-job fallback raises the same type.
     with pytest.raises(ConvergenceError) as info:

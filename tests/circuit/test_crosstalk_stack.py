@@ -18,9 +18,9 @@ def stacks(monkeypatch):
     sizes = []
     run = batched._Batch.run
 
-    def counted(self):
+    def counted(self, *args):
         sizes.append(self.n_jobs)
-        return run(self)
+        return run(self, *args)
 
     monkeypatch.setattr(batched._Batch, "run", counted)
     return sizes

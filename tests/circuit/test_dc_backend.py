@@ -1,9 +1,9 @@
 """DC operating point: routing by size and band-solve parity.
 
-:func:`~repro.circuit.dc.dc_operating_point` assembles densely and solves
-through :func:`~repro.circuit.mna.newton_solve`, whose linear solve is a
-band LU solve from :data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns
-on.  The oracle is the dense DC analysis of ``dense_reference.py``.
+:func:`~repro.circuit.dc.dc_operating_point` is a one-job DC stack of the
+stacked kernel, whose linear solve is a band LU solve from
+:data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on.  The oracle is
+the dense DC analysis of ``dense_reference.py``.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from dense_reference import dense_dc_operating_point
 
 from repro.circuit import Circuit, dc_operating_point
 from repro.circuit import mna
+from repro.circuit.batched import _Batch
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import BAND_SIZE_THRESHOLD, MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
@@ -127,3 +128,81 @@ class TestDCCompiledSystem:
         band = dc_operating_point(circuit)
         assert _worst_delta(dense, band) <= 1.0e-9
         assert band.voltage("b") == pytest.approx(band.voltage("c"), abs=1e-6)
+
+
+def _biased_line(contact_resistance: float, supply: float) -> Circuit:
+    """Inverter -> RC ladder -> inductor -> inverter, the driver biased
+    mid-rail so Newton works through the MOSFETs' active region."""
+    circuit = Circuit("dc stack line")
+    circuit.add_voltage_source("supply_vdd", "vdd", "0", supply)
+    circuit.add_voltage_source("vin", "in", "0", 0.45 * supply)
+    Inverter("drv", "in", "near").add_to(circuit)
+    ladder = DistributedRC(
+        total_resistance=2.0e4,
+        total_capacitance=5.0e-14,
+        contact_resistance=contact_resistance,
+        n_segments=8,
+    )
+    add_rc_ladder(circuit, ladder, "near", "far", name_prefix="dut")
+    circuit.add_inductor("lw", "far", "rx", 1.0e-10)
+    Inverter("rcv", "rx", "out").add_to(circuit)
+    return circuit
+
+
+class TestStackedDC:
+    """A stack's DC starts are those of one-job DC stacks."""
+
+    CASES = [(1.0e3, 0.8), (5.0e3, 1.0), (2.0e4, 1.2), (1.0e5, 1.5), (3.0e2, 0.6)]
+
+    @pytest.fixture
+    def circuits(self):
+        circuits = [_biased_line(*case) for case in self.CASES]
+        # The jobs need different numbers of Newton iterations, so rows
+        # leave the stack's active set at different times.
+        iterations = []
+        stamp = _Batch._stamp_mosfets
+
+        def counted(self, *args):
+            iterations[-1] += 1
+            return stamp(self, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Batch, "_stamp_mosfets", counted)
+            for circuit in circuits:
+                iterations.append(0)
+                _Batch([circuit]).dc(0.0)
+        assert len(set(iterations)) > 1, iterations
+        return circuits
+
+    def test_bitwise_equal_below_threshold(self, circuits):
+        stack = _Batch(circuits)
+        assembler = MNAAssembler(circuits[0])
+        # The inductor adds a zero-volt branch current to the DC system.
+        assert stack.band is None and stack.size == assembler.dc_size > assembler.size
+        stacked = stack.dc(0.0)
+        for solution, circuit in zip(stacked, circuits):
+            assert solution.tobytes() == _Batch([circuit]).dc(0.0)[0].tobytes()
+            dense = dense_dc_operating_point(circuit)
+            got = dc_operating_point(circuit)
+            assert got.node_voltages == dense.node_voltages
+            assert got.source_currents == dense.source_currents
+
+    def test_band_matches_dense(self, circuits, band_everywhere):
+        stack = _Batch(circuits)
+        assert stack.band is not None
+        stacked = stack.dc(0.0)
+        assembler = MNAAssembler(circuits[0])
+        for solution, circuit in zip(stacked, circuits):
+            assert solution.tobytes() == _Batch([circuit]).dc(0.0)[0].tobytes()
+            dense = dense_dc_operating_point(circuit)
+            worst = max(
+                abs(solution[assembler.node_index(n)] - v) for n, v in dense.node_voltages.items()
+            )
+            worst = max(
+                worst,
+                *(
+                    abs(solution[assembler.vsource_index(p)] - dense.current(s.name))
+                    for p, s in enumerate(circuit.voltage_sources)
+                ),
+            )
+            assert worst <= 1.0e-9

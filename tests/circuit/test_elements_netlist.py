@@ -14,7 +14,9 @@ from repro.circuit import (
 )
 from repro.circuit.elements import evaluate_waveform
 from repro.circuit.netlist import is_ground
+from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
+from repro.core.line import DistributedRC
 
 
 class TestWaveforms:
@@ -87,6 +89,33 @@ class TestCircuit:
         circuit.add_resistor("x", "a", "b", 1e3)
         with pytest.raises(ValueError):
             circuit.add_capacitor("x", "a", "0", 1e-15)
+
+    def test_duplicate_of_constructor_element_rejected(self):
+        circuit = Circuit(resistors=[Resistor("x", "a", "b", 1e3)])
+        with pytest.raises(ValueError):
+            circuit.add_inductor("x", "b", "0", 1e-9)
+        circuit.add_inductor("y", "b", "0", 1e-9)
+        with pytest.raises(ValueError):
+            circuit.add_resistor("y", "a", "0", 1e3)
+
+    def test_building_a_ladder_scans_names_once(self, monkeypatch):
+        """Adding an element does not rebuild the set of element names, so
+        building a circuit takes linear time."""
+        scans = []
+        names = Circuit.element_names
+
+        def counted(self):
+            scans.append(1)
+            return names(self)
+
+        monkeypatch.setattr(Circuit, "element_names", counted)
+        circuit = Circuit("ladder")
+        ladder = DistributedRC(
+            total_resistance=1e4, total_capacitance=1e-13, n_segments=1000
+        )
+        add_rc_ladder(circuit, ladder, "near", "far")
+        assert len(circuit.resistors) >= 1000 and len(circuit.capacitors) >= 1000
+        assert len(scans) <= 1
 
     def test_element_count(self):
         circuit = Circuit()

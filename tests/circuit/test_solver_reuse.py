@@ -1,23 +1,21 @@
 """Band Newton: per-step parity with the dense reference Newton loop.
 
-:func:`repro.circuit.mna.newton_solve` solves in band storage from
-:data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on, and the stacked
-kernel runs large transients in band storage, refactorizing every Newton
-iteration of a nonlinear circuit and factorizing a linear one once.  These
-tests pin both against the dense reference (``dense_reference.py``) on a
-pathologically conditioned switching circuit, and count the factorizations
-of a linear one.
+The stacked kernel solves in band storage from
+:data:`~repro.circuit.mna.BAND_SIZE_THRESHOLD` unknowns on, refactorizing
+every Newton iteration of a nonlinear circuit and factorizing a linear one
+once.  These tests pin it against the dense reference (``dense_reference.py``)
+on a pathologically conditioned switching circuit, and count the
+factorizations of a linear one.
 """
 
 import numpy as np
 import pytest
 
-from dense_reference import dense_newton_solve, dense_transient_analysis
+from dense_reference import dense_transient_analysis
 
 from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit import mna
-from repro.circuit.mna import CompanionState, MNAAssembler, newton_solve
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
@@ -53,26 +51,17 @@ def _inverter_line_circuit(n_segments: int = 12, contact_resistance: float = 1e-
 
 class TestSparseNewtonParity:
     def test_matches_dense_newton_solve_per_step(self, band_everywhere):
-        """Band and dense Newton, each stepping its own solution and state
-        through 300 steps in lockstep: every step <= 1e-9."""
+        """A one-job band stack and the dense reference Newton loop, each on
+        its own trajectory from zero through 300 steps: every unknown (node
+        voltages and source currents) <= 1e-9 at every step."""
         circuit = _inverter_line_circuit()
-        assembler = MNAAssembler(circuit)
-        dt = 1e-12
-        state = CompanionState.initial(circuit)
-        dense_state = CompanionState.initial(circuit)
-        solution = np.zeros(assembler.size)
-        dense_solution = np.zeros(assembler.size)
-        worst = 0.0
-        for step in range(1, 301):
-            t = step * dt
-            solution = newton_solve(assembler, t, solution, state=state, dt=dt)
-            state = assembler.update_state(solution, state, dt)
-            dense_solution = dense_newton_solve(
-                assembler, t, dense_solution, state=dense_state, dt=dt
-            )
-            dense_state = assembler.update_state(dense_solution, dense_state, dt)
-            worst = max(worst, float(np.max(np.abs(solution - dense_solution))))
-        assert worst < PARITY_RTOL
+        band = transient_analysis(circuit, 300e-12, 1e-12, use_dc_start=False)
+        dense = dense_transient_analysis(circuit, 300e-12, 1e-12, use_dc_start=False)
+        assert band.n_points == dense.n_points == 301
+        unknowns = [(band.voltage(n), dense.voltage(n)) for n in dense.node_voltages]
+        unknowns += [(band.current(s), dense.current(s)) for s in dense.source_currents]
+        worst = max(float(np.max(np.abs(got - want))) for got, want in unknowns)
+        assert worst <= PARITY_RTOL
 
     def test_transient_waveforms_match_dense(self, band_everywhere):
         """Whole-transient parity through the public entry point.
