@@ -413,12 +413,15 @@ def case_dist_workers(smoke: bool) -> CaseResult:
 def case_batched_sweep(smoke: bool) -> CaseResult:
     """Stacked same-topology transients vs one solve per line.
 
-    The PR-8 batched point evaluation in isolation: N inverter-line delay
+    The batched point evaluation in isolation: N inverter-line delay
     benchmarks that differ only in contact resistance (same topology, all
-    below the dense-backend threshold) are measured one call at a time vs
-    through :func:`~repro.circuit.delay.measure_inverter_line_delay_batch`,
-    which stacks the per-step linear systems into one dense kernel.
-    Results are required to be float-identical per line.
+    below the band threshold) are measured one line at a time through the
+    dense scalar oracle of ``tests/circuit/dense_reference.py`` (a fixed
+    reference, like ``delay_benchmark``'s, so speeding up the public
+    one-line entry point does not move this ratio) vs through
+    :func:`~repro.circuit.delay.measure_inverter_line_delay_batch`, which
+    stacks the per-step linear systems into one dense kernel.  Results are
+    required to be float-identical per line.
     """
     n_lines = 4 if smoke else 16
     n_segments = 8 if smoke else 12
@@ -436,9 +439,7 @@ def case_batched_sweep(smoke: bool) -> CaseResult:
     ]
 
     legacy_s, reference = _timed(
-        lambda: [
-            measure_inverter_line_delay(line, n_time_steps=n_steps) for line in lines
-        ]
+        lambda: [dense_inverter_line_delay(line, n_steps) for line in lines]
     )
     fast_s, candidate = _timed(
         lambda: measure_inverter_line_delay_batch(lines, n_time_steps=n_steps)

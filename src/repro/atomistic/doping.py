@@ -13,6 +13,7 @@ with the doping enhancement factor ``Nc``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +149,8 @@ def fermi_shift_for_target_conductance(
         g = conductance_at(magnitude)
         if g >= target_conductance_s - tolerance_s:
             # Refine inside the bracketing interval for a tight estimate.
-            from scipy.optimize import brentq
-
             try:
-                root = brentq(
+                root = _brentq(
                     lambda s: conductance_at(s) - (target_conductance_s - tolerance_s),
                     previous,
                     magnitude,
@@ -166,6 +165,69 @@ def fermi_shift_for_target_conductance(
         f"target conductance {target_conductance_s:.3e} S not reachable within "
         f"a {max_shift_ev} eV Fermi shift for tube {chirality}"
     )
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2.0e-12) -> float:
+    """Root of ``f`` in ``[a, b]``: ``scipy.optimize.brentq(f, a, b, xtol)``
+    step for step (scipy 1.17's ``brentq.c`` loop, default ``rtol`` and
+    ``maxiter``), so the root has the same bits.
+
+    Raises :class:`ValueError` when ``f(a)`` and ``f(b)`` have the same sign
+    or ``f`` returns NaN, and :class:`RuntimeError` when 100 iterations do
+    not converge, as scipy does.  Importing ``scipy.optimize`` for one root
+    costs more than the Fig. 8c experiment that needs it.
+    """
+    rtol = 4 * float(np.finfo(float).eps)
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Interpolate.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Extrapolate.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # A good short step.
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
 def iodine_doped_swcnt77() -> DopedTube:

@@ -130,18 +130,47 @@ def extract_tlm(measurements: list[TLMMeasurement]) -> TLMExtraction:
     if np.unique(lengths).size < 2:
         raise ValueError("need at least two distinct lengths")
 
-    from scipy import stats
-
-    result = stats.linregress(lengths, resistances)
-    slope_err = float(result.stderr) if result.stderr is not None else 0.0
-    intercept_err = float(result.intercept_stderr) if result.intercept_stderr is not None else 0.0
+    slope, intercept, r, slope_err, intercept_err = _linregress(lengths, resistances)
     return TLMExtraction(
-        contact_resistance=float(result.intercept),
-        resistance_per_length=float(result.slope),
-        contact_resistance_stderr=intercept_err,
-        resistance_per_length_stderr=slope_err,
-        r_squared=float(result.rvalue**2),
+        contact_resistance=float(intercept),
+        resistance_per_length=float(slope),
+        contact_resistance_stderr=float(intercept_err),
+        resistance_per_length_stderr=float(slope_err),
+        r_squared=float(r**2),
     )
+
+
+def _linregress(x: np.ndarray, y: np.ndarray) -> tuple:
+    """``scipy.stats.linregress(x, y)`` without its p-value, bit for bit:
+    ``(slope, intercept, rvalue, stderr, intercept_stderr)``.
+
+    The statements are scipy's own (1.17), on the same numpy operands: the
+    operand types decide how ``r**2`` and ``xmean**2`` round, so ``r`` stays
+    an ``np.float64`` except where scipy clips it to a Python float.  The
+    caller has checked that ``x`` holds two distinct values.  Importing
+    ``scipy.stats`` for this costs more than a whole TLM experiment.
+    """
+    n = len(x)
+    xmean = np.mean(x, None)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.asarray(np.nan if ssxym == 0 else 0.0)[()]
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        # Numerical error can push r just past +-1.
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    intercept = np.mean(y, None) - slope * xmean
+    if n == 2:
+        slope_stderr = intercept_stderr = 0.0
+    else:
+        df = n - 2
+        slope_stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+        intercept_stderr = slope_stderr * np.sqrt(ssxm + xmean**2)
+    return slope, intercept, r, slope_stderr, intercept_stderr
 
 
 def tlm_round_trip(

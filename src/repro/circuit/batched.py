@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit import mna
+from repro.circuit.elements import sample_waveform
 from repro.circuit.mna import (
     GMIN,
     NEWTON_DAMPING_LIMIT,
@@ -296,23 +297,28 @@ class _Batch:
 
     # --- right-hand side and MOSFET stamps ---------------------------------
 
-    def _source_values(self, kind: str, times) -> np.ndarray:
-        """Waveform values of every ``kind`` source at each job's time,
-        (sources x jobs)."""
-        per_job = [getattr(circuit, kind) for circuit in self.circuits]
-        return np.array(
-            [
-                [sources[p].value(time) for time, sources in zip(times, per_job)]
-                for p in range(len(per_job[0]))
-            ],
-            dtype=float,
-        ).reshape(-1, self.n_jobs)
+    def _source_table(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Waveform values of every current and every voltage source at each
+        of each job's ``times`` (one row per job), two (times x sources x
+        jobs) tables, each value bit for bit its source's ``value(t)``."""
+        tables = []
+        for kind in ("current_sources", "voltage_sources"):
+            per_job = [getattr(circuit, kind) for circuit in self.circuits]
+            table = np.empty((times.shape[1], len(per_job[0]), self.n_jobs))
+            for job, (job_times, sources) in enumerate(zip(times, per_job)):
+                for p, source in enumerate(sources):
+                    table[:, p, job] = sample_waveform(source.waveform, job_times)
+            tables.append(table)
+        return tables[0], tables[1]
 
-    def _base_rhs(self, times, state: tuple = ()) -> np.ndarray:
-        """Right-hand side before the MOSFET stamps, with the sources at each
-        job's time.  A transient step passes the companion ``state``
-        ``(cap_v, cap_i, ind_i, ind_v)``; the DC system has none."""
-        currents = [self._source_values("current_sources", times)]
+    def _base_rhs(
+        self, currents: np.ndarray, voltages: np.ndarray, state: tuple = ()
+    ) -> np.ndarray:
+        """Right-hand side before the MOSFET stamps, with the source values
+        ``currents`` and ``voltages`` (sources x jobs).  A transient step
+        passes the companion ``state`` ``(cap_v, cap_i, ind_i, ind_v)``; the
+        DC system has none."""
+        currents = [currents]
         if state:
             cap_v, cap_i, ind_i, ind_v = state
             if self.trapezoidal:
@@ -330,7 +336,7 @@ class _Batch:
         rhs = np.bincount(
             self.push_bins, signed[self.push_entries].T.ravel(), self.n_jobs * self.size
         ).astype(float, copy=False).reshape(self.n_jobs, self.size)
-        rhs[:, self.vso_rows] += self._source_values("voltage_sources", times).T
+        rhs[:, self.vso_rows] += voltages.T
         return rhs
 
     def _stamp_mosfets(
@@ -444,17 +450,19 @@ class _Batch:
     def dc(self, time: float) -> np.ndarray:
         """DC operating points of the DC system, sources at ``time``, as
         (jobs, dc_size) solutions."""
+        times = np.full((self.n_jobs, 1), time)
+        currents, voltages = (table[0] for table in self._source_table(times))
         guess = np.zeros((self.n_jobs, self.size))
         # A supply-aware starting guess speeds up and stabilises CMOS
         # circuits: start every node halfway to the largest DC source magnitude.
-        for row, assembler in zip(guess, self.assemblers):
-            supply_levels = [abs(v.value(time)) for v in assembler.circuit.voltage_sources]
-            if supply_levels:
-                row[: assembler.n_nodes] = 0.5 * max(supply_levels)
-        times = [time] * self.n_jobs
+        if voltages.size:
+            guess[:, : self.assemblers[0].n_nodes] = 0.5 * np.abs(voltages).max(axis=0)[:, None]
         with trace_span("circuit.dc", n_jobs=self.n_jobs, size=self.size):
             return self._newton(
-                self._base_rhs(times), guess, times, mna.DC_NEWTON_ITERATIONS
+                self._base_rhs(currents, voltages),
+                guess,
+                [time] * self.n_jobs,
+                mna.DC_NEWTON_ITERATIONS,
             )
 
     def run(self, n_steps: int, use_dc_start: bool) -> list[TransientResult]:
@@ -485,11 +493,15 @@ class _Batch:
             cap_v = self._branch_voltages(padded, self.cap_terminals)
             ind_i = np.zeros_like(ind_i)
 
+        # Every source sampled once over the whole run, (steps, sources, jobs).
+        currents, voltages = self._source_table(times)
         # Time on the last axis: every waveform cut from it is a view, not a copy.
         trace = np.empty((n_jobs, size, n_steps + 1))
         trace[:, :, 0] = solutions
         for step in range(1, n_steps + 1):
-            base_rhs = self._base_rhs(times[:, step], (cap_v, cap_i, ind_i, ind_v))
+            base_rhs = self._base_rhs(
+                currents[step], voltages[step], (cap_v, cap_i, ind_i, ind_v)
+            )
             solutions = self._newton(
                 base_rhs, solutions, times[:, step], mna.TRANSIENT_NEWTON_ITERATIONS
             )

@@ -3,11 +3,18 @@
 Elements know how to *stamp* themselves into the MNA matrices; waveforms are
 small callables evaluating a source value at a given time.  Everything is in
 SI units (ohm, farad, henry, volt, ampere, second).
+
+:func:`sample_waveform` evaluates a waveform at a whole array of times.
+:meth:`Step.sample` runs the statements of ``__call__`` as numpy ufuncs,
+both sides of every test computed and the scalar path's side selected, so
+each sample has the bits of the scalar call at that time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 # --- waveforms -----------------------------------------------------------------
@@ -29,6 +36,12 @@ class Step:
             return self.final
         fraction = (time - self.delay) / self.rise_time
         return self.initial + fraction * (self.final - self.initial)
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        fraction = (times - self.delay) / self.rise_time
+        ramp = self.initial + fraction * (self.final - self.initial)
+        rising = np.where(times >= self.delay + self.rise_time, float(self.final), ramp)
+        return np.where(times <= self.delay, float(self.initial), rising)
 
 
 @dataclass(frozen=True)
@@ -94,6 +107,22 @@ def evaluate_waveform(waveform: Waveform, time: float) -> float:
     if callable(waveform):
         return float(waveform(time))
     return float(waveform)
+
+
+def sample_waveform(waveform: Waveform, times: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_waveform` at every element of ``times``, bit for bit.
+
+    A :class:`Step` (every transient source of the paper's circuits) samples
+    in numpy (a subclass that overrides ``__call__`` must override ``sample``
+    too); a constant is broadcast; any other callable, :class:`Pulse` and
+    :class:`PieceWiseLinear` included, is called once per time.
+    """
+    if isinstance(waveform, Step):
+        with np.errstate(all="ignore"):
+            return waveform.sample(times)
+    if callable(waveform):
+        return np.array([float(waveform(time)) for time in times], dtype=float)
+    return np.full(times.shape, float(waveform))
 
 
 # --- elements --------------------------------------------------------------------

@@ -10,7 +10,7 @@ converge quickly.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -223,21 +223,21 @@ def parameter_stack(devices: list[list[MOSFETParameters]]) -> np.ndarray:
     )
 
 
-def _per_element(function, values: np.ndarray) -> np.ndarray:
-    """``function`` of each element, called on Python floats."""
+def _per_element(function, values: np.ndarray, *more) -> np.ndarray:
+    """``function`` of each element (and of the matching elements of
+    ``more``), called on Python floats."""
     flat = values.ravel().tolist()
-    return np.fromiter(map(function, flat), float, len(flat)).reshape(values.shape)
+    return np.fromiter(map(function, flat, *more), float, len(flat)).reshape(values.shape)
 
 
-_square = functools.partial(pow, exp=2)
-"""Python's ``v**2`` (libm ``pow``), without a Python-level call per element."""
-
-SCALAR_STACK_SIZE = 64
+SCALAR_STACK_SIZE = 48
 """Largest device count :func:`evaluate_stack` runs through the scalar model,
-set at the measured crossover: the array path costs ~70 numpy calls at any
-size.  Per call on a 2-vCPU x86 host, scalar against array: 4 devices 23 us
-against 98 us, 64 devices 138 us against 142 us, 96 devices 200 us against
-165 us."""
+set at the measured crossover: the array path costs ~40 numpy calls at any
+size.  Per call on a 2-vCPU x86 host (the best of 7 runs over 100 stacks of
+Fig. 12's devices), scalar against array: 4 devices 16 us against 64 us,
+32 devices 61 us against 74 us, 48 devices 85 us against 102 us, 64 devices
+113 us against 92 us, 96 devices 140 us against 94 us; a second run, 48
+devices 72 us against 81 us, 56 devices 138 us against 126 us."""
 
 
 def evaluate_stack(
@@ -249,13 +249,13 @@ def evaluate_stack(
     it); ``v_gs`` and ``v_ds`` have its trailing shape.  Every ``+ - * /``
     runs as a numpy ufunc, which performs the same IEEE operation as the
     scalar statement it replaces.  ``exp``, ``log1p`` and ``**2`` stay per
-    element through :mod:`math` and Python's ``**``: numpy's SIMD ``exp`` and
-    ``log1p`` and its ``x * x`` squaring differ from libm in the last bit of
-    some values, which would break the content hashes of every circuit
-    result.  Both branches of each region test are computed and the scalar
-    path's branch is selected, so the answer is the scalar one element by
-    element.  Stacks of at most :data:`SCALAR_STACK_SIZE` devices run the
-    scalar model itself, element by element.
+    element through :mod:`math` (``math.pow(v, 2.0)`` is Python's ``v**2``):
+    numpy's SIMD ``exp`` and ``log1p`` and its ``x * x`` squaring differ from
+    libm in the last bit of some values, which would break the content hashes
+    of every circuit result.  Both branches of each region test are computed
+    and the scalar path's branch is selected, so the answer is the scalar one
+    element by element.  Stacks of at most :data:`SCALAR_STACK_SIZE` devices
+    run the scalar model itself, element by element.
     """
     if v_gs.size <= SCALAR_STACK_SIZE:
         columns = np.concatenate((parameters, np.stack((v_gs, v_ds)))).reshape(7, -1)
@@ -286,20 +286,20 @@ def evaluate_stack(
         )
         dv_eff = np.where(high, 1.0, np.where(low, e_pos, 1.0 / (1.0 + e_neg)))
 
+        # Triode and saturation share their factors where the scalar
+        # statements do: ``core`` and ``v_eff**2`` only meet ``beta``, the
+        # ``(1 + lam vds)`` factor and ``lam`` after the region is chosen.
         triode = vds < v_eff
-        squared = _per_element(_square, np.where(triode, vds, v_eff))
+        w = np.where(triode, vds, v_eff)
+        squared = _per_element(math.pow, w, itertools.repeat(2.0))
         clm = 1.0 + lam * vds
-
         core = v_eff * vds - 0.5 * squared
-        i_f = np.where(triode, beta * core * clm, 0.5 * beta * squared * clm)
-        d_vg = np.where(
-            triode, beta * vds * clm * dv_eff, beta * v_eff * clm * dv_eff
-        )
-        d_vd = np.where(
-            triode,
-            beta * (v_eff - vds) * clm + beta * core * lam,
-            0.5 * beta * squared * lam,
-        )
+        # beta * core (triode) or 0.5 * beta * v_eff**2 (saturation).
+        scaled = np.where(triode, beta * core, 0.5 * beta * squared)
+        i_f = scaled * clm
+        d_vg = beta * w * clm * dv_eff
+        tail = scaled * lam
+        d_vd = np.where(triode, beta * (v_eff - vds) * clm + tail, tail)
 
         i_n = np.where(reverse, -i_f, i_f)
         d_vgs_n = np.where(reverse, -d_vg, d_vg)

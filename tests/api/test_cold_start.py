@@ -48,3 +48,26 @@ def test_import_repro_circuit_loads_no_scipy_sparse():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_tlm_and_fig8c_import_neither_scipy_stats_nor_optimize(tmp_path):
+    # The TLM fit and the Fig. 8c Fermi-shift root are numpy / Python ports
+    # of scipy's ``linregress`` and ``brentq``; running them through the
+    # engine must not pull the two subpackages in.
+    script = (
+        "import sys\n"
+        "from repro.api import Engine\n"
+        f"engine = Engine(cache_dir={str(tmp_path)!r})\n"
+        "for name in ('tlm', 'fig8c'):\n"
+        "    assert engine.run(name).to_records(), name\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"

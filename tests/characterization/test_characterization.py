@@ -69,6 +69,55 @@ class TestTLM:
             simulate_tlm_data(reference_device(), self.LENGTHS, noise_fraction=-0.1)
 
 
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestTLMFitMatchesScipy:
+    """``extract_tlm`` is ``scipy.stats.linregress`` bit for bit (NaN included)."""
+
+    @staticmethod
+    def _assert_matches_linregress(lengths, resistances):
+        from scipy import stats
+
+        extraction = extract_tlm(
+            [TLMMeasurement(float(x), float(y)) for x, y in zip(lengths, resistances)]
+        )
+        want = stats.linregress(lengths, resistances)
+        assert _bits(extraction.contact_resistance) == _bits(want.intercept)
+        assert _bits(extraction.resistance_per_length) == _bits(want.slope)
+        assert _bits(extraction.contact_resistance_stderr) == _bits(want.intercept_stderr)
+        assert _bits(extraction.resistance_per_length_stderr) == _bits(want.stderr)
+        assert _bits(extraction.r_squared) == _bits(want.rvalue**2)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_noisy_fits(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng([n, seed])
+            lengths = np.sort(rng.uniform(0.5, 20.0, n)) * 1e-6
+            resistances = (2e4 + 4e9 * lengths) * (1.0 + rng.normal(0.0, 0.05, n))
+            self._assert_matches_linregress(lengths, resistances)
+
+    def test_collinear_data_hits_the_r_clip(self):
+        clipped = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 13))
+            lengths = np.sort(rng.uniform(1.0, 20.0, n)) * 1e-6
+            resistances = 2.0e4 + 3.0e9 * lengths
+            ssxm, ssxym, _, ssym = np.cov(lengths, resistances, bias=1).flat
+            clipped += bool(ssxym / np.sqrt(ssxm * ssym) > 1.0)
+            self._assert_matches_linregress(lengths, resistances)
+        assert clipped > 0  # the data does reach scipy's clip of r to 1.0
+
+    def test_constant_resistances(self):
+        lengths = np.array([1.0, 2.0, 5.0, 10.0]) * 1e-6
+        resistances = np.full(4, 1234.5)
+        assert np.cov(lengths, resistances, bias=1)[1, 1] == 0.0  # ssym == 0
+        self._assert_matches_linregress(lengths, resistances)
+        self._assert_matches_linregress(lengths[:2], resistances[:2])
+
+
 class TestIV:
     def test_low_bias_resistance_matches_model(self):
         device = MWCNTInterconnect(outer_diameter=nm(7.5), length=um(2), contact_resistance=60e3)

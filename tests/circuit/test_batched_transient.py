@@ -8,6 +8,7 @@ a content hash, or a cache key.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -333,6 +334,29 @@ def _probe_parameters(polarity: int, beta_scale: float = 1.0):
     )
 
 
+def _softplus_argument(device: MOSFET, v_gs: float, v_ds: float) -> float:
+    """``x = (V_gs - V_th) / slope`` of the scalar model, reverse conduction included."""
+    p = device.parameters
+    vgs_n, vds_n = p.polarity * v_gs, p.polarity * v_ds
+    if not vds_n >= 0.0:
+        vgs_n -= vds_n
+    return (vgs_n - p.threshold_voltage) / p.subthreshold_slope
+
+
+def _triode_square_probe(v_gs: float) -> float:
+    """A triode ``V_ds`` of the probe NMOS at ``v_gs`` whose square by
+    ``**2`` (libm pow) changes ``core = v_eff vds - vds**2 / 2`` from the
+    one ``vds * vds`` gives."""
+    p = _probe_parameters(+1)
+    x = (v_gs - p.threshold_voltage) / p.subthreshold_slope
+    v_eff = p.subthreshold_slope * math.log1p(math.exp(x))
+    return next(
+        v
+        for v in np.linspace(0.3, 1.2, 200001).tolist()
+        if v_eff * v - 0.5 * v**2 != v_eff * v - 0.5 * (v * v)
+    )
+
+
 def _stamp_probe_circuit(beta_scale: float) -> Circuit:
     """NMOS and PMOS devices, with a grounded drain, gate and source each."""
     n = _probe_parameters(+1, beta_scale)
@@ -414,7 +438,7 @@ class TestFusedMosfetStamp:
     def test_scalar_and_array_model_paths_agree(self, monkeypatch, rows):
         """Both ``evaluate_stack`` paths are ``MOSFET.evaluate`` byte for byte.
 
-        Four devices per row: 1 and 16 rows take the scalar path by default,
+        Four devices per row: 1 row takes the scalar path by default, 16 and
         17 rows the array path; each size is also forced onto the other.
         """
         devices = [
@@ -436,3 +460,42 @@ class TestFusedMosfetStamp:
             monkeypatch.setattr(mosfet, "SCALAR_STACK_SIZE", limit)
             got = np.array(mosfet.evaluate_stack(parameters, v_gs, v_ds))
             assert got.tobytes() == want.tobytes(), limit
+
+    def test_array_path_across_the_softplus_tails(self, monkeypatch):
+        """The array path, on stacks with reverse conduction whose softplus
+        arguments straddle +-30, is ``MOSFET.evaluate`` byte for byte."""
+        devices = [
+            MOSFET(f"m{i}", "d", "g", "s", _probe_parameters(polarity, scale))
+            for i, (polarity, scale) in enumerate([(1, 1.0), (-1, 1.0), (1, 3.0), (-1, 3.0)])
+        ]
+        rng = np.random.default_rng(5)
+        # A softplus argument of exactly 30, in forward and reverse
+        # conduction, and a triode V_ds whose ``**2`` is not ``v * v`` (one
+        # row each; pair k belongs to device k % 4).
+        pairs = [
+            (sign * v_gs, sign * v_ds)
+            for v_gs, v_ds in ((2.125, 0.3), (1.625, -0.5), (2.0, _triode_square_probe(2.0)))
+            for sign in (d.parameters.polarity for d in devices)
+        ]
+        pairs += map(tuple, rng.uniform(-3.0, 3.0, (4 * 40 - len(pairs), 2)).tolist())
+        grid = np.array(pairs).reshape(-1, 4, 2)
+        v_gs, v_ds = grid[..., 0].copy(), grid[..., 1].copy()
+        x = np.array(
+            [
+                [_softplus_argument(d, a, b) for d, a, b in zip(devices, row_gs, row_ds)]
+                for row_gs, row_ds in zip(v_gs.tolist(), v_ds.tolist())
+            ]
+        )
+        sign = np.array([d.parameters.polarity for d in devices])
+        assert (sign * v_ds < 0.0).any() and (np.abs(x) == 30.0).any()
+        assert (x > 30.0).any() and (x < -30.0).any() and (np.abs(x) < 30.0).any()
+        want = np.array(
+            [
+                [device.evaluate(a, b) for device, a, b in zip(devices, row_gs, row_ds)]
+                for row_gs, row_ds in zip(v_gs.tolist(), v_ds.tolist())
+            ]
+        ).transpose(2, 0, 1)
+        parameters = parameter_stack([[device.parameters for device in devices]] * len(grid))
+        monkeypatch.setattr(mosfet, "SCALAR_STACK_SIZE", 0)
+        got = np.array(mosfet.evaluate_stack(parameters, v_gs, v_ds))
+        assert got.tobytes() == want.tobytes()

@@ -178,7 +178,8 @@ class TestCompiledAssembly:
             ind_i.reshape(-1, 1),
             np.zeros((len(circuit.inductors), 1)),
         )
-        rhs = batch._base_rhs([time], companion)
+        sources = (table[0] for table in batch._source_table(np.array([[time]])))
+        rhs = batch._base_rhs(*sources, companion)
         # Bytes, not a tolerance: the band path stamps the same terms in
         # the same order; every entry outside the band must be zero.
         assert self._stamped(batch, rhs, guess).tobytes() == want_matrix.tobytes()
@@ -197,7 +198,8 @@ class TestCompiledAssembly:
         guess = np.random.default_rng(5).normal(scale=0.4, size=assembler.dc_size)
         time = 3e-12
         want_matrix, want_rhs = assembler.assemble(time, guess, capacitors_open=True)
-        rhs = batch._base_rhs([time])
+        sources = (table[0] for table in batch._source_table(np.array([[time]])))
+        rhs = batch._base_rhs(*sources)
         assert self._stamped(batch, rhs, guess).tobytes() == want_matrix.tobytes()
         assert rhs[0].tobytes() == want_rhs.tobytes()
 
