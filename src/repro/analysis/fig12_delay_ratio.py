@@ -20,8 +20,9 @@ contact resistance is an explicit parameter so its effect can be ablated
 (``benchmarks/bench_ablation_contact_resistance.py``).
 
 Execution note: the 90 paper-default transients run as one stack through
-the batched kernel (:mod:`repro.circuit.batched`), whose results are bit for
-bit those of one transient per line; there is one enumeration of the lines,
+the batched kernel (:mod:`repro.circuit.batched`), split into one shard per
+CPU where the process may fork, whose results are bit for bit those of one
+transient per line; there is one enumeration of the lines,
 :func:`fig12_records_batch`, and :func:`fig12_records` is its one-study case.
 """
 

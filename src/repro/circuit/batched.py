@@ -40,11 +40,22 @@ the dense path to solver precision (the tests hold it to 1e-9).
 Jobs are grouped by a structural signature (matrix size, element topology,
 zero-capacitance pattern, step count, method); singleton groups, and every
 job of a group whose stacked solve fails, run as one-job stacks, so
-batching can change performance but never results.
+batching can change performance but never results.  A group of at least
+``2 *`` :data:`MIN_SHARD_JOBS` jobs is split into contiguous shards, one per
+CPU the process may run on: the caller runs the first, forked children the
+others, and the results are joined in job order.  Since a job's bits never
+depend on its stack, sharding changes no bit either.  The kernel forks only
+where that is safe -- on Linux, in a process with one Python thread that no
+:mod:`multiprocessing` parent started -- and runs the group in process
+everywhere else; a failing shard makes the group rerun job by job.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,11 +526,89 @@ class _Batch:
         ]
 
 
+MIN_SHARD_JOBS = 10
+"""Fewest jobs a shard of a stacked group holds: a group is split into
+``min(CPUs, n_jobs // MIN_SHARD_JOBS)`` shards, so it shards from
+``2 * MIN_SHARD_JOBS`` jobs on.  Set at the measured crossover: a stack's
+time is mostly per-iteration overhead, which every shard pays in full, so
+on a 2-vCPU x86 host (medians of 9 alternating runs of Fig. 12 lines,
+in process against 2 shards) 4 jobs took 358 ms against 424 ms, 8 jobs
+547 against 527 ms, 16 jobs 665 against 663 ms and 20 jobs 1010 against
+720 ms; forking a 186 MB process, sending one result list back and
+joining the child costs about 12 ms."""
+
+
 def _run_stack(jobs: list[TransientJob]) -> list[TransientResult]:
     """Run jobs of one topology signature as one stack."""
     first = jobs[0]
     batch = _Batch([job.circuit for job in jobs], [job.time_step for job in jobs], first.method)
     return batch.run(int(round(first.stop_time / first.time_step)), first.use_dc_start)
+
+
+def _shard_count(n_jobs: int) -> int:
+    """Number of shards to split a group of ``n_jobs`` into (1: no split).
+
+    Forking is safe only in a Linux process that runs one Python thread (no
+    service daemon, heartbeat or warm pool beside it) and is not itself a
+    :mod:`multiprocessing` child (an engine pool worker or a shard).
+    """
+    if (
+        not sys.platform.startswith("linux")
+        or threading.active_count() != 1
+        or multiprocessing.parent_process() is not None
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_jobs // MIN_SHARD_JOBS))
+
+
+def _run_shard(jobs: list[TransientJob], sender) -> None:
+    """Forked child: run one shard and send its results to the parent.
+
+    A failing shard exits with status 1 without a traceback; the parent
+    reruns the group job by job, which raises the error itself.
+    """
+    try:
+        results = _run_stack(jobs)
+    except Exception:
+        sys.exit(1)
+    sender.send(results)
+
+
+def _run_sharded(jobs: list[TransientJob], n_shards: int) -> list[TransientResult]:
+    """:func:`_run_stack` of ``jobs`` split into ``n_shards`` contiguous
+    shards; the first runs here, each other one in a forked child.  Raises
+    if a child fails, exits non-zero or closes its pipe early."""
+    size, extra = divmod(len(jobs), n_shards)
+    bounds = [shard * size + min(shard, extra) for shard in range(n_shards + 1)]
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_shard, args=(jobs[start:stop], sender), daemon=True)
+            children.append((child, receiver))
+            try:
+                child.start()
+            finally:
+                # The child holds the only write end, so its exit ends the pipe.
+                sender.close()
+        results = _run_stack(jobs[: bounds[1]])
+        for child, receiver in children:
+            try:
+                results.extend(receiver.recv())
+            except EOFError:
+                raise RuntimeError(f"shard process {child.pid} closed its pipe early") from None
+            child.join()
+            if child.exitcode != 0:
+                raise RuntimeError(f"shard process {child.pid} exited with {child.exitcode}")
+        return results
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            if child.pid is not None:
+                child.join()
 
 
 def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
@@ -528,7 +617,8 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
     Results are returned in job order and equal calling
     :func:`~repro.circuit.transient.transient_analysis` per job bit for bit
     (see module docstring).  Singleton groups, and groups whose stacked
-    kernel raises, run as one-job stacks instead.
+    kernel raises, run as one-job stacks instead.  Large groups run in
+    shards across the CPUs (:func:`_shard_count`).
     """
     results: list[TransientResult | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -543,10 +633,15 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
             metrics.counter("repro_batch_groups_total", mode="serial").inc()
             group_results = _run_stack(group_jobs)
         else:
+            n_shards = _shard_count(len(group_jobs))
             try:
-                with trace_span("circuit.batch", n_jobs=len(group_jobs)):
-                    group_results = _run_stack(group_jobs)
-                metrics.counter("repro_batch_groups_total", mode="stacked").inc()
+                with trace_span("circuit.batch", n_jobs=len(group_jobs), shards=n_shards):
+                    if n_shards > 1:
+                        group_results = _run_sharded(group_jobs, n_shards)
+                    else:
+                        group_results = _run_stack(group_jobs)
+                mode = "sharded" if n_shards > 1 else "stacked"
+                metrics.counter("repro_batch_groups_total", mode=mode).inc()
                 metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
             except Exception:
                 # Never let batching change observable behaviour: rerun the

@@ -13,14 +13,14 @@ counter bumps per sweep point is noise next to a solver call.
 Metric families used across the codebase (see docs/OBSERVABILITY.md for
 the full table):
 
-=====================================  =========  =============================
+=====================================  =========  ====================================
 name                                   kind       labels
-=====================================  =========  =============================
+=====================================  =========  ====================================
 repro_cache_events_total               counter    outcome=hit|miss
 repro_points_executed_total            counter    executor=serial|process
 repro_point_wall_seconds               histogram  --
 repro_dispatch_overhead_seconds_total  counter    executor=process
-repro_batch_groups_total               counter    mode=stacked|serial|fallback
+repro_batch_groups_total               counter    mode=stacked|sharded|serial|fallback
 repro_batch_group_points               histogram  --
 repro_claim_outcomes_total             counter    status
 repro_lease_renewals_total             counter    --
@@ -28,7 +28,7 @@ repro_jobs_total                       counter    state=done|failed
 repro_queue_depth                      gauge      state
 repro_http_requests_total              counter    endpoint, method, code
 repro_http_request_seconds             histogram  endpoint
-=====================================  =========  =============================
+=====================================  =========  ====================================
 """
 
 from __future__ import annotations
