@@ -502,10 +502,10 @@ class Engine:
     def _cache_store(self, path: str | None, result: ResultSet) -> None:
         if path is None:
             return
-        # The store publishes atomically (tmp file + fsync + os.replace), so
-        # a crashed run never leaves a truncated or corrupt entry behind; a
-        # SharedStore additionally takes the store lock and clears any claim
-        # lease on the entry.
+        # One entry, one fsync: the store publishes atomically (tmp file +
+        # fsync + os.replace), so a crashed run never leaves a truncated or
+        # corrupt entry behind; a SharedStore additionally takes the store
+        # lock and clears any claim lease on the entry.
         self.store.publish(path, result)
 
     def clear_cache(self) -> int:
@@ -954,6 +954,12 @@ class Engine:
         upstream content hashes)``.  Yields ``(key, result, error,
         cache_hit)``: cache hits first, in ``units`` order, then executed
         invocations in completion order (see :meth:`_execute_pending`).
+
+        Executed results are published in groups
+        (:class:`~repro.dist.store.CommitGroup`: one durability barrier per
+        group) and each is yielded only once the group that holds it has
+        committed.  The last group commits when the stream ends, fails or
+        is closed by its consumer.
         """
         tasks: dict[Any, _Task] = {}
         paths: dict[Any, str | None] = {}
@@ -969,15 +975,36 @@ class Engine:
         if tasks:
             self._count_cache("miss", len(tasks))
 
-        for key, (records, error, elapsed) in self._execute_pending(experiment, tasks):
-            if error is not None:
-                yield key, None, error, False
-                continue
-            params, _, upstream = units[key]
-            meta = _meta(experiment, params, elapsed, upstream, self.executor)
-            result = ResultSet.from_records(records, meta=meta)
-            self._cache_store(paths[key], result)
-            yield key, result, None, False
+        if not tasks:
+            return
+        batch = None
+        if self.store is not None:
+            from repro.dist.store import CommitGroup
+
+            batch = CommitGroup(self.store)
+        try:
+            for key, (records, error, elapsed) in self._execute_pending(
+                experiment, tasks
+            ):
+                if error is not None:
+                    yield key, None, error, False
+                    continue
+                params, _, upstream = units[key]
+                meta = _meta(experiment, params, elapsed, upstream, self.executor)
+                result = ResultSet.from_records(records, meta=meta)
+                if paths[key] is None:
+                    yield key, result, None, False
+                    continue
+                staged = (key, result)
+                for done_key, done in batch.add(paths[key], result, elapsed, staged):
+                    yield done_key, done, None, False
+        except BaseException:  # GeneratorExit included: the consumer closed
+            if batch is not None:
+                batch.commit()  # finished points stay durable
+            raise
+        if batch is not None:
+            for done_key, done in batch.commit():
+                yield done_key, done, None, False
 
     # --- helpers ----------------------------------------------------------
 

@@ -382,7 +382,8 @@ class ResultSet:
 
         CSV is untyped, so cells are coerced back with ``int`` then ``float``
         then left as strings; empty cells become ``None``.  Lossless for the
-        numeric tables the experiments produce.
+        numeric tables the experiments produce; a text cell that ``float``
+        accepts (``inf``, ``nan``, ``infinity``) comes back as a float.
         """
         text = text_or_path
         if "\n" not in text_or_path and "," not in text_or_path:

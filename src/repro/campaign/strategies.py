@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.api.results import ResultSet
@@ -99,23 +100,6 @@ def point_objectives(
     return scores
 
 
-def _axis_domains(space: SweepSpec) -> dict[str, list[Any]]:
-    """Distinct values per axis, in declaration order.
-
-    For grid/zip specs these are the declared axes; for an explicit points
-    spec the domains are collected from the points in first-seen order.
-    """
-    if space.mode == "points":
-        domains: dict[str, list[Any]] = {name: [] for name in space.axis_names}
-        for point in space.points():
-            for name, value in point.items():
-                if all(point_key({"v": value}) != point_key({"v": seen})
-                       for seen in domains[name]):
-                    domains[name].append(value)
-        return domains
-    return {name: list(values) for name, values in space.axes.items()}
-
-
 def _scalar(value: Any) -> Any:
     """Unwrap singleton lists/tuples (e.g. ``temperatures_c=(t,)`` axes)."""
     if isinstance(value, (list, tuple)) and len(value) == 1:
@@ -123,33 +107,73 @@ def _scalar(value: Any) -> Any:
     return value
 
 
-def _encode_axis(value: Any, domain: list[Any]) -> float:
-    """One axis value as a float in [0, 1] (min-max for numeric domains,
-    declaration-order index otherwise)."""
-    scalars = [_scalar(v) for v in domain]
-    cell = _scalar(value)
-    numeric = all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) for s in scalars
-    )
-    if numeric and isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        lo, hi = min(scalars), max(scalars)
-        if hi == lo:
-            return 0.0
-        return (float(cell) - lo) / (hi - lo)
-    # Categorical: position in the declared value list.
-    target = point_key({"v": value})
-    for index, candidate in enumerate(domain):
-        if point_key({"v": candidate}) == target:
-            return index / max(len(domain) - 1, 1)
-    return 0.0
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class _AxisTable:
+    """How one axis encodes: min-max over a numeric domain, else the
+    declaration-order index of the value (``index`` maps its point key)."""
+
+    numeric: bool
+    lo: float
+    hi: float
+    index: dict[str, int]
+    span: int
+
+    def encode(self, value: Any) -> float:
+        """One axis value as a float in [0, 1]."""
+        cell = _scalar(value)
+        if self.numeric and _is_number(cell):
+            if self.hi == self.lo:
+                return 0.0
+            return (float(cell) - self.lo) / (self.hi - self.lo)
+        return self.index.get(point_key({"v": value}), 0) / self.span
+
+
+def _axis_tables(space: SweepSpec) -> dict[str, _AxisTable]:
+    """One :class:`_AxisTable` per axis, built once per strategy.
+
+    The domain of a grid/zip axis is its declared values; for an explicit
+    points spec it is the distinct values of the points, in first-seen
+    order.
+    """
+    if space.mode == "points":
+        domains: dict[str, list[Any]] = {name: [] for name in space.axis_names}
+        seen: dict[str, set[str]] = {name: set() for name in space.axis_names}
+        for point in space.points():
+            for name, value in point.items():
+                key = point_key({"v": value})
+                if key not in seen[name]:
+                    seen[name].add(key)
+                    domains[name].append(value)
+    else:
+        domains = {name: list(values) for name, values in space.axes.items()}
+    tables = {}
+    for name, domain in domains.items():
+        scalars = [_scalar(value) for value in domain]
+        numeric = all(_is_number(cell) for cell in scalars)
+        index: dict[str, int] = {}
+        for position, value in enumerate(domain):
+            index.setdefault(point_key({"v": value}), position)
+        tables[name] = _AxisTable(
+            numeric=numeric,
+            lo=min(scalars) if numeric and scalars else 0.0,
+            hi=max(scalars) if numeric and scalars else 0.0,
+            index=index,
+            span=max(len(domain) - 1, 1),
+        )
+    return tables
 
 
 class Strategy:
     """Base class: candidate-pool bookkeeping shared by every strategy.
 
-    Subclasses implement :meth:`_select` over the *unvisited* pool; the
-    base class handles visited-point identity, batch clamping and the
-    seeded rng.  ``rng`` state is what campaign checkpoints capture, so a
+    Subclasses implement :meth:`_select` over the *unvisited* pool, given
+    as positions into ``pool`` (whose keys and feature vectors are computed
+    once, here); the base class handles visited-point identity, batch
+    clamping and the seeded rng.  ``rng`` state is what campaign checkpoints capture, so a
     subclass must draw all its randomness from ``self.rng``.
     """
 
@@ -170,23 +194,31 @@ class Strategy:
         self.seed = seed
         self.rng = random.Random(seed)
         self.pool = space.points()
-        self._domains = _axis_domains(space)
+        self._tables = _axis_tables(space)
+        # Each pool point's identity and feature vector, computed once: the
+        # rounds only look them up.
+        self._keys = [point_key(point) for point in self.pool]
+        self._features = [self.encode(point) for point in self.pool]
 
     # --- pool bookkeeping -------------------------------------------------
 
-    def unvisited(self, history: ResultSet) -> list[dict[str, Any]]:
-        """Pool points not yet present in the history, in spec order."""
+    def _unvisited(self, history: ResultSet) -> list[int]:
+        """Pool positions of the points not yet in the history, in spec order."""
         seen = {
             _record_point_key(record, self.space.axis_names)
             for record in history.to_records()
         }
-        return [p for p in self.pool if point_key(p) not in seen]
+        return [i for i, key in enumerate(self._keys) if key not in seen]
+
+    def unvisited(self, history: ResultSet) -> list[dict[str, Any]]:
+        """Pool points not yet present in the history, in spec order."""
+        return [self.pool[i] for i in self._unvisited(history)]
 
     def propose(self, history: ResultSet, batch_size: int) -> list[dict[str, Any]]:
         """At most ``batch_size`` unvisited points to run next ([] = done)."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        remaining = self.unvisited(history)
+        remaining = self._unvisited(history)
         if not remaining:
             return []
         batch = min(batch_size, len(remaining))
@@ -196,14 +228,15 @@ class Strategy:
                 f"{type(self).__name__} selected {len(chosen)} points, "
                 f"expected {batch}"
             )
-        return [dict(point) for point in chosen]
+        return [dict(self.pool[i]) for i in chosen]
 
     def _select(
         self,
-        remaining: list[dict[str, Any]],
+        remaining: list[int],
         history: ResultSet,
         batch: int,
-    ) -> list[dict[str, Any]]:
+    ) -> list[int]:
+        """``batch`` of the ``remaining`` pool positions (spec order)."""
         raise NotImplementedError
 
     # --- shared helpers ---------------------------------------------------
@@ -211,8 +244,7 @@ class Strategy:
     def encode(self, point: Mapping[str, Any]) -> list[float]:
         """A point's normalised feature vector (one float per axis)."""
         return [
-            _encode_axis(point[name], self._domains[name])
-            for name in self.space.axis_names
+            self._tables[name].encode(point[name]) for name in self.space.axis_names
         ]
 
     def scores(self, history: ResultSet) -> dict[str, float]:
@@ -221,11 +253,9 @@ class Strategy:
             history, self.space.axis_names, self.objective, self.mode
         )
 
-    def _stratified(
-        self, remaining: list[dict[str, Any]], batch: int
-    ) -> list[dict[str, Any]]:
+    def _stratified(self, remaining: list[int], batch: int) -> list[int]:
         """One seeded draw per contiguous stratum of the remaining pool."""
-        chosen: list[dict[str, Any]] = []
+        chosen: list[int] = []
         n = len(remaining)
         for stratum in range(batch):
             lo = stratum * n // batch
@@ -241,10 +271,10 @@ class RandomStrategy(Strategy):
 
     def _select(
         self,
-        remaining: list[dict[str, Any]],
+        remaining: list[int],
         history: ResultSet,
         batch: int,
-    ) -> list[dict[str, Any]]:
+    ) -> list[int]:
         return self.rng.sample(remaining, batch)
 
 
@@ -261,10 +291,10 @@ class LatinHypercubeStrategy(Strategy):
 
     def _select(
         self,
-        remaining: list[dict[str, Any]],
+        remaining: list[int],
         history: ResultSet,
         batch: int,
-    ) -> list[dict[str, Any]]:
+    ) -> list[int]:
         return self._stratified(remaining, batch)
 
 
@@ -281,29 +311,20 @@ class RefineStrategy(Strategy):
 
     def _select(
         self,
-        remaining: list[dict[str, Any]],
+        remaining: list[int],
         history: ResultSet,
         batch: int,
-    ) -> list[dict[str, Any]]:
+    ) -> list[int]:
         scores = self.scores(history)
         if not scores:
             return self._stratified(remaining, batch)
         pick = min if self.mode == "min" else max
         best_key = pick(scores, key=scores.get)
-        best_features = None
-        for point in self.pool:
-            if point_key(point) == best_key:
-                best_features = self.encode(point)
-                break
-        if best_features is None:  # history from outside the pool
+        if best_key not in self._keys:  # history from outside the pool
             return self._stratified(remaining, batch)
-
-        def distance(point: Mapping[str, Any]) -> float:
-            return math.dist(self.encode(point), best_features)
-
-        ranked = sorted(
-            range(len(remaining)), key=lambda i: (distance(remaining[i]), i)
-        )
+        best_features = self._features[self._keys.index(best_key)]
+        distances = [math.dist(self._features[i], best_features) for i in remaining]
+        ranked = sorted(range(len(remaining)), key=lambda i: (distances[i], i))
         return [remaining[i] for i in ranked[:batch]]
 
 
@@ -344,25 +365,24 @@ class SurrogateStrategy(Strategy):
 
     def _select(
         self,
-        remaining: list[dict[str, Any]],
+        remaining: list[int],
         history: ResultSet,
         batch: int,
-    ) -> list[dict[str, Any]]:
+    ) -> list[int]:
         scores = self.scores(history)
         if len(scores) < self.min_fit:
             return self._stratified(remaining, batch)
 
         train_x, train_y = [], []
-        for point in self.pool:
-            key = point_key(point)
+        for key, features in zip(self._keys, self._features):
             if key in scores:
-                train_x.append(self.encode(point))
+                train_x.append(features)
                 # Fit in minimisation convention; flip for max campaigns.
                 train_y.append(scores[key] if self.mode == "min" else -scores[key])
         if len(train_x) < self.min_fit:
             return self._stratified(remaining, batch)
 
-        candidates = [self.encode(point) for point in remaining]
+        candidates = [self._features[i] for i in remaining]
         ei = self._expected_improvement(train_x, train_y, candidates)
 
         n_explore = int(round(batch * self.jitter))
@@ -370,10 +390,9 @@ class SurrogateStrategy(Strategy):
         ranked = sorted(range(len(remaining)), key=lambda i: (-ei[i], i))
         chosen_idx = list(ranked[:n_exploit])
         if n_explore:
-            leftover = [i for i in range(len(remaining)) if i not in set(chosen_idx)]
-            explore_pool = [remaining[i] for i in leftover]
-            for point in self._stratified(explore_pool, min(n_explore, len(explore_pool))):
-                chosen_idx.append(leftover[explore_pool.index(point)])
+            taken = set(chosen_idx)
+            leftover = [i for i in range(len(remaining)) if i not in taken]
+            chosen_idx += self._stratified(leftover, min(n_explore, len(leftover)))
             # Top up from the EI ranking if exploration collided.
             for i in ranked:
                 if len(chosen_idx) >= batch:

@@ -60,7 +60,7 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager, Iterable, Iterator
 
 from repro.api.results import ResultSet
 from repro.dist.store import (
@@ -71,6 +71,7 @@ from repro.dist.store import (
     DEFAULT_LEASE_TTL,
     FAILED_SUFFIX,
     LEASE_SUFFIX,
+    Claims,
     Lease,
     ResultStore,
     SharedStore,
@@ -268,16 +269,18 @@ class SqliteStore(ResultStore):
         ``created_at`` lets :func:`migrate_store` preserve original write
         timestamps; normal publishes stamp the current time.
         """
-        payload = result.to_json()
-        meta = result.meta or {}
-        match = _ENTRY_PATTERN.fullmatch(path)
-        experiment = match.group("experiment") if match else str(
-            meta.get("experiment", path)
-        )
-        key = match.group("key") if match else ""
-        params = meta.get("params")
+        self._publish_rows([_result_row(path, result, created_at)])
+
+    def publish_many(self, entries: Iterable[tuple[str, ResultSet]]) -> None:
+        """Publish a batch of entries as one transaction (one commit)."""
+        self._publish_rows([_result_row(path, result) for path, result in entries])
+
+    def _publish_rows(self, rows: list[tuple]) -> None:
+        if not rows:
+            return
+        entries = [(row[0],) for row in rows]
         with self._txn() as connection:
-            connection.execute(
+            connection.executemany(
                 """
                 INSERT INTO results (entry, experiment, key, version, params,
                                      content_hash, created_at, worker_id,
@@ -296,25 +299,11 @@ class SqliteStore(ResultStore):
                     size_bytes = excluded.size_bytes,
                     payload = excluded.payload
                 """,
-                (
-                    path,
-                    experiment,
-                    key,
-                    _text_or_none(meta.get("version")),
-                    None if params is None else json.dumps(params, sort_keys=True, default=str),
-                    _text_or_none(meta.get("content_hash")) or result.content_hash,
-                    time.time() if created_at is None else created_at,
-                    _text_or_none(meta.get("worker_id")),
-                    _text_or_none(meta.get("executor")),
-                    meta.get("wall_time_s"),
-                    len(result),
-                    len(payload),
-                    payload,
-                ),
+                rows,
             )
-            connection.execute("DELETE FROM leases WHERE entry = ?", (path,))
+            connection.executemany("DELETE FROM leases WHERE entry = ?", entries)
             # A successful result supersedes any earlier failure of the point.
-            connection.execute("DELETE FROM failures WHERE entry = ?", (path,))
+            connection.executemany("DELETE FROM failures WHERE entry = ?", entries)
 
     # --- coordination -------------------------------------------------------
 
@@ -377,7 +366,7 @@ class SqliteStore(ResultStore):
         worker_id: str,
         ttl: float = DEFAULT_LEASE_TTL,
         max_acquire: int | None = None,
-    ) -> list[str]:
+    ) -> Claims:
         """Batch claim as one ``BEGIN IMMEDIATE`` transaction per pass.
 
         Same per-path decisions as :meth:`claim`, but N pending points cost
@@ -388,6 +377,7 @@ class SqliteStore(ResultStore):
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         statuses: list[str | None] = [None] * len(paths)
+        results: list[ResultSet | None] = [None] * len(paths)
         pending = list(range(len(paths)))
         acquired = 0
         while pending:
@@ -433,7 +423,8 @@ class SqliteStore(ResultStore):
                     acquired += 1
             corrupt: list[int] = []
             for index in revisit:
-                if self.load(paths[index]) is not None:
+                results[index] = self.load(paths[index])
+                if results[index] is not None:
                     statuses[index] = CLAIM_DONE
                 else:
                     corrupt.append(index)
@@ -453,7 +444,7 @@ class SqliteStore(ResultStore):
                                 (paths[index],),
                             )
             pending = corrupt
-        return [status for status in statuses if status is not None]
+        return Claims(statuses, results)
 
     def release(self, path: str, worker_id: str) -> None:
         with self._txn() as connection:
@@ -658,6 +649,32 @@ def _parses(payload: str) -> ResultSet | None:
         return ResultSet.from_json(payload)
     except (ValueError, KeyError, json.JSONDecodeError):
         return None
+
+
+def _result_row(path: str, result: ResultSet, created_at: float | None = None) -> tuple:
+    """The ``results`` row of one entry, serialised outside any transaction."""
+    payload = result.to_json()
+    meta = result.meta or {}
+    match = _ENTRY_PATTERN.fullmatch(path)
+    experiment = (
+        match.group("experiment") if match else str(meta.get("experiment", path))
+    )
+    params = meta.get("params")
+    return (
+        path,
+        experiment,
+        match.group("key") if match else "",
+        _text_or_none(meta.get("version")),
+        None if params is None else json.dumps(params, sort_keys=True, default=str),
+        _text_or_none(meta.get("content_hash")) or result.content_hash,
+        time.time() if created_at is None else created_at,
+        _text_or_none(meta.get("worker_id")),
+        _text_or_none(meta.get("executor")),
+        meta.get("wall_time_s"),
+        len(result),
+        len(payload),
+        payload,
+    )
 
 
 def _text_or_none(value: Any) -> str | None:

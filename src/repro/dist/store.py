@@ -25,10 +25,30 @@ point's wall time; a slower-than-ttl (but alive) worker can be
 double-executed -- results are content-addressed, so that race wastes work
 but never corrupts the store.
 
+Publishing is batched where results arrive in batches.
+``publish_many(entries)`` is every store's write primitive and
+``publish(path, result)`` its one-entry case: a batch stages each entry in
+a ``tmp*.tmp`` file beside the store (mode 0600, the UTF-8 bytes of
+``result.to_json()``), makes them all durable behind one barrier (one
+``syncfs(2)`` on Linux for two or more entries, else an fsync per file),
+then renames them into place -- for a :class:`SharedStore` under one
+acquisition of the store lock that also clears their leases and
+tombstones.  An entry name therefore only ever points at a fully written,
+synced file; an error before the renames removes every temp file.
+:class:`CommitGroup` gathers the results of a worker's claimed round or of
+a store-backed engine sweep into such batches (see
+:data:`COMMIT_INTERVAL_S`); a single ``Engine.run`` keeps one fsync per
+publish.
+
+``claim_many`` returns :class:`Claims`: one status per path, plus the
+ResultSet it loaded to validate each ``"done"`` path, so a worker never
+loads a done entry twice.
+
 Locking is advisory (``flock`` where available, a lock-directory spin
 otherwise), scoped to one lock file per store (:data:`LOCK_FILENAME`), and
 granular: reads never lock (publishes are atomic renames); only the
-claim/publish/release bookkeeping and store maintenance serialise on it.
+claim/release bookkeeping, a publish's renames and store maintenance
+serialise on it.
 :func:`store_lock` is the maintenance entry point ``cache clear`` / ``cache
 prune`` use so that evicting entries from a live shared store cannot
 interleave with a worker's publish.
@@ -39,11 +59,11 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
+import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager, Iterable, Iterator
 
 from repro.api.results import ResultSet
 from repro.obs.trace import current_carrier
@@ -71,6 +91,17 @@ prune --gc`` (:func:`repro.api.cache.gc_store`) garbage-collects them."""
 DEFAULT_LEASE_TTL = 300.0
 """Default claim lease in seconds; must exceed the slowest single point."""
 
+COMMIT_INTERVAL_S = 0.5
+"""Age, in seconds since its point started, at which a staged result commits.
+
+Results that arrive in batches (a worker's claimed round, a store-backed
+engine sweep) are published by :class:`CommitGroup` behind one durability
+barrier instead of one fsync each.  A group commits at the end of its round
+or sweep, on an exception, and as soon as its oldest staged point started
+this long ago: a point that ran this long still publishes alone, and a
+crash loses at most this much finished work besides the point in flight.
+The daemon's ``PROGRESS_INTERVAL_S`` bounds progress writes the same way."""
+
 # Claim outcomes (see ResultStore.claim / ResultStore.claim_many).
 CLAIM_ACQUIRED = "acquired"
 CLAIM_DONE = "done"
@@ -79,6 +110,20 @@ CLAIM_SKIPPED = "skipped"
 """``claim_many`` only: the path was not examined because ``max_acquire``
 leases were already granted in this call.  The point is neither done nor
 busy as far as the caller knows -- retry it on a later round trip."""
+
+
+class Claims(list):
+    """What ``claim_many`` returns: one claim status per path, in order.
+
+    It compares equal to the plain list of statuses.  ``results`` runs
+    alongside it: the :class:`ResultSet` loaded to validate each
+    :data:`CLAIM_DONE` path, ``None`` for every other status, so a caller
+    never loads a done entry a second time.
+    """
+
+    def __init__(self, statuses: list[str], results: list["ResultSet | None"]) -> None:
+        super().__init__(statuses)
+        self.results = results
 
 
 class StoreLockTimeout(TimeoutError):
@@ -175,6 +220,112 @@ def store_lock(
                 pass
 
 
+_STAGE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _stage(directory: str, text: str) -> str:
+    """Write ``text`` to a fresh ``tmp*.tmp`` file in ``directory``.
+
+    Returns the temp file's path.  The file is created exclusively with mode
+    0600 and holds the UTF-8 bytes of ``text``.  A failed write removes the
+    file and re-raises.
+    """
+    data = memoryview(text.encode("utf-8"))
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, _STAGE_FLAGS, 0o600)
+            break
+        except FileExistsError:
+            continue
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except BaseException:
+        _unlink_quietly(tmp)
+        raise
+    return tmp
+
+
+_syncfs_call: Any = None
+"""``syncfs(2)`` from libc, looked up on first use; ``False`` where absent."""
+
+
+def _syncfs(directory: str) -> bool:
+    """Flush the filesystem holding ``directory`` with one ``syncfs(2)``.
+
+    Returns False, having done nothing durable, where the call is missing
+    (not Linux, or a libc without it) or fails.  ``ctypes`` is imported on
+    first use only, so processes that never publish a batch do not pay for
+    it.
+    """
+    global _syncfs_call
+    if _syncfs_call is None:
+        _syncfs_call = False
+        if sys.platform.startswith("linux"):
+            import ctypes
+
+            try:
+                call = ctypes.CDLL(None, use_errno=True).syncfs
+            except (OSError, AttributeError):
+                pass
+            else:
+                call.argtypes = [ctypes.c_int]
+                call.restype = ctypes.c_int
+                _syncfs_call = call
+    if not _syncfs_call:
+        return False
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        return _syncfs_call(fd) == 0
+    finally:
+        os.close(fd)
+
+
+def _barrier(directory: str, staged: list[str]) -> None:
+    """Make every staged temp file durable.
+
+    One ``syncfs`` covers a batch of two or more files; a single file, or a
+    batch where ``syncfs`` is missing or fails, gets an fsync per file.
+    """
+    if len(staged) >= 2 and _syncfs(directory):
+        return
+    for tmp in staged:
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
+def _stage_durably(directory: str, texts: list[str]) -> list[str]:
+    """Stage ``texts`` as temp files behind one :func:`_barrier`.
+
+    Returns the temp files' paths.  On any error every temp file already
+    staged is removed before the error is re-raised.
+    """
+    staged: list[str] = []
+    try:
+        for text in texts:
+            staged.append(_stage(directory, text))
+        _barrier(directory, staged)
+    except BaseException:
+        for tmp in staged:
+            _unlink_quietly(tmp)
+        raise
+    return staged
+
+
 def _atomic_write(directory: str, path: str, text: str, fsync: bool = False) -> None:
     """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``).
 
@@ -182,19 +333,58 @@ def _atomic_write(directory: str, path: str, text: str, fsync: bool = False) -> 
     additionally forces the data to disk before the rename publishes it.
     A failed write cleans its temp file up and re-raises.
     """
-    handle = tempfile.NamedTemporaryFile("w", dir=directory, suffix=".tmp", delete=False)
+    tmp = _stage_durably(directory, [text])[0] if fsync else _stage(directory, text)
     try:
-        handle.write(text)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-        handle.close()
-        os.replace(handle.name, path)
+        os.replace(tmp, path)
     except BaseException:
-        handle.close()
-        if os.path.exists(handle.name):
-            os.unlink(handle.name)
+        _unlink_quietly(tmp)
         raise
+
+
+class CommitGroup:
+    """Finished results waiting to be published together.
+
+    :meth:`add` stages one ``(path, result)`` entry with an opaque ``item``
+    the caller hands out once the entry is durable; :meth:`commit` publishes
+    every staged entry with one :meth:`ResultStore.publish_many` and returns
+    their items.  :meth:`add` commits by itself when the oldest staged
+    point started :data:`COMMIT_INTERVAL_S` or more ago, committing what was
+    staged before a slow point apart from it.
+    """
+
+    def __init__(self, store: "ResultStore") -> None:
+        self.store = store
+        self.commits = 0
+        self._entries: list[tuple[str, ResultSet]] = []
+        self._items: list[Any] = []
+        self._oldest = 0.0
+
+    def add(self, path: str, result: ResultSet, elapsed: float, item: Any) -> list:
+        """Stage one entry whose point ran ``elapsed`` seconds until now.
+
+        Returns the items of the entries this call committed (often none).
+        """
+        now = time.perf_counter()
+        committed = self.commit() if self._due(now) else []
+        started = now - elapsed
+        self._oldest = min(self._oldest, started) if self._entries else started
+        self._entries.append((path, result))
+        self._items.append(item)
+        if self._due(now):
+            committed += self.commit()
+        return committed
+
+    def _due(self, now: float) -> bool:
+        return bool(self._entries) and now - self._oldest >= COMMIT_INTERVAL_S
+
+    def commit(self) -> list:
+        """Publish every staged entry in one batch; returns their items."""
+        entries, items = self._entries, self._items
+        self._entries, self._items = [], []
+        if entries:
+            self.commits += 1
+            self.store.publish_many(entries)
+        return items
 
 
 @dataclass(frozen=True)
@@ -263,13 +453,38 @@ class ResultStore:
             return None  # corrupt entry: callers recompute and overwrite
 
     def publish(self, path: str, result: ResultSet) -> None:
-        """Atomically write one entry (tmp file + fsync + ``os.replace``).
+        """Atomically write one entry: the one-entry case of :meth:`publish_many`."""
+        self.publish_many([(path, result)])
 
-        A crashed publish never leaves a truncated or corrupt entry behind:
-        the final name only ever points at a fully written, synced file.
+    def publish_many(self, entries: Iterable[tuple[str, ResultSet]]) -> None:
+        """Atomically write a batch of ``(path, result)`` entries.
+
+        Each entry is staged in a temp file beside the store, all of them
+        are made durable behind one barrier (one ``syncfs`` on Linux for two
+        or more entries, else an fsync per file), and only then renamed into
+        place.  A crashed publish never leaves a truncated or corrupt entry
+        behind: an entry name only ever points at a fully written, synced
+        file.  An error before the renames removes every temp file and
+        re-raises; a rename already done stands.
         """
+        entries = list(entries)
+        if not entries:
+            return
         os.makedirs(self.directory, exist_ok=True)
-        _atomic_write(self.directory, path, result.to_json(), fsync=True)
+        staged = _stage_durably(
+            self.directory, [result.to_json() for _, result in entries]
+        )
+        try:
+            self._install(list(zip(staged, [path for path, _ in entries])))
+        except BaseException:
+            for tmp in staged:
+                _unlink_quietly(tmp)  # the renamed ones are gone already
+            raise
+
+    def _install(self, moves: list[tuple[str, str]]) -> None:
+        """Rename staged, durable temp files onto their entry paths."""
+        for tmp, path in moves:
+            os.replace(tmp, path)
 
     # --- coordination (trivial locally) ------------------------------------
 
@@ -291,29 +506,34 @@ class ResultStore:
         worker_id: str,
         ttl: float = DEFAULT_LEASE_TTL,
         max_acquire: int | None = None,
-    ) -> list[str]:
+    ) -> Claims:
         """Claim a batch of pending entries in (ideally) one store round trip.
 
-        Returns one claim outcome per path, in order: the :meth:`claim`
-        statuses plus :data:`CLAIM_SKIPPED` for paths not examined because
-        ``max_acquire`` leases were already granted.  Workers use this to
-        amortise store locking over whole sweeps -- against a contended
-        :class:`SharedStore` or :class:`~repro.dist.sqlstore.SqliteStore`
-        the per-point lock/transaction round trip dominates cheap points,
-        and those backends override this with a single-lock implementation.
-        The base class has no coordination cost, so it simply loops.
+        Returns one claim outcome per path, in order, as :class:`Claims`:
+        the :meth:`claim` statuses plus :data:`CLAIM_SKIPPED` for paths not
+        examined because ``max_acquire`` leases were already granted, and,
+        in ``Claims.results``, the ResultSet each :data:`CLAIM_DONE` path
+        was validated with.  Workers use this to amortise store locking over
+        whole sweeps -- against a contended :class:`SharedStore` or
+        :class:`~repro.dist.sqlstore.SqliteStore` the per-point
+        lock/transaction round trip dominates cheap points, and those
+        backends override this with a single-lock implementation.  The base
+        class has no coordination cost, so it simply loops.
         """
         statuses: list[str] = []
+        results: list[ResultSet | None] = []
         acquired = 0
         for path in paths:
+            result = None
             if max_acquire is not None and acquired >= max_acquire:
-                statuses.append(CLAIM_SKIPPED)
-                continue
-            status = self.claim(path, worker_id, ttl)
-            if status == CLAIM_ACQUIRED:
-                acquired += 1
+                status = CLAIM_SKIPPED
+            else:
+                result = self.load(path)
+                status = CLAIM_ACQUIRED if result is None else CLAIM_DONE
+                acquired += result is None
             statuses.append(status)
-        return statuses
+            results.append(result)
+        return Claims(statuses, results)
 
     def release(self, path: str, worker_id: str) -> None:
         """Give up a claim without publishing (failed or abandoned point)."""
@@ -459,10 +679,7 @@ class SharedStore(ResultStore):
         _atomic_write(self.directory, self._lease_path(path), json.dumps(payload))
 
     def _unlink_lease(self, path: str) -> None:
-        try:
-            os.unlink(self._lease_path(path))
-        except FileNotFoundError:
-            pass
+        _unlink_quietly(self._lease_path(path))
 
     def leases(self, now: float | None = None) -> list[Lease]:
         """All current lease files, sorted by path (expired ones included)."""
@@ -517,7 +734,7 @@ class SharedStore(ResultStore):
         worker_id: str,
         ttl: float = DEFAULT_LEASE_TTL,
         max_acquire: int | None = None,
-    ) -> list[str]:
+    ) -> Claims:
         """Batch claim under a *single* lock acquisition per pass.
 
         The per-path decisions are identical to :meth:`claim`; what changes
@@ -532,6 +749,7 @@ class SharedStore(ResultStore):
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         statuses: list[str | None] = [None] * len(paths)
+        results: list[ResultSet | None] = [None] * len(paths)
         pending = list(range(len(paths)))
         acquired = 0
         while pending:
@@ -559,7 +777,8 @@ class SharedStore(ResultStore):
                     acquired += 1
             corrupt: list[int] = []
             for index in revisit:
-                if self.load(paths[index]) is not None:
+                results[index] = self.load(paths[index])
+                if results[index] is not None:
                     statuses[index] = CLAIM_DONE
                 else:
                     corrupt.append(index)
@@ -573,17 +792,21 @@ class SharedStore(ResultStore):
                         if os.path.exists(path) and self.load(path) is None:
                             os.unlink(path)
             pending = corrupt
-        return [status for status in statuses if status is not None]
+        return Claims(statuses, results)
 
-    def publish(self, path: str, result: ResultSet) -> None:
+    # Defined on this class too, so that wrappers looking the method up in
+    # ``SharedStore.__dict__`` (``perfbench/perf_layers.py``) find it.
+    publish = ResultStore.publish
+
+    def _install(self, moves: list[tuple[str, str]]) -> None:
+        # Staging and the barrier ran outside the lock; only the renames and
+        # the bookkeeping they settle are serialised.
         with self.lock():
-            super().publish(path, result)
-            self._unlink_lease(path)
-            # A successful result supersedes any earlier failure of the point.
-            try:
-                os.unlink(path + FAILED_SUFFIX)
-            except FileNotFoundError:
-                pass
+            for tmp, path in moves:
+                os.replace(tmp, path)
+                self._unlink_lease(path)
+                # A successful result supersedes any earlier failure of the point.
+                _unlink_quietly(path + FAILED_SUFFIX)
 
     def release(self, path: str, worker_id: str) -> None:
         with self.lock():

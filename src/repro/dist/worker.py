@@ -13,9 +13,19 @@ the same sweep cooperate through the store alone:
   point's wait) while a *dead* worker's leases still expire within one ttl;
 * claimed points run through the engine's own core (``_run_outcomes``:
   ``batch_fn`` stacks with per-point fallback, ``engine.point`` spans);
-* a worker killed mid-point loses nothing but its lease: once the ttl
-  lapses, any surviving (or restarted) worker claims the point again and
-  re-executes it.  A point that *raises* releases its lease for siblings to
+* a round's results are group-committed
+  (:class:`~repro.dist.store.CommitGroup`): one ``publish_many`` -- one
+  durability barrier -- at the end of the round, on an exception, or once
+  the oldest waiting point started ``COMMIT_INTERVAL_S`` (0.5 s) ago.  A
+  point reaches ``on_result`` only after the commit that made it durable,
+  and the round's heartbeat lasts until that commit;
+* points the claim finds ``"done"`` are handed over with the ResultSet
+  ``claim_many`` loaded to validate them (``Claims.results``), so each is
+  loaded once;
+* a worker killed mid-point loses its lease and the finished points of its
+  round not yet committed (at most ``COMMIT_INTERVAL_S`` of work): once the
+  ttl lapses, any surviving (or restarted) worker claims them again and
+  re-executes them.  A point that *raises* releases its lease for siblings to
   retry and records a failure tombstone in the store
   (``python -m repro cache prune --gc`` collects them);
 * composite experiments (``consumes=`` declarations) resolve their upstream
@@ -66,6 +76,7 @@ from repro.dist.store import (
     CLAIM_DONE,
     CLAIM_SKIPPED,
     DEFAULT_LEASE_TTL,
+    CommitGroup,
     ResultStore,
     default_worker_id,
 )
@@ -133,11 +144,12 @@ class WorkerReport:
 
     ``claim_round_trips`` counts the ``claim_many`` calls the loop made and
     ``store_round_trips`` every coordination/IO call against the store from
-    the main loop (claims, loads, publishes, releases, tombstones --
+    the main loop (claims, batch publishes, releases, tombstones --
     heartbeat renewals run on their own thread and are not counted).  These
     are the dispatch-overhead budget: for an uncontended sweep of N points
-    the loop stays within a handful of claim round trips total plus one
-    load-or-publish per point, rather than N claims.
+    of cheap work the loop stays within a handful of claim round trips and
+    one batch publish per claim round, rather than N claims and N
+    publishes.
 
     ``metrics`` carries a :func:`repro.obs.metrics.metrics_snapshot` of this
     process taken at loop exit (counters such as claim outcomes, cache
@@ -195,8 +207,8 @@ def run_worker(
 
     Each pass claims half the remaining points (at least one) in one
     ``claim_many`` round trip, runs them under one lease heartbeat through
-    the engine's execution core and publishes each result -- or releases
-    the lease and records a tombstone for a point that raised.  Points past
+    the engine's execution core and group-commits their results -- or
+    releases the lease and records a tombstone for a point that raised.  Points past
     a pass's half come back :data:`~repro.dist.store.CLAIM_SKIPPED` and are
     claimed on the next pass at once, even with ``wait=False``.
 
@@ -267,6 +279,12 @@ def run_worker(
                 )
             )
 
+    def land(committed: list[tuple[int, ResultSet]]) -> None:
+        # Points reach on_result only once their group commit is durable.
+        for point_index, result in committed:
+            executed.append(point_index)
+            emit(point_index, result=result)
+
     # Upstream pipeline stages resolve through the same store, so N workers
     # share upstream results exactly like downstream ones (first publisher
     # wins; a concurrent compute wastes work but cannot corrupt anything),
@@ -329,7 +347,7 @@ def run_worker(
             metrics.counter("repro_claim_outcomes_total", status=status).inc(
                 statuses.count(status)
             )
-        for index, status in zip(remaining, statuses):
+        for index, status, result in zip(remaining, statuses, statuses.results):
             if status == CLAIM_BUSY:
                 busy.append(index)
                 continue
@@ -337,15 +355,7 @@ def run_worker(
                 skipped.append(index)
                 continue
             if status == CLAIM_DONE:
-                result = store.load(paths[index])
-                store_round_trips += 1
-                if result is None:
-                    # The entry vanished between claim and load (concurrent
-                    # `cache clear`/`prune` on the live store): the point is
-                    # pending again, so retry it on a later pass instead of
-                    # mis-counting it done.
-                    busy.append(index)
-                    continue
+                # The claim already loaded the entry to validate it.
                 progressed = True
                 already_done.append(index)
                 result.meta["cache_hit"] = True
@@ -356,38 +366,48 @@ def run_worker(
 
         if acquired:
             progressed = True
-            # One heartbeat from claim time renews every lease of the round,
-            # so a point queued behind slow siblings is not re-claimed by
-            # another worker; published and released paths drop out of it.
+            # One heartbeat from claim time renews every lease of the round
+            # until the round's results are committed, so a point queued
+            # behind slow siblings is not re-claimed by another worker;
+            # published and released paths drop out of it.
             with LeaseHeartbeat(
                 store, [paths[index] for index in acquired], worker, lease_ttl
             ):
-                for group in _groups(experiment, tasks, acquired, 1):
-                    outcomes = _run_outcomes(
-                        experiment, [tasks[index] for index in group]
-                    )
-                    for index, (records, error, elapsed) in zip(group, outcomes):
-                        if error is not None:
-                            # Release so siblings may retry; this worker will
-                            # not.  The tombstone keeps the failure
-                            # inspectable after every worker exited (`cache
-                            # prune --gc` collects it).
-                            store.release(paths[index], worker)
-                            store.record_failure(paths[index], worker, error)
-                            store_round_trips += 2
-                            failed.append(index)
-                            emit(index, result=None, error=error)
-                            continue
-                        upstream = upstream_hashes[index]
-                        meta = _meta(
-                            experiment, resolved[index], elapsed, upstream, "worker"
+                batch = CommitGroup(store)
+                try:
+                    for group in _groups(experiment, tasks, acquired, 1):
+                        outcomes = _run_outcomes(
+                            experiment, [tasks[index] for index in group]
                         )
-                        meta["worker_id"] = worker
-                        result = ResultSet.from_records(records, meta=meta)
-                        store.publish(paths[index], result)
-                        store_round_trips += 1
-                        executed.append(index)
-                        emit(index, result=result)
+                        for index, (records, error, elapsed) in zip(group, outcomes):
+                            if error is not None:
+                                # Release so siblings may retry; this worker
+                                # will not.  The tombstone keeps the failure
+                                # inspectable after every worker exited
+                                # (`cache prune --gc` collects it).
+                                store.release(paths[index], worker)
+                                store.record_failure(paths[index], worker, error)
+                                store_round_trips += 2
+                                failed.append(index)
+                                emit(index, result=None, error=error)
+                                continue
+                            meta = _meta(
+                                experiment,
+                                resolved[index],
+                                elapsed,
+                                upstream_hashes[index],
+                                "worker",
+                            )
+                            meta["worker_id"] = worker
+                            result = ResultSet.from_records(records, meta=meta)
+                            staged = (index, result)
+                            land(batch.add(paths[index], result, elapsed, staged))
+                    land(batch.commit())
+                except BaseException:
+                    batch.commit()  # finished points stay durable
+                    raise
+                finally:
+                    store_round_trips += batch.commits
 
         remaining = sorted(busy + skipped)
         if not remaining:

@@ -84,7 +84,8 @@ class ServiceClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return response.read().decode()
         except urllib.error.HTTPError as error:
-            body = error.read().decode(errors="replace")
+            with error:  # the error holds the response: close it
+                body = error.read().decode(errors="replace")
             try:
                 message = json.loads(body).get("error", body)
             except ValueError:

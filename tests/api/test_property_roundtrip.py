@@ -13,6 +13,7 @@ experiments produce; ``cache_key`` is deterministic, insertion-order
 independent, and sensitive to every one of its inputs.
 """
 
+import math
 import random
 import string
 
@@ -33,10 +34,26 @@ N_SEEDED_CASES = 20
 SEED = 20260808
 
 
+def _is_csv_text(word):
+    """Whether ``from_csv`` reads ``word`` back as text.
+
+    ``from_csv`` tries ``int`` then ``float`` first, so spellings such as
+    ``inf``, ``nan`` and ``infinity`` come back as floats (as documented).
+    """
+    try:
+        float(word)
+    except ValueError:
+        return True
+    return False
+
+
 def _random_name(rng, max_size=8):
-    return "".join(
-        rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, max_size))
-    )
+    while True:
+        word = "".join(
+            rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, max_size))
+        )
+        if _is_csv_text(word):
+            return word
 
 
 def _random_value(rng, csv_safe=False):
@@ -49,7 +66,7 @@ def _random_value(rng, csv_safe=False):
     if kind == "float":
         return rng.uniform(-1e12, 1e12) * 10 ** rng.randint(-12, 12)
     if kind == "word":
-        # Alphabetic only: cannot be mistaken for a number by the CSV coercion.
+        # Alphabetic and no float spelling: survives the CSV coercion.
         return _random_name(rng)
     if kind == "bool":
         return rng.choice([True, False])
@@ -121,6 +138,17 @@ def assert_cache_key_properties(params):
     assert cache_key("prop_exp", "1", params, upstream={"dep": "a" * 64}) != key
 
 
+def test_csv_reads_float_spellings_as_floats():
+    # from_csv coerces int, then float, then text: words float() accepts
+    # come back as floats, not as the text that was written.
+    rows = [{"a": "inf", "b": "nan", "c": "infinity"}]
+    restored = ResultSet.from_csv(ResultSet.from_records(rows).to_csv())
+    [record] = restored.to_records()
+    assert record["a"] == math.inf
+    assert math.isnan(record["b"])
+    assert record["c"] == math.inf
+
+
 class TestSeededRoundTrip:
     """Deterministic battery -- runs everywhere, hypothesis or not."""
 
@@ -140,7 +168,9 @@ class TestSeededRoundTrip:
 
 
 if HAVE_HYPOTHESIS:
-    names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
+    names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8).filter(
+        _is_csv_text
+    )
     json_values = st.one_of(
         st.integers(min_value=-(10**15), max_value=10**15),
         st.floats(allow_nan=False, allow_infinity=False),
@@ -151,7 +181,7 @@ if HAVE_HYPOTHESIS:
     csv_values = st.one_of(
         st.integers(min_value=-(10**15), max_value=10**15),
         st.floats(allow_nan=False, allow_infinity=False),
-        names,  # alphabetic: survives the CSV numeric coercion unchanged
+        names,  # words float() rejects: survive the CSV coercion unchanged
         st.none(),
     )
 

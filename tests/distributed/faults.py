@@ -14,6 +14,9 @@ Boundaries (:data:`BOUNDARIES`):
   point (killed between claim and execute),
 * ``executing`` -- the worker is mid-point with an active heartbeat
   (killed between execute and publish),
+* ``staged`` -- in a three-point sweep, the worker finished the first point
+  of its claimed round, which waits uncommitted for the round's group
+  commit, and is running the second (killed between the two),
 * ``published`` -- the worker completed and published every point (killed
   between publish and a clean exit).
 
@@ -31,7 +34,7 @@ import time
 EXPERIMENT = "fault_point"
 """Name the crash-injection experiment registers under (child and parent)."""
 
-BOUNDARIES = ("claimed", "executing", "published")
+BOUNDARIES = ("claimed", "executing", "staged", "published")
 
 _WORKER_CODE = """
 import os, sys, time
@@ -54,8 +57,8 @@ def touch(name):
     "fault_point", params=(ParamSpec("x", "float", 1.0),), replace=True
 )
 def fault_point(x):
-    if boundary == "executing":
-        touch("executing")
+    if boundary == "executing" or (boundary == "staged" and x == 2.0):
+        touch(boundary)
         time.sleep(60)  # hold the point until the harness kills us
     with open(log_path, "a") as handle:
         handle.write(f"{x}\\n")  # one line per *completed* execution
@@ -76,7 +79,7 @@ if boundary == "claimed":
 else:
     run_worker(
         "fault_point",
-        SweepSpec.grid(x=[1.0]),
+        SweepSpec.grid(x=[1.0, 2.0, 3.0] if boundary == "staged" else [1.0]),
         store,
         worker_id="doomed",
         lease_ttl=lease_ttl,

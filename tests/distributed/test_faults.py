@@ -9,6 +9,7 @@ skip.  (This battery supersedes the ad-hoc kill test that used to live in
 ``test_renewal_gc.py``.)
 """
 
+import os
 import time
 
 import pytest
@@ -62,9 +63,9 @@ def fault_experiment():
     unregister_experiment(EXPERIMENT)
 
 
-def _entry_path(store):
+def _entry_path(store, x=1.0):
     experiment = get_experiment(EXPERIMENT)
-    resolved = experiment.resolve_params({"x": 1.0})
+    resolved = experiment.resolve_params({"x": x})
     return store.entry_path(
         experiment.name, cache_key(experiment.name, experiment.version, resolved)
     )
@@ -120,6 +121,43 @@ class TestCrashMidExecution:
         assert store.read_lease(path) is None
         # The victim died mid-point, so only the rescuer's execution completed.
         assert len(worker.completed_executions()) == 1
+
+
+class TestCrashWhileStaged:
+    def test_no_torn_entry_and_rescuer_completes(
+        self, harness, fault_experiment, tmp_path
+    ):
+        spec = harness.spec(tmp_path)
+        worker = crash_worker_at(spec, "staged", tmp_path / "worker", lease_ttl=1.0)
+        # The victim finished x=1 but died before its round committed.
+        assert len(worker.completed_executions()) == 1
+
+        store = resolve_store(spec)
+        paths = [_entry_path(store, x) for x in (1.0, 2.0, 3.0)]
+        for path in paths:
+            assert store.load(path) is None  # nothing torn, nothing half-published
+        if os.path.isdir(store.directory):
+            assert not [n for n in os.listdir(store.directory) if n.endswith(".tmp")]
+        time.sleep(1.1)  # the victim's leases lapse
+        assert all(lease.expired() for lease in store.leases())
+
+        fault_experiment["log"] = worker.log_path
+        report = run_worker(
+            EXPERIMENT,
+            SweepSpec.grid(x=[1.0, 2.0, 3.0]),
+            store,
+            worker_id="rescuer",
+            lease_ttl=60.0,
+            wait=True,
+            max_wait=30.0,
+        )
+        assert sorted(report.executed) == [0, 1, 2]
+        for x, path in zip((1.0, 2.0, 3.0), paths):
+            assert store.load(path).to_records() == [{"x": x, "y": 2.0 * x}]
+            assert store.read_lease(path) is None
+        # The uncommitted x=1 is the only work lost: run again by the rescuer.
+        assert len(worker.completed_executions()) == 4
+        assert gc_store(store) == []
 
 
 class TestCrashAfterPublish:

@@ -187,6 +187,42 @@ class TestClaimLifecycle:
         assert outcomes.count(CLAIM_BUSY) == n - 1
 
 
+class TestClaimMany:
+    def test_claim_many_returns_the_results_it_loaded(self, store):
+        paths = [_path(store, digit) for digit in "012"]
+        store.publish(paths[0], _result(1.0))
+        store.publish(paths[2], _result(3.0))
+        claims = store.claim_many(paths, "w1")
+        assert claims == [CLAIM_DONE, CLAIM_ACQUIRED, CLAIM_DONE]
+        assert claims.results[1] is None
+        assert claims.results[0].to_records() == _result(1.0).to_records()
+        assert claims.results[2].to_records() == _result(3.0).to_records()
+
+    def test_skipped_paths_carry_no_result(self, store):
+        paths = [_path(store, digit) for digit in "012"]
+        claims = store.claim_many(paths, "w1", max_acquire=1)
+        assert claims.results == [None, None, None]
+
+    def test_worker_loads_each_done_point_once(
+        self, contract_experiment, store, monkeypatch
+    ):
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0])
+        run_worker(contract_experiment, spec, store, worker_id="w1", wait=False)
+        loaded = []
+        load = store.load
+
+        def counting_load(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(store, "load", counting_load)
+        report = run_worker(
+            contract_experiment, spec, store, worker_id="w2", wait=False
+        )
+        assert sorted(report.already_done) == [0, 1, 2, 3]
+        assert len(loaded) == len(spec) == len(set(loaded))
+
+
 class TestRenewal:
     def test_renew_extends_own_lease_only(self, coord_store):
         path = _path(coord_store)

@@ -229,9 +229,11 @@ class TestFailureSemantics:
         import os
 
         path = os.path.join(queue.directory, job_id + ".job.json")
-        document = json.load(open(path))
+        with open(path) as handle:
+            document = json.load(handle)
         document["spec"]["surprise"] = True
-        json.dump(document, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(document, handle)
 
         report = serve_queue(queue, store, drain=True)
         assert report.failed == [job_id]

@@ -47,7 +47,23 @@ def _get_status_code(url: str) -> int:
         with urllib.request.urlopen(url) as response:
             return response.status
     except urllib.error.HTTPError as error:
-        return error.code
+        with error:
+            return error.code
+
+
+def _http_error(request) -> urllib.error.HTTPError:
+    """The HTTPError ``request`` raises, closed (its body read into ``body``)."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    error = excinfo.value
+    with error:
+        error.body = error.read()
+    return error
+
+
+def _get_text(url: str) -> str:
+    with urllib.request.urlopen(url) as response:
+        return response.read().decode()
 
 
 class TestHealth:
@@ -125,10 +141,9 @@ class TestSubmit:
             data=json.dumps({"sweep": SPEC.to_meta()}).encode(),
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "experiment" in json.loads(excinfo.value.read())["error"]
+        error = _http_error(request)
+        assert error.code == 400
+        assert "experiment" in json.loads(error.body)["error"]
 
     def test_non_json_body_is_400(self, service):
         request = urllib.request.Request(
@@ -136,9 +151,7 @@ class TestSubmit:
             data=b"not json",
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        assert _http_error(request).code == 400
 
 
 class TestErrorRoutes:
@@ -154,9 +167,7 @@ class TestErrorRoutes:
         request = urllib.request.Request(
             service["server"].url + "/health", data=b"{}", method="POST"
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 405
+        assert _http_error(request).code == 405
 
     def test_fetch_before_done_is_409(self, service):
         job_id = service["client"].submit_sweep("table_density", SPEC)
@@ -193,9 +204,11 @@ class TestEndToEnd:
         import os
 
         path = os.path.join(service["queue"].directory, job_id + ".job.json")
-        document = json.load(open(path))
+        with open(path) as handle:
+            document = json.load(handle)
         document["spec"]["kind"] = "batch"
-        json.dump(document, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(document, handle)
 
         serve_queue(service["queue"], service["store"], drain=True)
         with pytest.raises(ServiceError, match="failed"):
@@ -226,12 +239,12 @@ class TestObservability:
 
     def test_metrics_refreshes_queue_depth_gauges(self, service):
         service["queue"].submit(JobSpec(kind="sweep", name="table_density", sweep=SPEC))
-        body = urllib.request.urlopen(service["server"].url + "/metrics").read().decode()
+        body = _get_text(service["server"].url + "/metrics")
         assert 'repro_queue_depth{state="queued"} 1' in body
 
     def test_status_ids_are_normalised_out_of_endpoint_labels(self, service):
         _get_status_code(service["server"].url + "/status/j-zzz")  # 404, still counted
-        body = urllib.request.urlopen(service["server"].url + "/metrics").read().decode()
+        body = _get_text(service["server"].url + "/metrics")
         assert 'endpoint="/status"' in body
         assert "j-zzz" not in body
 

@@ -23,13 +23,23 @@ def _job() -> JobSpec:
     return JobSpec(kind="sweep", name="table_density", sweep=SPEC)
 
 
+def _read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _write_json(path, document):
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+
+
 class TestSubmitAndRead:
     def test_submit_writes_a_durable_document(self, tmp_path):
         queue = SpecQueue(str(tmp_path))
         job_id = queue.submit(_job())
         path = os.path.join(str(tmp_path), job_id + JOB_SUFFIX)
         assert os.path.exists(path)
-        document = json.load(open(path))
+        document = _read_json(path)
         assert document["job_id"] == job_id
         assert document["spec"]["name"] == "table_density"
 
@@ -51,9 +61,9 @@ class TestSubmitAndRead:
         # Rewrite submitted_at stamps to force a known order.
         for offset, job_id in enumerate(reversed(submitted)):
             path = os.path.join(str(tmp_path), job_id + JOB_SUFFIX)
-            document = json.load(open(path))
+            document = _read_json(path)
             document["submitted_at"] = 1000.0 + offset
-            json.dump(document, open(path, "w"))
+            _write_json(path, document)
         assert queue.job_ids() == list(reversed(submitted))
 
 
@@ -141,9 +151,9 @@ class TestClaimScan:
         # oldest one is neither the first submitted nor the first listed.
         for offset, job_id in enumerate(reversed(queued)):
             path = os.path.join(str(tmp_path), job_id + JOB_SUFFIX)
-            document = json.load(open(path))
+            document = _read_json(path)
             document["submitted_at"] = 1000.0 + offset
-            json.dump(document, open(path, "w"))
+            _write_json(path, document)
         return queue, list(reversed(queued))
 
     def _count_reads(self, queue, monkeypatch, hook=None) -> list[str]:
