@@ -1,7 +1,7 @@
 """Engine fan-out baseline: serial vs parallel sweep execution.
 
 Times the same Fig. 12 contact-resistance sweep (MNA transient mode,
-8 points) through the experiment engine's serial and process-pool
+8 points) through the experiment engine's serial and process
 executors, so future scaling PRs have a like-for-like perf baseline::
 
     pytest benchmarks/bench_engine_parallel.py --benchmark-only
@@ -9,8 +9,8 @@ executors, so future scaling PRs have a like-for-like perf baseline::
 The hard guarantee checked here is *parity*: every executor must return a
 record-for-record identical ResultSet.  Speedup is reported by the
 benchmark timings but deliberately not asserted -- it depends on the host
-(on a single-core CI runner the pools only add dispatch overhead; the
-process pool additionally pays worker startup).
+(on a single-core CI runner the process executor runs in process; on
+more cores it pays a fork per child and sweep).
 """
 
 import pytest

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("name", help="experiment name (see `list`)")
     add_sweep_axes(sweep)
     sweep.add_argument("--executor", choices=EXECUTORS, default="serial")
-    sweep.add_argument("--workers", type=int, default=None, help="process pool size")
+    sweep.add_argument("--workers", type=int, default=None, help="most forked children")
     sweep.add_argument(
         "--no-progress", action="store_true",
         help="suppress the per-point progress lines on stderr",
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_run.add_argument("--executor", choices=EXECUTORS, default="serial")
     study_run.add_argument(
-        "--workers", type=int, default=None, help="process pool size"
+        "--workers", type=int, default=None, help="most forked children"
     )
     study_run.add_argument(
         "--no-progress", action="store_true",
@@ -1542,7 +1542,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if trace_path is None:
             return handlers[args.command](args)
         # --trace: record spans for the whole invocation under one root
-        # span, so everything the command spawns (pool chunks, claimed
+        # span, so everything the command spawns (forked children, claimed
         # jobs, daemons it hands the carrier to) shares one trace_id.
         from contextlib import ExitStack
 

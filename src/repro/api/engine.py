@@ -1,4 +1,4 @@
-"""Execution engine: serial / process-pool experiment runs with on-disk memoisation.
+"""Execution engine: serial / forked experiment runs with on-disk memoisation.
 
 The :class:`Engine` is the single entry point that turns a registered
 :class:`~repro.api.experiment.Experiment` plus parameters into a
@@ -6,12 +6,12 @@ The :class:`Engine` is the single entry point that turns a registered
 
 * ``run(name, **params)`` -- one experiment execution,
 * ``sweep(name, spec)`` -- fan a :class:`~repro.api.sweep.SweepSpec` out over
-  the experiment, in the coordinating process (``serial``) or through a warm
-  process pool (``process``).  Either way the pending points of an
-  experiment that declares a ``batch_fn`` are stacked into
-  :meth:`~repro.api.experiment.Experiment.run_batch` calls -- one stack
-  inline, at most ``max_workers`` stacks on the pool, per-point fallback if
-  a stack raises -- and every other point runs on its own,
+  the experiment, in the coordinating process (``serial``) or in children
+  forked for the sweep (``process``, see :mod:`repro.forking`).  Either way
+  the pending points of an experiment that declares a ``batch_fn`` are
+  stacked into :meth:`~repro.api.experiment.Experiment.run_batch` calls --
+  one stack inline, at most ``max_workers`` stacks in children, per-point
+  fallback if a stack raises -- and every other point runs on its own,
 * ``iter_sweep(name, spec)`` -- the streaming form of ``sweep``: a generator
   yielding one :class:`SweepPoint` per sweep point *as it completes* (cache
   hits first, then executed points in completion order), so callers can
@@ -41,7 +41,7 @@ pluggable :class:`~repro.dist.store.ResultStore` -- ``cache_dir=`` is
 shorthand for a :class:`~repro.dist.store.LocalStore`, and a
 :class:`~repro.dist.store.SharedStore` makes the same directory safe to
 share between machines (see :mod:`repro.dist`).  All cache I/O happens in
-the coordinating process -- pool workers only compute -- which keeps even
+the coordinating process -- forked children only compute -- which keeps even
 the local store free of write races.  Cache inspection and eviction live in
 :mod:`repro.api.cache` (``python -m repro cache`` on the shell).
 
@@ -53,24 +53,19 @@ partial ResultSets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from repro.api.experiment import (
-    Consumes,
-    Experiment,
-    ensure_registered,
-    get_experiment,
-)
+from repro import forking
+from repro.api.experiment import Consumes, Experiment, get_experiment
 from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
 from repro.obs import metrics
-from repro.obs.trace import activate_carrier, current_carrier, trace_span
+from repro.obs.trace import trace_span
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.api.study import Study
@@ -106,7 +101,7 @@ def cache_key(
 
 # One executed sweep point before tagging: (records, error message, wall
 # time).  ``records`` is None exactly when ``error`` is set; capturing the
-# error as a string keeps the tuple picklable across process-pool boundaries.
+# error as a string keeps the tuple picklable, so a forked child can send it.
 _Outcome = tuple[list[dict[str, Any]] | None, str | None, float]
 
 # One executable unit: (resolved params, injected upstream artifacts).
@@ -173,11 +168,7 @@ def _groups(
     return groups
 
 
-def _run_outcomes(
-    experiment: Experiment,
-    tasks: list[_Task],
-    carrier: Mapping[str, Any] | None = None,
-) -> list[_Outcome]:
+def _run_outcomes(experiment: Experiment, tasks: list[_Task]) -> list[_Outcome]:
     """Run one group of sweep tasks, capturing per-task failures.
 
     A group of several tasks is a stack (see :func:`_groups`): it runs
@@ -191,54 +182,32 @@ def _run_outcomes(
     point must not poison its siblings (that is the partial-failure guarantee
     of ``sweep``), so each point's error is caught and reported as data
     rather than raised.
-
-    ``carrier`` is the tracing context of the submitting process
-    (:func:`repro.obs.current_carrier`): contextvars do not cross the
-    process-pool boundary, so the span ancestry rides along in the call
-    instead and the spans nest under the submitter's sweep span.
     """
-    with activate_carrier(carrier):
-        if len(tasks) > 1:
-            start = time.perf_counter()
+    if len(tasks) > 1:
+        start = time.perf_counter()
+        try:
+            with trace_span(
+                "engine.batch", experiment=experiment.name, n_points=len(tasks)
+            ):
+                records_list = experiment.run_batch([params for params, _ in tasks])
+        except Exception:
+            pass  # fall back to per-point runs below
+        else:
+            share = (time.perf_counter() - start) / len(tasks)
+            return [(records, None, share) for records in records_list]
+    outcomes: list[_Outcome] = []
+    for params, inputs in tasks:
+        start = time.perf_counter()
+        with trace_span("engine.point", experiment=experiment.name) as span:
             try:
-                with trace_span(
-                    "engine.batch", experiment=experiment.name, n_points=len(tasks)
-                ):
-                    records_list = experiment.run_batch([params for params, _ in tasks])
-            except Exception:
-                pass  # fall back to per-point runs below
+                records = experiment.run_with_inputs(inputs, params)
+            except Exception as error:
+                message = f"{type(error).__name__}: {error}"
+                span.set("error", message)
+                outcomes.append((None, message, time.perf_counter() - start))
             else:
-                share = (time.perf_counter() - start) / len(tasks)
-                return [(records, None, share) for records in records_list]
-        outcomes: list[_Outcome] = []
-        for params, inputs in tasks:
-            start = time.perf_counter()
-            with trace_span("engine.point", experiment=experiment.name) as span:
-                try:
-                    records = experiment.run_with_inputs(inputs, params)
-                except Exception as error:
-                    message = f"{type(error).__name__}: {error}"
-                    span.set("error", message)
-                    outcomes.append((None, message, time.perf_counter() - start))
-                else:
-                    outcomes.append((records, None, time.perf_counter() - start))
+                outcomes.append((records, None, time.perf_counter() - start))
     return outcomes
-
-
-def _execute_group(
-    name: str,
-    tasks: list[_Task],
-    carrier: Mapping[str, Any] | None = None,
-) -> list[_Outcome]:
-    """Run one group of sweep tasks as a process-pool task.
-
-    Importable (not a closure) so process pools can pickle it; the worker
-    rebuilds the registry by name via :func:`ensure_registered`.  Injected
-    upstream ResultSets travel inside the task tuples (they pickle as plain
-    columns + meta), so pool workers never touch the cache.
-    """
-    ensure_registered()
-    return _run_outcomes(get_experiment(name), tasks, carrier)
 
 
 @dataclass(frozen=True)
@@ -379,20 +348,24 @@ class Engine:
     executor:
         ``"serial"`` (default) or ``"process"`` -- where sweep points run.
         ``"serial"`` executes in the coordinating process; ``"process"``
-        fans out over a process pool.  Under both, the pending points of an
-        experiment that declares a ``batch_fn`` (and needs no injected
-        upstream artifacts) are stacked into
-        :meth:`~repro.api.experiment.Experiment.run_batch` calls: one stack
-        inline, at most ``max_workers`` stacks on the pool.  Every other
-        point runs on its own (one pool future per point), which is what
-        lets :meth:`iter_sweep` stream point by point.  Single ``run`` calls
-        always execute inline.
+        forks up to ``max_workers`` children per sweep stage
+        (:func:`repro.forking.forked`), which take its groups one at a
+        time.  Under both, the pending points of an experiment that
+        declares a ``batch_fn`` (and needs no injected upstream artifacts)
+        are stacked into :meth:`~repro.api.experiment.Experiment.run_batch`
+        calls: one stack inline, at most ``max_workers`` stacks in
+        children.  Every other point is a group of its own, which is what
+        lets :meth:`iter_sweep` stream point by point.  Where
+        :func:`repro.forking.can_fork` refuses (another thread is alive,
+        not Linux, inside a forked child), or only one child would run, a
+        ``process`` sweep runs in process like ``serial``.  Single ``run``
+        calls always execute inline.
     max_workers:
-        Process pool size (default: ``os.cpu_count()``).
+        Most children a ``process`` sweep forks (default: the CPUs of the
+        process's affinity mask, :func:`repro.forking.cpu_count`).
 
-    The pool is kept warm: consecutive sweeps through one engine reuse it
-    instead of re-spawning workers per call.  ``close()`` (or using the
-    engine as a context manager) shuts it down.
+    An engine holds no process between sweeps; ``close()`` and the context
+    manager protocol are kept for callers that release engines explicitly.
     """
 
     def __init__(
@@ -421,53 +394,20 @@ class Engine:
         self.store = store
         self.cache_dir = None if store is None else store.directory
         self.executor = executor
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers or forking.cpu_count()
         self.cache_hits = 0
         self.cache_misses = 0
-        # The warm process pool and the worker count it was created at; see
-        # _get_pool.
-        self._pool: tuple[ProcessPoolExecutor, int] | None = None
 
-    # --- pool lifecycle ----------------------------------------------------
+    # --- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the warm process pool (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool[0].shutdown(wait=True, cancel_futures=True)
+        """Release the engine: a no-op, since no process outlives a sweep."""
 
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            if self._pool is not None:
-                self._pool[0].shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _get_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The warm process pool, (re)built when too small.
-
-        Re-dispatching through one long-lived pool is what removes the
-        per-sweep worker spawn cost (process fork + registry import) that
-        used to make many small ``iter_sweep`` calls slower than serial
-        execution.  A cached pool is reused whenever it has at least the
-        requested worker count; a too-small one is replaced.
-        """
-        if self._pool is not None and self._pool[1] >= workers:
-            return self._pool[0]
-        if self._pool is not None:
-            self._pool[0].shutdown(wait=False, cancel_futures=True)
-        # Import the registry once per worker at startup instead of per
-        # submitted task -- non-stacked points get one future each, so
-        # per-task work must stay minimal.
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=ensure_registered)
-        self._pool = (pool, workers)
-        return pool
 
     # --- cache ------------------------------------------------------------
 
@@ -749,7 +689,7 @@ class Engine:
         completed: dict[int, SweepPoint] = {}
         # The span wraps the consuming loop (not the generator body), so the
         # trace context never leaks across generator suspensions; every
-        # engine.point span -- serial or pooled -- nests under it.
+        # engine.point span -- inline or in a forked child -- nests under it.
         with trace_span(
             "engine.sweep",
             experiment=experiment.name,
@@ -1026,71 +966,35 @@ class Engine:
 
         ``tasks`` maps each key to its ``(resolved params, injected inputs)``
         pair -- inputs are empty for self-contained experiments.
-        The tasks run in the groups of :func:`_groups`:
-        inline in group order, or one pool task per group under the
-        ``process`` executor, yielded as each task completes -- which is
-        what makes :meth:`iter_sweep` stream under parallel execution.
+        The tasks run in the groups of :func:`_groups`: inline in group
+        order, or under the ``process`` executor in forked children that
+        take the groups one at a time, yielded as each group completes --
+        which is what makes :meth:`iter_sweep` stream under parallel
+        execution.  A child inherits the experiment instance, its inputs
+        and the trace context, so ad-hoc experiments run there too.
         """
-        if not tasks:
-            return
-        n_stacks = 1 if self.executor == "serial" else self.max_workers
-        groups = _groups(experiment, tasks, list(tasks), n_stacks)
-        if self.executor == "serial" or len(groups) == 1:
-            # Execute through the instance itself so ad-hoc (unregistered)
-            # Experiment objects behave exactly like in run().
-            for group in groups:
-                outcomes = _run_outcomes(experiment, [tasks[i] for i in group])
-                yield from self._observed(group, outcomes)
+        forks = self.executor == "process" and forking.can_fork()
+        groups = _groups(experiment, tasks, list(tasks), self.max_workers if forks else 1)
+        stacks = [[tasks[key] for key in group] for group in groups]
+        workers = min(self.max_workers, len(groups)) if forks else 1
+        if workers < 2:
+            for group, stack in zip(groups, stacks):
+                yield from self._observed(group, _run_outcomes(experiment, stack))
             return
 
-        # Process workers rebuild the registry by name; an instance that is
-        # not the registered one would silently execute the wrong function
-        # (and poison the cache), so refuse early.
-        ensure_registered()
-        from repro.api.experiment import _REGISTRY
-
-        if _REGISTRY.get(experiment.name) is not experiment:
-            raise ValueError(
-                f"the process executor needs a registered experiment; "
-                f"{experiment.name!r} is not the registered instance "
-                "(use executor='serial' for ad-hoc experiments)"
-            )
-
-        pool = self._get_pool(min(self.max_workers, len(groups)))
-        # Pool workers start with an empty contextvars context, so the trace
-        # ancestry rides along explicitly.
-        carrier = current_carrier()
-        future_to_group: dict[Any, list] = {}
-        submitted_at: dict[Any, float] = {}
-        for group in groups:
-            start = time.perf_counter()
-            future = pool.submit(
-                _execute_group, experiment.name, [tasks[i] for i in group], carrier
-            )
-            future_to_group[future] = group
-            submitted_at[future] = start
-        try:
-            for future in as_completed(future_to_group):
-                group = future_to_group[future]
-                outcomes = future.result()
-                # ``received`` is taken *after* result(): everything between
-                # this group's own submission and holding its results that
-                # was not experiment compute -- pickling, queueing behind
-                # other groups, result transfer/retrieval -- is dispatch
-                # overhead.
-                received = time.perf_counter()
+        start = time.perf_counter()
+        run_stack = functools.partial(_run_outcomes, experiment)
+        with forking.forked(run_stack, stacks, workers) as arrivals:
+            for index, outcomes in arrivals:
+                # Everything between the fork and holding this group's
+                # results that was not its compute -- forking, waiting
+                # behind other groups, the result's pickle and transfer --
+                # is dispatch overhead.
                 compute = sum(outcome[2] for outcome in outcomes)
                 metrics.counter(
                     "repro_dispatch_overhead_seconds_total", executor=self.executor
-                ).inc(max(0.0, received - submitted_at[future] - compute))
-                yield from self._observed(group, outcomes)
-        finally:
-            # A streaming consumer may abandon the generator mid-sweep
-            # (GeneratorExit lands here); cancel the queued groups so the
-            # warm pool stops computing the rest of the sweep for nobody.
-            # The pool itself stays alive for the next sweep (see close()).
-            for future in future_to_group:
-                future.cancel()
+                ).inc(max(0.0, time.perf_counter() - start - compute))
+                yield from self._observed(groups[index], outcomes)
 
 
 def _tag_record(record: dict[str, Any], point: Mapping[str, Any]) -> dict[str, Any]:

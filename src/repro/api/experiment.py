@@ -21,8 +21,7 @@ Experiments are registered with the :func:`register_experiment` decorator and
 looked up by name via :func:`get_experiment` / :func:`list_experiments`.
 Registering all of the paper's drivers happens in
 :mod:`repro.analysis.experiments`, which :func:`ensure_registered` imports on
-demand so that engines (including pool worker processes) always see a
-populated registry.
+demand so that engines always see a populated registry.
 """
 
 from __future__ import annotations
@@ -562,7 +561,7 @@ def list_experiments(tag: str | None = None) -> list[Experiment]:
 def ensure_registered() -> None:
     """Import the standard experiment definitions exactly once.
 
-    Safe to call repeatedly and from pool worker processes; it is what makes
+    Safe to call repeatedly; it is what makes
     ``Engine.run("fig9")`` work without the caller importing
     :mod:`repro.analysis.experiments` first.  Covers both the paper's
     figure/table drivers and the extension studies

@@ -42,24 +42,21 @@ zero-capacitance pattern, step count, method); singleton groups, and every
 job of a group whose stacked solve fails, run as one-job stacks, so
 batching can change performance but never results.  A group of at least
 ``2 *`` :data:`MIN_SHARD_JOBS` jobs is split into contiguous shards, one per
-CPU the process may run on: the caller runs the first, forked children the
-others, and the results are joined in job order.  Since a job's bits never
-depend on its stack, sharding changes no bit either.  The kernel forks only
-where that is safe -- on Linux, in a process with one Python thread that no
-:mod:`multiprocessing` parent started -- and runs the group in process
-everywhere else; a failing shard makes the group rerun job by job.
+CPU the process may run on: the caller runs the first, children forked by
+:func:`repro.forking.forked` the others, and the results are joined in job
+order.  Since a job's bits never depend on its stack, sharding changes no
+bit either.  The kernel forks only where :func:`repro.forking.can_fork`
+allows it and runs the group in process everywhere else; a failing shard
+makes the group rerun job by job.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import forking
 from repro.circuit import mna
 from repro.circuit.elements import sample_waveform
 from repro.circuit.mna import (
@@ -546,69 +543,26 @@ def _run_stack(jobs: list[TransientJob]) -> list[TransientResult]:
 
 
 def _shard_count(n_jobs: int) -> int:
-    """Number of shards to split a group of ``n_jobs`` into (1: no split).
-
-    Forking is safe only in a Linux process that runs one Python thread (no
-    service daemon, heartbeat or warm pool beside it) and is not itself a
-    :mod:`multiprocessing` child (an engine pool worker or a shard).
-    """
-    if (
-        not sys.platform.startswith("linux")
-        or threading.active_count() != 1
-        or multiprocessing.parent_process() is not None
-    ):
+    """Number of shards to split a group of ``n_jobs`` into (1: no split):
+    one per CPU, where :func:`repro.forking.can_fork` allows a fork."""
+    if not forking.can_fork():
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_jobs // MIN_SHARD_JOBS))
-
-
-def _run_shard(jobs: list[TransientJob], sender) -> None:
-    """Forked child: run one shard and send its results to the parent.
-
-    A failing shard exits with status 1 without a traceback; the parent
-    reruns the group job by job, which raises the error itself.
-    """
-    try:
-        results = _run_stack(jobs)
-    except Exception:
-        sys.exit(1)
-    sender.send(results)
+    return max(1, min(forking.cpu_count(), n_jobs // MIN_SHARD_JOBS))
 
 
 def _run_sharded(jobs: list[TransientJob], n_shards: int) -> list[TransientResult]:
     """:func:`_run_stack` of ``jobs`` split into ``n_shards`` contiguous
-    shards; the first runs here, each other one in a forked child.  Raises
+    shards; the first runs here, the others in forked children.  Raises
     if a child fails, exits non-zero or closes its pipe early."""
     size, extra = divmod(len(jobs), n_shards)
     bounds = [shard * size + min(shard, extra) for shard in range(n_shards + 1)]
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_run_shard, args=(jobs[start:stop], sender), daemon=True)
-            children.append((child, receiver))
-            try:
-                child.start()
-            finally:
-                # The child holds the only write end, so its exit ends the pipe.
-                sender.close()
-        results = _run_stack(jobs[: bounds[1]])
-        for child, receiver in children:
-            try:
-                results.extend(receiver.recv())
-            except EOFError:
-                raise RuntimeError(f"shard process {child.pid} closed its pipe early") from None
-            child.join()
-            if child.exitcode != 0:
-                raise RuntimeError(f"shard process {child.pid} exited with {child.exitcode}")
-        return results
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            if child.pid is not None:
-                child.join()
+    shards = [jobs[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    with forking.forked(_run_stack, shards[1:], n_shards - 1) as arrivals:
+        results = _run_stack(shards[0])
+        others = dict(arrivals)
+    for index in range(n_shards - 1):
+        results.extend(others[index])
+    return results
 
 
 def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:

@@ -28,9 +28,8 @@ What the relational layout buys:
 Concurrency model: one connection per thread (heartbeat threads renew
 leases concurrently with the executing thread), WAL journal mode so readers
 never block the writer, and a busy timeout so contending writers queue
-instead of erroring.  The store pickles (connections are dropped and
-reopened lazily), so it crosses ``ProcessPoolExecutor`` boundaries like the
-directory stores do.
+instead of erroring.  The store pickles like the directory stores do
+(connections are dropped and reopened lazily).
 
 :func:`resolve_store` turns CLI spellings into stores: ``sqlite:///sweep.db``
 (or any existing regular file) becomes a :class:`SqliteStore`, a directory

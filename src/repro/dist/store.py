@@ -421,7 +421,7 @@ class ResultStore:
     the entry already exists -- no coordination, no locking).
     :class:`SharedStore` overrides the coordination methods; execution code
     (the engine, :func:`repro.dist.worker.run_worker`) talks to the base
-    interface only, which is what lets serial, pooled and distributed runs
+    interface only, which is what lets serial, forked and distributed runs
     share one dispatch path.
     """
 

@@ -1,7 +1,7 @@
 """``repro.obs`` -- zero-dependency tracing and metrics for every layer.
 
 Spans (:mod:`repro.obs.trace`) follow one logical request across the
-engine's pool executors, the distributed worker's claim/execute/publish
+engine's forked children, the distributed worker's claim/execute/publish
 loop and the HTTP service, sharing a single ``trace_id`` end to end.
 Metrics (:mod:`repro.obs.metrics`) collect process-local counters,
 gauges and histograms exposed as ``GET /metrics`` Prometheus text and

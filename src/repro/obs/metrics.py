@@ -29,6 +29,9 @@ repro_queue_depth                      gauge      state
 repro_http_requests_total              counter    endpoint, method, code
 repro_http_request_seconds             histogram  endpoint
 =====================================  =========  ====================================
+
+``repro_dispatch_overhead_seconds_total`` is a ``process`` sweep's fork and
+result wait beyond its groups' compute.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ assumption the ``SharedStore`` lease protocol already makes.
 Crossing a process/host boundary uses a *carrier*: a small JSON-safe
 dict ``{"trace_id", "span_id", "sink"}`` captured with
 :func:`current_carrier` on the sending side and adopted with
-:func:`activate_carrier` on the receiving side.  The engine passes it to
-pool workers as an extra task argument, the stores persist it in lease
-metadata, and the HTTP service moves it in the ``X-Repro-Trace`` header.
+:func:`activate_carrier` on the receiving side.  The stores persist it in
+lease metadata and the HTTP service moves it in the ``X-Repro-Trace``
+header; forked children need none, since they inherit the context.
 
 Tracing is off by default and near-zero-cost when off: ``trace_span``
 yields a shared no-op span without touching its attrs, so callable
@@ -261,7 +261,7 @@ def activate_carrier(carrier: Mapping[str, Any] | None) -> Iterator[None]:
 
     If this process has no sink configured, the carrier's sink is used
     for the duration of the block and cleared afterwards -- that is how
-    daemon and pool-worker processes end up writing into the submitting
+    daemon processes end up writing into the submitting
     client's trace file.  Concurrent blocks on several threads share the
     adopted sink until the last of them exits.  ``None`` or malformed
     carriers are ignored, so call sites never need to guard.

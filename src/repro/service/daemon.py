@@ -314,7 +314,7 @@ def serve_queue(
         # takes; the per-point leases inside run_worker have their own.
         # A job submitted under tracing carries its submitter's carrier:
         # adopt it so every span this execution produces (worker points,
-        # solver spans, pool workers) joins the submitting client's trace.
+        # solver spans, forked children) joins the submitting client's trace.
         with queue.heartbeat(job_id, worker, lease_ttl), activate_carrier(
             queue.read_trace(job_id)
         ), trace_span("daemon.job", job_id=job_id, worker=worker):

@@ -1,7 +1,11 @@
 """Tests for the execution engine: caching, fan-out and legacy parity."""
 
 import json
+import multiprocessing
 import os
+import threading
+import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -172,11 +176,8 @@ class TestSweep:
         spec = SweepSpec.grid(x=[1.0, 2.0])
         serial = Engine().sweep(adhoc, spec)
         assert serial.column("y") == [2.0, 4.0]
-        # The process executor cannot ship an unregistered instance to
-        # workers; it must refuse loudly rather than resolve a same-named
-        # registry entry.
-        with pytest.raises(ValueError, match="registered.*executor='serial' for ad-hoc"):
-            Engine(executor="process", max_workers=2).sweep(adhoc, spec)
+        # Forked children inherit the instance, lambda and all.
+        assert Engine(executor="process", max_workers=2).sweep(adhoc, spec) == serial
 
     def test_clear_cache_leaves_foreign_json_alone(self, counted_experiment, tmp_path):
         engine = Engine(cache_dir=str(tmp_path))
@@ -191,6 +192,72 @@ class TestSweep:
             counted_experiment, SweepSpec.zip(x=[1.0, 2.0], n=[1, 2])
         )
         assert len(result) == 3  # 1 record + 2 records
+
+
+@pytest.fixture
+def process_starts(monkeypatch, tmp_path):
+    """Every ``Process.start`` from here on, in this process or in a forked
+    one, as a list of the starting processes' pids."""
+    log = tmp_path / "starts.log"
+    log.touch()
+    start = BaseProcess.start
+
+    def counted_start(process):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", counted_start)
+    return lambda: [int(line) for line in log.read_text().split()]
+
+
+class TestForkedSweeps:
+    """A ``process`` sweep forks its children per sweep, where it is safe."""
+
+    def test_no_child_outlives_a_sweep(self, counted_experiment, process_starts, tmp_path):
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
+        engine = Engine(executor="process", max_workers=2)
+        assert engine.sweep(counted_experiment, spec) == Engine().sweep(counted_experiment, spec)
+        assert process_starts() == [os.getpid()] * 2
+        assert multiprocessing.active_children() == []
+
+        @register_experiment("api_test_slow", params=(ParamSpec("x", "float", 1.0),), replace=True)
+        def slow(x: float):
+            time.sleep(0.05)
+            return [{"x": x}]
+
+        try:
+            stream = engine.iter_sweep("api_test_slow", SweepSpec.grid(x=[float(i) for i in range(8)]))
+            next(stream)
+            stream.close()
+        finally:
+            unregister_experiment("api_test_slow")
+        assert multiprocessing.active_children() == []
+
+    def test_default_workers_follow_the_cpu_affinity(
+        self, counted_experiment, process_starts, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
+        engine = Engine(executor="process")
+        assert engine.max_workers == 1
+        forked = engine.sweep(counted_experiment, spec)
+        assert process_starts() == []
+        assert forked.content_hash == Engine().sweep(counted_experiment, spec).content_hash
+
+    def test_another_thread_is_alive(self, counted_experiment, process_starts):
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            forked = Engine(executor="process", max_workers=2).sweep(counted_experiment, spec)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert process_starts() == []
+        assert forked.content_hash == Engine().sweep(counted_experiment, spec).content_hash
 
 
 class TestLegacyParity:

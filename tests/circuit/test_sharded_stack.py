@@ -16,6 +16,7 @@ from multiprocessing.process import BaseProcess
 
 import pytest
 
+from repro import forking
 from repro.analysis.fig12_delay_ratio import fig12_records
 from repro.api import Engine, SweepSpec
 from repro.api.results import content_hash
@@ -86,7 +87,7 @@ def shard_starts(monkeypatch, tmp_path):
     start = BaseProcess.start
 
     def counted_start(process):
-        if getattr(process, "_target", None) is batched._run_shard:
+        if process._target is forking._serve and process._args[0] is batched._run_stack:
             with open(log, "a") as handle:
                 handle.write(f"{os.getpid()}\n")
         return start(process)
@@ -179,7 +180,7 @@ class TestFailures:
         jobs = _jobs([1e3, 5e3, 2e4, 1e5])
         want = [_run_stack([job])[0] for job in jobs]
         force_shards(cpus=2, min_jobs=2)
-        monkeypatch.setattr(batched, "_run_shard", lambda jobs, sender: os._exit(1))
+        monkeypatch.setattr(forking, "_serve", lambda fn, items, claimed, sender: os._exit(1))
         before = _counter("fallback")
         got = batched_transient_analysis(jobs)
         assert _counter("fallback") == before + 1
