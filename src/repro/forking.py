@@ -37,16 +37,20 @@ def can_fork() -> bool:
 
 
 def cpu_count() -> int:
-    """The number of CPUs this process may run on (its affinity mask)."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on: its affinity mask, or
+    every CPU where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _serve(fn: Callable[[Any], Any], items: Sequence, claimed, sender) -> None:
     """Forked child: claim the next item index until none is left, sending
-    ``(index, fn(item))`` for each.
+    ``(index, fn(item), None)`` for each.
 
-    A raising item ends the child with status 1 and no traceback; the
-    parent raises, and the caller decides how to recover.
+    A raising item, or a result that fails to pickle, sends ``(index,
+    None, "Type: message")`` and ends the child with status 1; the parent
+    raises that message, and the caller decides how to recover.
     """
     try:
         while True:
@@ -55,16 +59,20 @@ def _serve(fn: Callable[[Any], Any], items: Sequence, claimed, sender) -> None:
                 claimed.value += 1
             if index >= len(items):
                 return
-            sender.send((index, fn(items[index])))
-    except Exception:
+            sender.send((index, fn(items[index]), None))
+    except Exception as error:
+        try:
+            sender.send((index, None, f"{type(error).__name__}: {error}"))
+        except Exception:
+            pass  # the exit status alone reports the failure
         sys.exit(1)
 
 
 def _arrivals(children: dict, n_items: int) -> Iterator[tuple[int, Any]]:
     """``(index, result)`` from every child's pipe, in arrival order.
 
-    Raises if a child exits non-zero, or if the pipes all end before every
-    item's result arrived.
+    Raises the error a child reports, or if a child exits non-zero, or if
+    the pipes all end before every item's result arrived.
     """
     pending = dict(children)
     received = 0
@@ -80,8 +88,11 @@ def _arrivals(children: dict, n_items: int) -> Iterator[tuple[int, Any]]:
                         f"forked child {child.pid} exited with {child.exitcode}"
                     ) from None
                 continue
+            index, result, error = arrival
+            if error is not None:
+                raise RuntimeError(f"forked child failed on item {index}: {error}")
             received += 1
-            yield arrival
+            yield index, result
     if received != n_items:
         raise RuntimeError(
             f"forked children closed their pipes after {received} of {n_items} results"
@@ -96,10 +107,10 @@ def forked(
 
     The block gets an iterator of ``(index, fn(items[index]))`` in arrival
     order; the caller may do its own work before reading it, since the
-    children run from the moment the block starts.  Reading it raises when
-    a child exits non-zero or closes its pipe early.  Leaving the block,
-    also early, terminates and joins every child.  Check :func:`can_fork`
-    first.
+    children run from the moment the block starts.  Reading it raises the
+    error a child reports, and raises when a child exits non-zero or closes
+    its pipe early.  Leaving the block, also early, terminates and joins
+    every child.  Check :func:`can_fork` first.
     """
     context = multiprocessing.get_context("fork")
     claimed = context.Value("q", 0)

@@ -245,6 +245,15 @@ class TestForkedSweeps:
         assert process_starts() == []
         assert forked.content_hash == Engine().sweep(counted_experiment, spec).content_hash
 
+    def test_platform_without_cpu_affinity(self, counted_experiment, monkeypatch):
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
+        serial = Engine().sweep(counted_experiment, spec).content_hash
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert Engine().max_workers == (os.cpu_count() or 1)
+        assert Engine().sweep(counted_experiment, spec).content_hash == serial
+        forked = Engine(executor="process").sweep(counted_experiment, spec)
+        assert forked.content_hash == serial
+
     def test_another_thread_is_alive(self, counted_experiment, process_starts):
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0], n=[2, 4])
         release = threading.Event()

@@ -43,8 +43,21 @@ def test_a_raising_item_raises_in_the_parent():
             raise ValueError("boom")
         return item
 
-    with pytest.raises(RuntimeError, match="exited with 1"):
+    with pytest.raises(RuntimeError, match="failed on item 3: ValueError: boom"):
         with forking.forked(fail_on_three, list(range(6)), 2) as arrivals:
+            list(arrivals)
+
+
+def test_a_result_that_fails_to_pickle_names_its_error():
+    with pytest.raises(RuntimeError, match="failed on item 0: .*pickle"):
+        with forking.forked(lambda item: lambda: item, [0], 1) as arrivals:
+            list(arrivals)
+
+
+def test_a_child_killed_without_a_report_is_an_error(monkeypatch):
+    monkeypatch.setattr(forking, "_serve", lambda fn, items, claimed, sender: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with 3"):
+        with forking.forked(_claim, [1, 2], 2) as arrivals:
             list(arrivals)
 
 
