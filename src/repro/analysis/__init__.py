@@ -16,39 +16,39 @@ The generated catalog of every registered experiment is
 ``docs/EXPERIMENTS.md`` (regenerate with ``python -m repro docs``).  The
 functions behind the figure experiments (``fig8a_records``,
 ``fig8c_result``, ``fig9_records``, the ``fig10_*`` summaries and
-``fig12_records``) stay importable for direct use.  No plotting library is
-used; :mod:`repro.analysis.report` renders results as text tables.
+``fig12_records``) stay importable for direct use; the package imports each
+one on first access, so importing :mod:`repro.analysis` (as registering the
+experiments does) loads no driver.  No plotting library is used;
+:mod:`repro.analysis.report` renders results as text tables.
 """
 
-from repro.analysis.paper_reference import PAPER_REFERENCE
-from repro.analysis.report import format_table
-from repro.analysis.fig8_conductance import fig8a_records, fig8c_result
-from repro.analysis.fig9_conductivity import fig9_records
-from repro.analysis.fig10_tcad import (
-    fig10_capacitance_summary,
-    fig10_m1_m2_summary,
-    fig10_resistance_summary,
-)
-from repro.analysis.fig12_delay_ratio import (
-    DelayRatioStudy,
-    fig12_records,
-    summarize_at_length,
-)
-from repro.analysis.tables import ampacity_table, thermal_table, density_table
+import importlib
 
-__all__ = [
-    "PAPER_REFERENCE",
-    "format_table",
-    "fig8a_records",
-    "fig8c_result",
-    "fig9_records",
-    "fig10_capacitance_summary",
-    "fig10_m1_m2_summary",
-    "fig10_resistance_summary",
-    "fig12_records",
-    "DelayRatioStudy",
-    "summarize_at_length",
-    "ampacity_table",
-    "thermal_table",
-    "density_table",
-]
+# Each re-export and the module that defines it.  They are imported on first
+# access (PEP 562), so registering the experiments imports no driver.
+_EXPORTS = {
+    "PAPER_REFERENCE": "paper_reference",
+    "format_table": "report",
+    "fig8a_records": "fig8_conductance",
+    "fig8c_result": "fig8_conductance",
+    "fig9_records": "fig9_conductivity",
+    "fig10_capacitance_summary": "fig10_tcad",
+    "fig10_m1_m2_summary": "fig10_tcad",
+    "fig10_resistance_summary": "fig10_tcad",
+    "fig12_records": "fig12_delay_ratio",
+    "DelayRatioStudy": "fig12_delay_ratio",
+    "summarize_at_length": "fig12_delay_ratio",
+    "ampacity_table": "tables",
+    "thermal_table": "tables",
+    "density_table": "tables",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

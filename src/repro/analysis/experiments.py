@@ -10,7 +10,12 @@ thin adapter functions.
 
 Importing this module populates the global registry; ``repro.api`` does that
 lazily via :func:`repro.api.experiment.ensure_registered`, so user code never
-needs to import it explicitly.  The experiment names follow the paper:
+needs to import it explicitly.  Registering reads metadata only: each adapter
+imports its driver (and with it numpy, scipy and the physics packages) when
+it first runs, and the defaults that come from physics modules are written
+here as literals (``tests/api/test_registry_snapshot.py`` checks them
+against their sources).  ``list``, ``describe`` and the catalog therefore
+start without loading a solver.  The experiment names follow the paper:
 
 ========================  =====================================================
 ``fig8a``                 ballistic conductance vs diameter
@@ -35,28 +40,7 @@ registered experiment is ``docs/EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from repro.analysis.energy import run_energy_study
-from repro.analysis.fig8_conductance import fig8a_records, fig8c_result
-from repro.analysis.fig9_conductivity import DEFAULT_LENGTHS_UM, fig9_records
-from repro.analysis.fig10_tcad import (
-    fig10_capacitance_summary,
-    fig10_m1_m2_summary,
-    fig10_resistance_summary,
-)
-from repro.analysis.fig12_delay_ratio import (
-    DEFAULT_CONTACT_RESISTANCE,
-    DelayRatioStudy,
-    fig12_records,
-    fig12_records_batch,
-)
-from repro.analysis.tables import (
-    ampacity_table,
-    density_table,
-    doping_resistance_table,
-    thermal_table,
-)
 from repro.api.experiment import ParamSpec, register_experiment
-from repro.circuit.technology import node_by_name
 
 _TECHNOLOGIES = ("14nm", "45nm")
 
@@ -83,6 +67,8 @@ def _fig8a(
     temperature: float,
     n_k: int,
 ) -> list[dict]:
+    from repro.analysis.fig8_conductance import fig8a_records
+
     return fig8a_records(
         diameter_range_nm=(diameter_min_nm, diameter_max_nm),
         metallic_only=metallic_only,
@@ -101,6 +87,8 @@ def _fig8a(
     tags=("figure", "atomistic"),
 )
 def _fig8c(n_k: int, temperature: float) -> list[dict]:
+    from repro.analysis.fig8_conductance import fig8c_result
+
     result = fig8c_result(n_k=n_k, temperature=temperature)
     # Scalar projection of the rich legacy result: the staircase arrays stay
     # available through repro.analysis.fig8_conductance.fig8c_result().
@@ -119,13 +107,21 @@ def _fig8c(n_k: int, temperature: float) -> list[dict]:
 # --- Fig. 9: conductivity comparison ----------------------------------------
 
 
-register_experiment(
+@register_experiment(
     "fig9",
     params=(
         ParamSpec(
             "lengths_um",
             "floats",
-            tuple(float(v) for v in DEFAULT_LENGTHS_UM),
+            # fig9_conductivity.DEFAULT_LENGTHS_UM, np.logspace(-2, 2, 17)
+            (
+                0.01, 0.01778279410038923, 0.03162277660168379,
+                0.056234132519034905, 0.1, 0.1778279410038923,
+                0.31622776601683794, 0.5623413251903491, 1.0,
+                1.7782794100389228, 3.1622776601683795, 5.62341325190349,
+                10.0, 17.78279410038923, 31.622776601683793,
+                56.23413251903491, 100.0,
+            ),
             "line lengths in um",
         ),
         ParamSpec("swcnt_diameter_nm", "float", 1.0, "SWCNT diameter in nm"),
@@ -135,7 +131,11 @@ register_experiment(
     ),
     description="Conductivity of SWCNT / MWCNT / Cu lines vs length (Fig. 9)",
     tags=("figure", "compact-model"),
-)(fig9_records)
+)
+def _fig9(**params) -> list[dict]:
+    from repro.analysis.fig9_conductivity import fig9_records
+
+    return fig9_records(**params)
 
 
 # --- Fig. 10: TCAD extraction -----------------------------------------------
@@ -152,6 +152,9 @@ register_experiment(
     tags=("figure", "tcad"),
 )
 def _fig10_capacitance(technology: str, n_lines: int, resolution: int) -> list[dict]:
+    from repro.analysis.fig10_tcad import fig10_capacitance_summary
+    from repro.circuit.technology import node_by_name
+
     summary = fig10_capacitance_summary(
         technology=node_by_name(technology), n_lines=n_lines, resolution=resolution
     )
@@ -178,10 +181,13 @@ def _fig10_capacitance(technology: str, n_lines: int, resolution: int) -> list[d
     tags=("figure", "tcad"),
 )
 def _fig10_m1_m2(technology: str, resolution: int) -> list[dict]:
+    from repro.analysis.fig10_tcad import fig10_m1_m2_summary
+    from repro.circuit.technology import node_by_name
+
     return [fig10_m1_m2_summary(technology=node_by_name(technology), resolution=resolution)]
 
 
-register_experiment(
+@register_experiment(
     "fig10_resistance",
     params=(
         ParamSpec("via_width_nm", "float", 30.0, "via hole width in nm"),
@@ -190,7 +196,11 @@ register_experiment(
     ),
     description="TCAD via resistance extraction with current crowding (Fig. 10b)",
     tags=("figure", "tcad"),
-)(fig10_resistance_summary)
+)
+def _fig10_resistance(**params) -> dict:
+    from repro.analysis.fig10_tcad import fig10_resistance_summary
+
+    return fig10_resistance_summary(**params)
 
 
 # --- Fig. 12: circuit-level delay-ratio benchmark ---------------------------
@@ -204,7 +214,10 @@ def _fig12_study(
     technology: str,
     use_transient: bool,
     n_segments: int,
-) -> DelayRatioStudy:
+):
+    from repro.analysis.fig12_delay_ratio import DelayRatioStudy
+    from repro.circuit.technology import node_by_name
+
     return DelayRatioStudy(
         diameters_nm=tuple(diameters_nm),
         lengths_um=tuple(lengths_um),
@@ -218,6 +231,8 @@ def _fig12_study(
 
 def _fig12_batch(params_list: list[dict]) -> list[list[dict]]:
     """Batched fig12 evaluator: stacked transients across sweep points."""
+    from repro.analysis.fig12_delay_ratio import fig12_records_batch
+
     return fig12_records_batch([_fig12_study(**params) for params in params_list])
 
 
@@ -240,7 +255,7 @@ def _fig12_batch(params_list: list[dict]) -> list[list[dict]]:
         ParamSpec(
             "contact_resistance",
             "float",
-            DEFAULT_CONTACT_RESISTANCE,
+            250.0e3,  # fig12_delay_ratio.DEFAULT_CONTACT_RESISTANCE
             "metal-CNT contact resistance per line in ohm",
         ),
         ParamSpec("technology", "str", "45nm", "driver technology node", choices=_TECHNOLOGIES),
@@ -260,6 +275,8 @@ def _fig12(
     use_transient: bool,
     n_segments: int,
 ) -> list[dict]:
+    from repro.analysis.fig12_delay_ratio import fig12_records
+
     return fig12_records(
         _fig12_study(
             diameters_nm,
@@ -300,6 +317,9 @@ def _energy(
     doped_channels: float,
     contact_resistance: float,
 ) -> list[dict]:
+    from repro.analysis.energy import run_energy_study
+    from repro.circuit.technology import node_by_name
+
     return run_energy_study(
         lengths_um=tuple(lengths_um),
         technology=node_by_name(technology),
@@ -312,14 +332,18 @@ def _energy(
 # --- prose tables -----------------------------------------------------------
 
 
-register_experiment(
+@register_experiment(
     "table_ampacity",
     description="Section-I ampacity comparison: Cu EM limit vs CNT breakdown",
     tags=("table",),
-)(ampacity_table)
+)
+def _table_ampacity() -> list[dict]:
+    from repro.analysis.tables import ampacity_table
+
+    return ampacity_table()
 
 
-register_experiment(
+@register_experiment(
     "table_thermal",
     params=(
         ParamSpec("via_diameter_nm", "float", 100.0, "via diameter in nm"),
@@ -327,22 +351,34 @@ register_experiment(
     ),
     description="CNT vs Cu thermal conductivity and via advantage",
     tags=("table", "thermal"),
-)(thermal_table)
+)
+def _table_thermal(**params) -> list[dict]:
+    from repro.analysis.tables import thermal_table
+
+    return thermal_table(**params)
 
 
-register_experiment(
+@register_experiment(
     "table_density",
     params=(ParamSpec("length_um", "float", 10.0, "line length in um"),),
     description="Minimum CNT density needed to compete with the Cu line",
     tags=("table",),
-)(density_table)
+)
+def _table_density(**params) -> list[dict]:
+    from repro.analysis.tables import density_table
+
+    return density_table(**params)
 
 
-register_experiment(
+@register_experiment(
     "table_doping_resistance",
     params=(
         ParamSpec("lengths_um", "floats", (1.0, 10.0, 100.0, 500.0), "line lengths in um"),
     ),
     description="Pristine vs doped MWCNT resistance vs length",
     tags=("table", "compact-model"),
-)(doping_resistance_table)
+)
+def _table_doping_resistance(**params) -> list[dict]:
+    from repro.analysis.tables import doping_resistance_table
+
+    return doping_resistance_table(**params)

@@ -50,24 +50,10 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.fig10_tcad import fig10_capacitance_summary
 from repro.api.experiment import Consumes, OutputSpec, ParamSpec, register_experiment
 from repro.api.study import register_study
 from repro.api.sweep import SweepSpec
-from repro.circuit.delay import measure_inverter_line_delay_batch
-from repro.core.line import DistributedRC
-from repro.characterization.electromigration import em_stress_test
-from repro.characterization.tlm import tlm_round_trip
-from repro.circuit.crosstalk import analyze_crosstalk
-from repro.circuit.technology import node_by_name
 from repro.constants import COPPER_EM_CURRENT_DENSITY_LIMIT
-from repro.core import InterconnectLine, MWCNTInterconnect
-from repro.core.composite import tradeoff_sweep
-from repro.process.catalyst import CO_CATALYST, FE_CATALYST
-from repro.process.growth import growth_temperature_sweep
-from repro.process.variability import doping_variability_comparison
-from repro.process.wafer import simulate_wafer_growth
-from repro.thermal import self_heating_analysis
 from repro.units import celsius_to_kelvin, nm, um
 
 _TECHNOLOGIES = ("14nm", "45nm")
@@ -99,6 +85,11 @@ def _crosstalk(
     resolution: int,
     n_time_steps: int,
 ) -> list[dict]:
+    from repro.analysis.fig10_tcad import fig10_capacitance_summary
+    from repro.circuit.crosstalk import analyze_crosstalk
+    from repro.circuit.technology import node_by_name
+    from repro.core import InterconnectLine, MWCNTInterconnect
+
     extraction = fig10_capacitance_summary(
         technology=node_by_name(technology), resolution=resolution
     )
@@ -152,6 +143,8 @@ def _crosstalk(
 def _em_lifetime(
     current_density: float, temperature: float, cnt_fraction: float
 ) -> list[dict]:
+    from repro.characterization.electromigration import em_stress_test
+
     records = []
     for material in ("copper", "cnt", "composite"):
         result = em_stress_test(
@@ -201,6 +194,8 @@ def _em_lifetime(
 def _variability(
     length_um: float, doped_channels: float, n_devices: int, seed: int
 ) -> list[dict]:
+    from repro.process.variability import doping_variability_comparison
+
     comparison = doping_variability_comparison(
         length=um(length_um),
         doped_channels=doped_channels,
@@ -222,7 +217,8 @@ def _variability(
 
 # --- growth window and wafer scale -------------------------------------------
 
-_CATALYSTS = {"Co": CO_CATALYST, "Fe": FE_CATALYST}
+# The names of repro.process.catalyst's CO_CATALYST and FE_CATALYST.
+_CATALYSTS = ("Co", "Fe")
 
 
 @register_experiment(
@@ -234,7 +230,7 @@ _CATALYSTS = {"Co": CO_CATALYST, "Fe": FE_CATALYST}
             (300.0, 350.0, 400.0, 450.0, 500.0, 600.0),
             "growth temperatures in Celsius",
         ),
-        ParamSpec("catalyst", "str", "Co", "catalyst metal", choices=tuple(_CATALYSTS)),
+        ParamSpec("catalyst", "str", "Co", "catalyst metal", choices=_CATALYSTS),
         ParamSpec("duration_s", "float", 600.0, "growth duration in seconds"),
     ),
     description="Catalyst growth window vs temperature (Section II.B)",
@@ -251,9 +247,14 @@ _CATALYSTS = {"Co": CO_CATALYST, "Fe": FE_CATALYST}
 def _growth_window(
     temperatures_c: tuple[float, ...], catalyst: str, duration_s: float
 ) -> list[dict]:
+    from repro.process.catalyst import CO_CATALYST, FE_CATALYST
+    from repro.process.growth import growth_temperature_sweep
+
     temperatures_k = [celsius_to_kelvin(t) for t in temperatures_c]
     results = growth_temperature_sweep(
-        temperatures_k, catalyst=_CATALYSTS[catalyst], duration=duration_s
+        temperatures_k,
+        catalyst={"Co": CO_CATALYST, "Fe": FE_CATALYST}[catalyst],
+        duration=duration_s,
     )
     return [
         {
@@ -282,6 +283,8 @@ def _growth_window(
 def _wafer_uniformity(
     die_pitch_mm: float, edge_drop: float, noise: float, seed: int
 ) -> list[dict]:
+    from repro.process.wafer import simulate_wafer_growth
+
     wafer = simulate_wafer_growth(
         die_pitch=die_pitch_mm * 1e-3, edge_drop=edge_drop, noise=noise, seed=seed
     )
@@ -324,6 +327,8 @@ def _wafer_uniformity(
 def _composite_tradeoff(
     width_nm: float, height_nm: float, length_um: float, fractions: tuple[float, ...]
 ) -> list[dict]:
+    from repro.core.composite import tradeoff_sweep
+
     return tradeoff_sweep(nm(width_nm), nm(height_nm), um(length_um), list(fractions))
 
 
@@ -354,6 +359,9 @@ def _tlm(
     noise_fraction: float,
     seed: int,
 ) -> list[dict]:
+    from repro.characterization.tlm import tlm_round_trip
+    from repro.core import MWCNTInterconnect
+
     device = MWCNTInterconnect(outer_diameter=nm(outer_diameter_nm), length=um(2.0))
     extraction, true_contact, true_slope = tlm_round_trip(
         device,
@@ -394,6 +402,9 @@ def _self_heating(
     current_ua: float,
     substrate_coupling: float,
 ) -> list[dict]:
+    from repro.core import MWCNTInterconnect
+    from repro.thermal import self_heating_analysis
+
     result = self_heating_analysis(
         MWCNTInterconnect(outer_diameter=nm(outer_diameter_nm), length=um(length_um)),
         current_ua * 1e-6,
@@ -462,6 +473,10 @@ def _variability_delay(
     the MWCNT compact model) and measures the Fig. 11 inverter-line-inverter
     propagation delay at each corner.
     """
+    from repro.circuit.delay import measure_inverter_line_delay_batch
+    from repro.core import MWCNTInterconnect
+    from repro.core.line import DistributedRC
+
     device = MWCNTInterconnect(
         outer_diameter=nm(outer_diameter_nm), length=um(length_um)
     )
@@ -513,7 +528,7 @@ def _variability_delay(
 @register_experiment(
     "wafer_window",
     params=(
-        ParamSpec("catalyst", "str", "Co", "catalyst metal", choices=tuple(_CATALYSTS)),
+        ParamSpec("catalyst", "str", "Co", "catalyst metal", choices=_CATALYSTS),
         ParamSpec("die_pitch_mm", "float", 20.0, "die spacing in mm"),
         ParamSpec("base_edge_drop", "float", 0.05, "edge drop at perfect nucleation"),
         ParamSpec("noise_floor", "float", 0.005, "wafer noise floor at quality 1"),
@@ -554,6 +569,8 @@ def _wafer_window(
     edge drop grows with the nucleation shortfall and the within-wafer noise
     with the quality shortfall, so a poor window shows up as a poor wafer.
     """
+    from repro.process.wafer import simulate_wafer_growth
+
     rows = growth_result.require_columns(
         "temperature_c", "quality", "nucleation_yield", "cmos_compatible"
     ).to_records()

@@ -21,7 +21,9 @@ Experiments are registered with the :func:`register_experiment` decorator and
 looked up by name via :func:`get_experiment` / :func:`list_experiments`.
 Registering all of the paper's drivers happens in
 :mod:`repro.analysis.experiments`, which :func:`ensure_registered` imports on
-demand so that engines always see a populated registry.
+demand so that engines always see a populated registry.  Registration
+imports no physics: each experiment function imports its solvers when it
+runs.
 """
 
 from __future__ import annotations
@@ -565,7 +567,8 @@ def ensure_registered() -> None:
     ``Engine.run("fig9")`` work without the caller importing
     :mod:`repro.analysis.experiments` first.  Covers both the paper's
     figure/table drivers and the extension studies
-    (:mod:`repro.analysis.studies`).
+    (:mod:`repro.analysis.studies`).  Neither module imports a solver, so
+    this loads no numpy, scipy or physics package.
     """
     import repro.analysis.experiments  # noqa: F401  (import has the side effect)
     import repro.analysis.studies  # noqa: F401  (import has the side effect)
