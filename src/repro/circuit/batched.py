@@ -40,14 +40,10 @@ the dense path to solver precision (the tests hold it to 1e-9).
 Jobs are grouped by a structural signature (matrix size, element topology,
 zero-capacitance pattern, step count, method); singleton groups, and every
 job of a group whose stacked solve fails, run as one-job stacks, so
-batching can change performance but never results.  A group of at least
-``2 *`` :data:`MIN_SHARD_JOBS` jobs is split into contiguous shards, one per
-CPU the process may run on: the caller runs the first, children forked by
-:func:`repro.forking.forked` the others, and the results are joined in job
-order.  Since a job's bits never depend on its stack, sharding changes no
-bit either.  The kernel forks only where :func:`repro.forking.can_fork`
-allows it and runs the group in process everywhere else; a failing shard
-makes the group rerun job by job.
+batching can change performance but never results.  A stack stops once
+every job has crossed the levels its caller measures
+(:attr:`TransientJob.until`); time marching is causal, so the cut changes
+no such crossing.  Stacks run in the calling process.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import forking
 from repro.circuit import mna
 from repro.circuit.elements import sample_waveform
 from repro.circuit.mna import (
@@ -82,6 +77,13 @@ class TransientJob:
     Fields mirror the :func:`~repro.circuit.transient.transient_analysis`
     signature; jobs whose derived step count, method and circuit topology
     match are evaluated together.
+
+    ``until`` is an ordered chain of ``(node, level)`` crossings, in either
+    direction, each counted only from the step at which the one before it
+    crossed (the ``start_time`` rule of
+    :func:`~repro.circuit.delay.propagation_delay`).  A stack whose every
+    job has a chain ends at the first step where every chain is complete;
+    a stack with any job without one runs to ``stop_time``.
     """
 
     circuit: Circuit
@@ -89,6 +91,7 @@ class TransientJob:
     time_step: float
     method: str = "trapezoidal"
     use_dc_start: bool = True
+    until: tuple[tuple[str, float], ...] = ()
 
 
 def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
@@ -473,10 +476,12 @@ class _Batch:
                 mna.DC_NEWTON_ITERATIONS,
             )
 
-    def run(self, n_steps: int, use_dc_start: bool) -> list[TransientResult]:
+    def run(self, n_steps: int, use_dc_start: bool, until: list[tuple]) -> list[TransientResult]:
         """Fixed-step transients of the transient system, ``n_steps`` steps
         of each job's time step, from the DC operating point at ``t = 0``
-        or (without ``use_dc_start``) from the element initial conditions."""
+        or (without ``use_dc_start``) from the element initial conditions,
+        cut at the step that completes ``until``, each job's
+        :attr:`TransientJob.until` chain, if none is empty."""
         n_jobs, size = self.n_jobs, self.size
         times = np.array(
             [np.linspace(0.0, n_steps * dt, n_steps + 1) for dt in self.time_steps]
@@ -501,11 +506,25 @@ class _Batch:
             cap_v = self._branch_voltages(padded, self.cap_terminals)
             ind_i = np.zeros_like(ind_i)
 
+        # Crossing chains as (jobs x links) node columns and levels; job j
+        # waits for its link reached[j] until it has reached them all.
+        stops = all(until)
+        if stops:
+            lengths = np.array([len(chain) for chain in until])
+            columns = np.zeros((n_jobs, lengths.max()), dtype=np.intp)
+            levels = np.zeros((n_jobs, lengths.max()))
+            for job, (assembler, chain) in enumerate(zip(self.assemblers, until)):
+                for link, (node, level) in enumerate(chain):
+                    columns[job, link] = assembler.node_index(node)
+                    levels[job, link] = level
+            reached = np.zeros(n_jobs, dtype=np.intp)
+
         # Every source sampled once over the whole run, (steps, sources, jobs).
         currents, voltages = self._source_table(times)
         # Time on the last axis: every waveform cut from it is a view, not a copy.
         trace = np.empty((n_jobs, size, n_steps + 1))
         trace[:, :, 0] = solutions
+        end = n_steps
         for step in range(1, n_steps + 1):
             base_rhs = self._base_rhs(
                 currents[step], voltages[step], (cap_v, cap_i, ind_i, ind_v)
@@ -516,53 +535,36 @@ class _Batch:
             padded[:, :size] = solutions
             cap_v, cap_i, ind_i, ind_v = self._advance_state(padded, cap_v, cap_i, ind_i, ind_v)
             trace[:, :, step] = solutions
+            if not stops:
+                continue
+            # Each waiting link that crosses between the last two samples,
+            # as crossing_time tests it, is reached; the next link of its
+            # chain may cross in the same step.
+            while True:
+                waiting = np.flatnonzero(reached < lengths)
+                link = reached[waiting]
+                nodes, level = columns[waiting, link], levels[waiting, link]
+                v0, v1 = trace[waiting, nodes, step - 1], trace[waiting, nodes, step]
+                crossed = ((v0 < level) & (level <= v1)) | ((v0 > level) & (level >= v1))
+                if not crossed.any():
+                    break
+                reached[waiting[crossed]] += 1
+            if (reached == lengths).all():
+                end = step
+                break
 
         return [
-            TransientResult.from_trace(assembler, job_times, job_trace.T)
+            TransientResult.from_trace(assembler, job_times[: end + 1], job_trace[:, : end + 1].T)
             for assembler, job_times, job_trace in zip(self.assemblers, times, trace)
         ]
-
-
-MIN_SHARD_JOBS = 10
-"""Fewest jobs a shard of a stacked group holds: a group is split into
-``min(CPUs, n_jobs // MIN_SHARD_JOBS)`` shards, so it shards from
-``2 * MIN_SHARD_JOBS`` jobs on.  Set at the measured crossover: a stack's
-time is mostly per-iteration overhead, which every shard pays in full, so
-on a 2-vCPU x86 host (medians of 9 alternating runs of Fig. 12 lines,
-in process against 2 shards) 4 jobs took 358 ms against 424 ms, 8 jobs
-547 against 527 ms, 16 jobs 665 against 663 ms and 20 jobs 1010 against
-720 ms; forking a 186 MB process, sending one result list back and
-joining the child costs about 12 ms."""
 
 
 def _run_stack(jobs: list[TransientJob]) -> list[TransientResult]:
     """Run jobs of one topology signature as one stack."""
     first = jobs[0]
     batch = _Batch([job.circuit for job in jobs], [job.time_step for job in jobs], first.method)
-    return batch.run(int(round(first.stop_time / first.time_step)), first.use_dc_start)
-
-
-def _shard_count(n_jobs: int) -> int:
-    """Number of shards to split a group of ``n_jobs`` into (1: no split):
-    one per CPU, where :func:`repro.forking.can_fork` allows a fork."""
-    if not forking.can_fork():
-        return 1
-    return max(1, min(forking.cpu_count(), n_jobs // MIN_SHARD_JOBS))
-
-
-def _run_sharded(jobs: list[TransientJob], n_shards: int) -> list[TransientResult]:
-    """:func:`_run_stack` of ``jobs`` split into ``n_shards`` contiguous
-    shards; the first runs here, the others in forked children.  Raises
-    if a child fails, exits non-zero or closes its pipe early."""
-    size, extra = divmod(len(jobs), n_shards)
-    bounds = [shard * size + min(shard, extra) for shard in range(n_shards + 1)]
-    shards = [jobs[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    with forking.forked(_run_stack, shards[1:], n_shards - 1) as arrivals:
-        results = _run_stack(shards[0])
-        others = dict(arrivals)
-    for index in range(n_shards - 1):
-        results.extend(others[index])
-    return results
+    n_steps = int(round(first.stop_time / first.time_step))
+    return batch.run(n_steps, first.use_dc_start, [job.until for job in jobs])
 
 
 def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
@@ -570,9 +572,8 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
 
     Results are returned in job order and equal calling
     :func:`~repro.circuit.transient.transient_analysis` per job bit for bit
-    (see module docstring).  Singleton groups, and groups whose stacked
-    kernel raises, run as one-job stacks instead.  Large groups run in
-    shards across the CPUs (:func:`_shard_count`).
+    up to the step their stack stops at (see module docstring).  Singleton groups, and groups whose stacked
+    kernel raises, run as one-job stacks instead.
     """
     results: list[TransientResult | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -587,15 +588,10 @@ def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult
             metrics.counter("repro_batch_groups_total", mode="serial").inc()
             group_results = _run_stack(group_jobs)
         else:
-            n_shards = _shard_count(len(group_jobs))
             try:
-                with trace_span("circuit.batch", n_jobs=len(group_jobs), shards=n_shards):
-                    if n_shards > 1:
-                        group_results = _run_sharded(group_jobs, n_shards)
-                    else:
-                        group_results = _run_stack(group_jobs)
-                mode = "sharded" if n_shards > 1 else "stacked"
-                metrics.counter("repro_batch_groups_total", mode=mode).inc()
+                with trace_span("circuit.batch", n_jobs=len(group_jobs)):
+                    group_results = _run_stack(group_jobs)
+                metrics.counter("repro_batch_groups_total", mode="stacked").inc()
                 metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
             except Exception:
                 # Never let batching change observable behaviour: rerun the

@@ -122,18 +122,13 @@ class DelayMeasurement:
     propagation_delay:
         50 %-to-50 % delay from the driver input to the far end of the line
         (the receiver input) in second.
-    receiver_output_delay:
-        50 %-to-50 % delay from the driver input to the receiver output in
-        second (includes the receiving gate's own delay).
-    far_end_rise_time:
-        10-90 % transition time at the far end of the line in second.
     result:
-        The full transient result, for plotting or further inspection.
+        The transient result, for plotting or further inspection.  It ends
+        at the step where the far end crossed 50 % (or, for a line measured
+        in a stack, where the last line of the stack crossed).
     """
 
     propagation_delay: float
-    receiver_output_delay: float
-    far_end_rise_time: float
     result: TransientResult
 
 
@@ -188,15 +183,7 @@ def _build_delay_benchmark(
 
 def _measure_from_result(result: TransientResult, v_dd: float) -> DelayMeasurement:
     """Extract the benchmark metrics from a finished transient result."""
-    delay_far = propagation_delay(result, "in", "far", v_dd)
-    delay_out = propagation_delay(result, "in", "out", v_dd)
-    slew = rise_time(result, "far", v_dd)
-    return DelayMeasurement(
-        propagation_delay=delay_far,
-        receiver_output_delay=delay_out,
-        far_end_rise_time=slew,
-        result=result,
-    )
+    return DelayMeasurement(propagation_delay(result, "in", "far", v_dd), result)
 
 
 def measure_inverter_line_delay(
@@ -232,9 +219,10 @@ def measure_inverter_line_delay(
         polarity because of the inverting driver.
     simulation_margin:
         Simulation window as a multiple of the line's Elmore-delay estimate
-        (plus the input transition), so slow lines still settle.
+        (plus the input transition), so slow lines still cross; the run
+        ends at the far end's 50 % crossing.
     n_time_steps:
-        Number of fixed transient steps.
+        Number of fixed transient steps in the window.
     method:
         Integration method passed to the transient engine.
 
@@ -273,7 +261,10 @@ def measure_inverter_line_delay_batch(
     :func:`repro.circuit.batched.batched_transient_analysis`, which groups
     same-topology jobs into stacked solves and is bitwise-identical to
     per-job serial runs.  Lines whose segment counts differ simply land in
-    different groups -- correctness never depends on the batching.
+    different groups -- correctness never depends on the batching.  Each
+    stack ends once every line's input and then far end have crossed 50 %
+    (:attr:`~repro.circuit.batched.TransientJob.until`), so nothing after
+    the last crossing is simulated.
     """
     jobs = []
     windows = []
@@ -288,8 +279,9 @@ def measure_inverter_line_delay_batch(
             simulation_margin,
             n_time_steps,
         )
+        half = 0.5 * v_dd
         jobs.append(
-            TransientJob(circuit=circuit, stop_time=stop_time, time_step=time_step, method=method)
+            TransientJob(circuit, stop_time, time_step, method, until=(("in", half), ("far", half)))
         )
         windows.append(v_dd)
     results = batched_transient_analysis(jobs)

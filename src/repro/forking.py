@@ -5,9 +5,9 @@ A forked child inherits the caller's memory -- the function, its items, the
 experiment registry and the tracing context -- so nothing is pickled on the
 way in.  The children claim item indices from a counter they share, so a
 slow item holds up no item behind it, and each sends ``(index, result)``
-back through its own one-way pipe.  The circuit kernel's sharded stacks
-(:mod:`repro.circuit.batched`) and the engine's ``process`` executor
-(:mod:`repro.api.engine`) both fan out through it.
+back through its own one-way pipe.  The engine's ``process`` executor
+(:mod:`repro.api.engine`) fans out through it; the circuit kernel runs each
+stack in the calling process.
 
 Forking is safe only where :func:`can_fork` says so: on Linux, in a process
 that runs one Python thread (the child gets a copy of only the forking

@@ -20,7 +20,7 @@ repro_cache_events_total               counter    outcome=hit|miss
 repro_points_executed_total            counter    executor=serial|process
 repro_point_wall_seconds               histogram  --
 repro_dispatch_overhead_seconds_total  counter    executor=process
-repro_batch_groups_total               counter    mode=stacked|sharded|serial|fallback
+repro_batch_groups_total               counter    mode=stacked|serial|fallback
 repro_batch_group_points               histogram  --
 repro_claim_outcomes_total             counter    status
 repro_lease_renewals_total             counter    --

@@ -269,6 +269,16 @@ class TestForkedSweeps:
         assert forked.content_hash == Engine().sweep(counted_experiment, spec).content_hash
 
 
+    def test_fig12_process_sweep_matches_serial(self, process_starts):
+        # Paper defaults: each point's 90 delay transients run as one stack
+        # inside one of the sweep's children, which start no process of
+        # their own.
+        spec = SweepSpec.grid(contact_resistance=[1e5, 2e5])
+        forked = Engine(executor="process", max_workers=2).sweep("fig12", spec)
+        assert process_starts() == [os.getpid()] * 2
+        assert forked.content_hash == Engine().sweep("fig12", spec).content_hash
+
+
 class TestLegacyParity:
     """Engine records equal the figure functions behind the experiments."""
 

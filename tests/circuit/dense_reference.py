@@ -427,7 +427,11 @@ def dense_transient_analysis(
 
 def dense_inverter_line_delay(line: InterconnectLine, n_time_steps: int) -> DelayMeasurement:
     """:func:`~repro.circuit.delay.measure_inverter_line_delay` at its
-    default settings, with the transient run by :func:`dense_transient_analysis`."""
+    default settings, with the transient run by :func:`dense_transient_analysis`.
+
+    The oracle runs the whole window, where the library stops at the far
+    end's 50 % crossing, so its delay also checks that the stop changes no
+    bit; its ``result`` is the whole window."""
     defaults = {
         name: parameter.default
         for name, parameter in inspect.signature(measure_inverter_line_delay).parameters.items()

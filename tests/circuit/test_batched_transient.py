@@ -7,6 +7,7 @@ path produces for the same job, so batching can never perturb a result,
 a content hash, or a cache key.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -24,11 +25,13 @@ from repro.circuit.batched import (
     topology_signature,
 )
 from repro.circuit.delay import (
+    _build_delay_benchmark,
     measure_inverter_line_delay,
     measure_inverter_line_delay_batch,
+    propagation_delay,
 )
 from repro.circuit.inverter import Inverter, add_supply
-from repro.circuit.mna import MNAAssembler
+from repro.circuit.mna import BAND_SIZE_THRESHOLD, MNAAssembler
 from repro.circuit import mosfet
 from repro.circuit.mosfet import MOSFET, MOSFETParameters, parameter_stack
 from repro.circuit.rcline import add_rc_ladder
@@ -169,8 +172,10 @@ class TestBatchedTransient:
         )
 
     def test_mixed_topologies_grouped_independently(self):
-        """Different segment counts land in different stacks, same answers."""
-        jobs = _jobs([1e3, 1e4], n_segments=6) + _jobs([1e3, 1e4], n_segments=10)
+        """Different segment counts land in different stacks, same answers,
+        joined back in job order."""
+        six, ten = _jobs([1e3, 1e4, 3e4], n_segments=6), _jobs([1e3, 1e4, 3e4], n_segments=10)
+        jobs = [job for pair in zip(six, ten) for job in pair]
         batched = batched_transient_analysis(jobs)
         serial = [
             transient_analysis(job.circuit, job.stop_time, job.time_step)
@@ -194,8 +199,10 @@ class TestBatchedTransient:
         sig_a = topology_signature(a, MNAAssembler(a.circuit))
         sig_b = topology_signature(b, MNAAssembler(b.circuit))
         sig_c = topology_signature(c, MNAAssembler(c.circuit))
+        d = dataclasses.replace(a, until=(("far", 0.5),))
         assert sig_a == sig_b
         assert sig_a != sig_c
+        assert topology_signature(d, MNAAssembler(d.circuit)) == sig_a
 
 
 class TestBatchedDelay:
@@ -205,8 +212,13 @@ class TestBatchedDelay:
         serial = [measure_inverter_line_delay(line, n_time_steps=150) for line in lines]
         for got, want in zip(batched, serial):
             assert got.propagation_delay == want.propagation_delay
-            assert got.receiver_output_delay == want.receiver_output_delay
-            assert got.far_end_rise_time == want.far_end_rise_time
+            # The stack runs to its last line's crossing, so each one-line
+            # run is a prefix of it.
+            n_points = want.result.n_points
+            assert got.result.n_points >= n_points
+            for node in ("in", "far", "out"):
+                got_wave = got.result.voltage(node)[:n_points]
+                assert got_wave.tobytes() == want.result.voltage(node).tobytes()
 
     def test_fig12_records_batch_identical(self):
         from repro.analysis.fig12_delay_ratio import (
@@ -275,6 +287,92 @@ class TestBatchedDelay:
                 )
         assert len(want) == 6
         assert got == want
+
+
+def _delay_lines(n_segments: int, lengths_um=(50.0, 200.0, 500.0)) -> list:
+    return [
+        InterconnectLine(
+            MWCNTInterconnect(
+                outer_diameter=nm(10), length=um(length), contact_resistance=100e3
+            ),
+            n_segments=n_segments,
+        )
+        for length in lengths_um
+    ]
+
+
+def _delay_jobs(lines, until: bool, rising_input=True, simulation_margin=8.0, n_steps=600):
+    """The delay benchmark's jobs, with its crossing chain or without one,
+    and their supply voltages."""
+    jobs, supplies = [], []
+    for line in lines:
+        circuit, stop_time, time_step, v_dd = _build_delay_benchmark(
+            line, NODE_45NM, 1.0, 1.0, 5e-12, rising_input, simulation_margin, n_steps
+        )
+        chain = (("in", 0.5 * v_dd), ("far", 0.5 * v_dd)) if until else ()
+        jobs.append(TransientJob(circuit, stop_time, time_step, until=chain))
+        supplies.append(v_dd)
+    return jobs, supplies
+
+
+class TestStopAtCrossing:
+    """A delay stack ends at its last far-end crossing and keeps every delay bit."""
+
+    @pytest.mark.parametrize("rising_input", [True, False], ids=["rising", "falling"])
+    @pytest.mark.parametrize("n_segments", [20, 80], ids=["dense", "band"])
+    def test_stopped_delay_equals_full_window(self, n_segments, rising_input):
+        lines = _delay_lines(n_segments)
+        jobs, supplies = _delay_jobs(lines, until=False, rising_input=rising_input)
+        size = MNAAssembler(jobs[0].circuit).size
+        assert (size >= BAND_SIZE_THRESHOLD) == (n_segments == 80)
+        full = batched_transient_analysis(jobs)
+        stopped = measure_inverter_line_delay_batch(lines, rising_input=rising_input)
+        for got, want, v_dd in zip(stopped, full, supplies):
+            delay = propagation_delay(want, "in", "far", v_dd)
+            assert got.propagation_delay.hex() == delay.hex()
+            n_points = got.result.n_points
+            assert n_points < want.n_points
+            assert got.result.times.tobytes() == want.times[:n_points].tobytes()
+            for node in want.node_voltages:
+                got_wave = got.result.voltage(node)
+                assert got_wave.tobytes() == want.voltage(node)[:n_points].tobytes()
+
+    def test_stack_stops_at_its_last_crossing(self):
+        lines = _delay_lines(6)
+        alone = [measure_inverter_line_delay(line) for line in lines]
+        ends = [measurement.result.n_points for measurement in alone]
+        assert len(set(ends)) == len(ends)
+        stacked = measure_inverter_line_delay_batch(lines)
+        for got, want in zip(stacked, alone):
+            assert got.propagation_delay.hex() == want.propagation_delay.hex()
+            assert got.result.n_points == max(ends)
+        # A job without a chain keeps its whole stack running.
+        jobs, _ = _delay_jobs(lines, until=True)
+        jobs[1] = dataclasses.replace(jobs[1], until=())
+        assert [result.n_points for result in batched_transient_analysis(jobs)] == [601] * 3
+
+    def test_job_that_never_crosses_runs_every_step(self):
+        # Half an Elmore delay of window: the 500 um line's far end never
+        # reaches 50 %, the 10 um line's does.
+        lines = _delay_lines(6, lengths_um=(10.0, 500.0))
+        settings = {"simulation_margin": 0.5, "n_time_steps": 60}
+        jobs, supplies = _delay_jobs(lines, until=True, simulation_margin=0.5, n_steps=60)
+        crossing, never = batched_transient_analysis(jobs)
+        assert crossing.n_points == never.n_points == 61
+        delay = propagation_delay(crossing, "in", "far", supplies[0])
+        alone = measure_inverter_line_delay(lines[0], **settings)
+        assert delay.hex() == alone.propagation_delay.hex()
+
+        full_jobs, _ = _delay_jobs(lines[1:], until=False, simulation_margin=0.5, n_steps=60)
+        with pytest.raises(ValueError) as want:
+            propagation_delay(batched_transient_analysis(full_jobs)[0], "in", "far", supplies[1])
+        assert str(want.value).startswith("waveform never crosses")
+        with pytest.raises(ValueError) as got:
+            propagation_delay(never, "in", "far", supplies[1])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as measured:
+            measure_inverter_line_delay(lines[1], **settings)
+        assert str(measured.value) == str(want.value)
 
 
 def _fig12_serial_oracle(study) -> list[dict]:

@@ -3,7 +3,7 @@
 The one Newton loop, the stacked kernel's ``_Batch._newton``, raises it for
 the DC operating point, for a one-job transient and for a stack, on both
 sides of the band threshold, and the batched front end's per-job fallback
-re-raises it.
+re-raises it, also when only one job of a stack fails.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.circuit.mna import BAND_SIZE_THRESHOLD, MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
+from repro.obs import metrics
 
 PREFIX = "Newton iteration did not converge at t="
 
@@ -90,3 +91,24 @@ def test_stacked_kernel_and_batched_fallback(one_iteration):
     with pytest.raises(ConvergenceError) as info:
         batched_transient_analysis(jobs)
     _check(info.value, jobs[0].circuit)
+
+
+@pytest.mark.parametrize("layout", ["dense", "band"])
+def test_one_failing_job_in_a_stack(layout, monkeypatch):
+    # Capped at 5 Newton iterations a step, the 2e4 ohm job fails and the
+    # others converge.
+    if layout == "band":
+        monkeypatch.setattr(mna, "BAND_SIZE_THRESHOLD", 0)
+    monkeypatch.setattr(mna, "TRANSIENT_NEWTON_ITERATIONS", 5)
+    jobs = [TransientJob(_inverter_line(r), 2e-10, 1e-12) for r in (1e3, 5e3, 2e4)]
+    _run_stack(jobs[:2])
+    with pytest.raises(ConvergenceError) as alone:
+        _run_stack(jobs[2:])
+    fallbacks = metrics.counter("repro_batch_groups_total", mode="fallback")
+    before = fallbacks.value
+    with pytest.raises(ConvergenceError) as stacked:
+        batched_transient_analysis(jobs)
+    assert fallbacks.value == before + 1
+    assert str(stacked.value) == str(alone.value)
+    for field in ("time", "iterations", "max_delta", "size"):
+        assert getattr(stacked.value, field) == getattr(alone.value, field)

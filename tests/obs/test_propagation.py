@@ -54,6 +54,29 @@ class TestPoolPropagation:
             )
             assert any(span["pid"] != parent_pid for span in points)
 
+    def test_forked_children_join_the_parents_trace(self, tmp_path):
+        sink = str(tmp_path / "trace.jsonl")
+        spec = SweepSpec.grid(contact_resistance=[1e5, 2e5])
+        params = {
+            "diameters_nm": (10.0,),
+            "lengths_um": (10.0,),
+            "channel_counts": (2.0, 4.0, 6.0, 8.0),
+            "n_segments": 4,
+        }
+        with tracing(sink):
+            Engine(executor="process", max_workers=2).sweep("fig12", spec, base_params=params)
+        spans = _read_spans(sink)
+        by_id = {span["span_id"]: span for span in spans}
+        (sweep,) = [span for span in spans if span["name"] == "engine.sweep"]
+        children = [span for span in spans if span["pid"] != sweep["pid"]]
+        names = {span["name"] for span in children}
+        assert {"circuit.batch", "circuit.dc"} <= names
+        assert {span["trace_id"] for span in children} == {sweep["trace_id"]}
+        for span in children:
+            assert sweep in _ancestors(span, by_id)
+        for batch in (span for span in children if span["name"] == "circuit.batch"):
+            assert batch["attrs"] == {"n_jobs": 4}
+
     def test_tracing_leaves_content_hashes_bit_identical(self, tmp_path):
         baseline = Engine(cache_dir=str(tmp_path / "cache-a")).sweep(
             "table_density", SPEC

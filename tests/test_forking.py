@@ -1,9 +1,8 @@
 """The fork helper: every item exactly once, failures raise, no child left.
 
 ``repro.forking.forked`` is the one way ``repro`` starts processes: the
-circuit kernel's shards and the engine's ``process`` sweeps both go through
-it.  Its children claim items from a shared counter, so a lost update would
-run an item twice or skip it.
+engine's ``process`` sweeps go through it.  Its children claim items from a
+shared counter, so a lost update would run an item twice or skip it.
 """
 
 import multiprocessing
