@@ -268,7 +268,6 @@ class TestForkedSweeps:
         assert process_starts() == []
         assert forked.content_hash == Engine().sweep(counted_experiment, spec).content_hash
 
-
     def test_fig12_process_sweep_matches_serial(self, process_starts):
         # Paper defaults: each point's 90 delay transients run as one stack
         # inside one of the sweep's children, which start no process of
