@@ -1,10 +1,23 @@
-"""Setuptools shim.
+"""Packaging for ``pip install -e .``: the ``repro`` package under ``src/``.
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-that legacy editable installs (``pip install -e . --no-build-isolation``)
-work in offline environments where the ``wheel`` package is unavailable.
+The version is read from the text of ``src/repro/__init__.py``, so building
+the metadata imports neither ``repro`` nor its dependencies.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', INIT.read_text(), re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description='Reproduction of "Progress on Carbon Nanotube BEOL Interconnects"',
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

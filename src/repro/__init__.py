@@ -48,16 +48,11 @@ or, from the shell, ``python -m repro list`` / ``python -m repro run fig9``
 """
 
 from repro import constants, units
-from repro.api import Engine, Experiment, ResultSet, SweepSpec
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "constants",
-    "units",
-    "Engine",
-    "Experiment",
-    "ResultSet",
-    "SweepSpec",
-    "__version__",
-]
+_names, __getattr__, __dir__ = lazy_exports(
+    __name__, {"api": ("Engine", "Experiment", "ResultSet", "SweepSpec")}
+)
+__all__ = ["constants", "units", *_names, "__version__"]

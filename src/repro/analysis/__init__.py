@@ -22,33 +22,21 @@ experiments does) loads no driver.  No plotting library is used;
 :mod:`repro.analysis.report` renders results as text tables.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-# Each re-export and the module that defines it.  They are imported on first
-# access (PEP 562), so registering the experiments imports no driver.
-_EXPORTS = {
-    "PAPER_REFERENCE": "paper_reference",
-    "format_table": "report",
-    "fig8a_records": "fig8_conductance",
-    "fig8c_result": "fig8_conductance",
-    "fig9_records": "fig9_conductivity",
-    "fig10_capacitance_summary": "fig10_tcad",
-    "fig10_m1_m2_summary": "fig10_tcad",
-    "fig10_resistance_summary": "fig10_tcad",
-    "fig12_records": "fig12_delay_ratio",
-    "DelayRatioStudy": "fig12_delay_ratio",
-    "summarize_at_length": "fig12_delay_ratio",
-    "ampacity_table": "tables",
-    "thermal_table": "tables",
-    "density_table": "tables",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "paper_reference": ("PAPER_REFERENCE",),
+        "report": ("format_table",),
+        "fig8_conductance": ("fig8a_records", "fig8c_result"),
+        "fig9_conductivity": ("fig9_records",),
+        "fig10_tcad": (
+            "fig10_capacitance_summary",
+            "fig10_m1_m2_summary",
+            "fig10_resistance_summary",
+        ),
+        "fig12_delay_ratio": ("fig12_records", "DelayRatioStudy", "summarize_at_length"),
+        "tables": ("ampacity_table", "thermal_table", "density_table"),
+    },
+)

@@ -38,91 +38,53 @@ the registry imports them on first use, so no explicit setup call is
 needed.  The generated experiment catalog is ``docs/EXPERIMENTS.md``.
 """
 
-from repro.api.experiment import (
-    Consumes,
-    DuplicateExperimentError,
-    Experiment,
-    ExperimentError,
-    ExperimentNotFoundError,
-    OutputSchemaError,
-    OutputSpec,
-    ParameterError,
-    ParamSpec,
-    PipelineError,
-    ensure_registered,
-    get_experiment,
-    list_experiments,
-    normalize_records,
-    register_experiment,
-    unregister_experiment,
-    validate_records,
-)
-from repro.api.results import MissingColumnsError, ResultSet, content_hash
-from repro.api.sweep import SweepSpec
-from repro.api.engine import Engine, SweepError, SweepPoint, cache_key
-from repro.api.study import (
-    DuplicateStudyError,
-    Pipeline,
-    Stage,
-    Study,
-    StudyNotFoundError,
-    get_study,
-    list_studies,
-    register_study,
-    resolve_pipeline,
-    unregister_study,
-)
-from repro.api.cache import (
-    CacheEntry,
-    CacheStats,
-    cache_stats,
-    clear_cache,
-    gc_store,
-    prune_cache,
-    scan_cache,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheEntry",
-    "CacheStats",
-    "Consumes",
-    "DuplicateExperimentError",
-    "DuplicateStudyError",
-    "Engine",
-    "Experiment",
-    "ExperimentError",
-    "ExperimentNotFoundError",
-    "MissingColumnsError",
-    "OutputSchemaError",
-    "OutputSpec",
-    "ParamSpec",
-    "ParameterError",
-    "Pipeline",
-    "PipelineError",
-    "ResultSet",
-    "Stage",
-    "Study",
-    "StudyNotFoundError",
-    "SweepError",
-    "SweepPoint",
-    "SweepSpec",
-    "cache_key",
-    "cache_stats",
-    "clear_cache",
-    "content_hash",
-    "gc_store",
-    "prune_cache",
-    "scan_cache",
-    "ensure_registered",
-    "get_experiment",
-    "get_study",
-    "list_experiments",
-    "list_studies",
-    "normalize_records",
-    "register_experiment",
-    "register_study",
-    "resolve_pipeline",
-    "unregister_experiment",
-    "unregister_study",
-    "validate_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "experiment": (
+            "Consumes",
+            "DuplicateExperimentError",
+            "Experiment",
+            "ExperimentError",
+            "ExperimentNotFoundError",
+            "OutputSchemaError",
+            "OutputSpec",
+            "ParameterError",
+            "ParamSpec",
+            "PipelineError",
+            "ensure_registered",
+            "get_experiment",
+            "list_experiments",
+            "normalize_records",
+            "register_experiment",
+            "unregister_experiment",
+            "validate_records",
+        ),
+        "results": ("MissingColumnsError", "ResultSet", "content_hash"),
+        "sweep": ("SweepSpec",),
+        "engine": ("Engine", "SweepError", "SweepPoint", "cache_key"),
+        "study": (
+            "DuplicateStudyError",
+            "Pipeline",
+            "Stage",
+            "Study",
+            "StudyNotFoundError",
+            "get_study",
+            "list_studies",
+            "register_study",
+            "resolve_pipeline",
+            "unregister_study",
+        ),
+        "cache": (
+            "CacheEntry",
+            "CacheStats",
+            "cache_stats",
+            "clear_cache",
+            "gc_store",
+            "prune_cache",
+            "scan_cache",
+        ),
+    },
+)

@@ -155,7 +155,6 @@ from repro.api.experiment import (
 )
 from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
-from repro.service.client import ServiceError
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -1557,11 +1556,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # construction (bad --workers, malformed axes, ...).
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except ServiceError as error:
-        # The service rejected the request or is unreachable; the message
-        # carries the server's explanation (or the socket error).
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that's a clean exit.
         try:
@@ -1569,6 +1563,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except Exception as error:
+        # A ServiceError: the service rejected the request or is unreachable;
+        # the message carries the server's explanation (or the socket error).
+        # Only the client verbs raise it, and they import the client first.
+        client = sys.modules.get("repro.service.client")
+        if client is None or not isinstance(error, client.ServiceError):
+            raise
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

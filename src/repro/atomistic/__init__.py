@@ -17,32 +17,24 @@ simulations (Section III.A, Fig. 8).  It implements:
   (Fig. 8b/c: iodine doping of SWCNT(7,7)).
 """
 
-from repro.atomistic.chirality import Chirality
-from repro.atomistic.bandstructure import BandStructure, compute_band_structure
-from repro.atomistic.transmission import transmission_function, channels_at_energy
-from repro.atomistic.conductance import (
-    ballistic_conductance,
-    conducting_channels,
-    conductance_vs_diameter,
-)
-from repro.atomistic.dos import density_of_states
-from repro.atomistic.doping import (
-    DopedTube,
-    doped_conductance,
-    fermi_shift_for_target_conductance,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Chirality",
-    "BandStructure",
-    "compute_band_structure",
-    "transmission_function",
-    "channels_at_energy",
-    "ballistic_conductance",
-    "conducting_channels",
-    "conductance_vs_diameter",
-    "density_of_states",
-    "DopedTube",
-    "doped_conductance",
-    "fermi_shift_for_target_conductance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chirality": ("Chirality",),
+        "bandstructure": ("BandStructure", "compute_band_structure"),
+        "transmission": ("transmission_function", "channels_at_energy"),
+        "conductance": (
+            "ballistic_conductance",
+            "conducting_channels",
+            "conductance_vs_diameter",
+        ),
+        "dos": ("density_of_states",),
+        "doping": (
+            "DopedTube",
+            "doped_conductance",
+            "fermi_shift_for_target_conductance",
+        ),
+    },
+)

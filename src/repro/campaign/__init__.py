@@ -20,30 +20,22 @@ walkthrough.
 >>> report.best_point, report.savings  # doctest: +SKIP
 """
 
-from repro.campaign.report import CampaignReport
-from repro.campaign.runner import CHECKPOINT_VERSION, Campaign, CampaignError
-from repro.campaign.strategies import (
-    STRATEGIES,
-    LatinHypercubeStrategy,
-    RandomStrategy,
-    RefineStrategy,
-    Strategy,
-    SurrogateStrategy,
-    make_strategy,
-    point_objectives,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignError",
-    "CampaignReport",
-    "CHECKPOINT_VERSION",
-    "Strategy",
-    "RandomStrategy",
-    "LatinHypercubeStrategy",
-    "RefineStrategy",
-    "SurrogateStrategy",
-    "STRATEGIES",
-    "make_strategy",
-    "point_objectives",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "report": ("CampaignReport",),
+        "runner": ("CHECKPOINT_VERSION", "Campaign", "CampaignError"),
+        "strategies": (
+            "STRATEGIES",
+            "LatinHypercubeStrategy",
+            "RandomStrategy",
+            "RefineStrategy",
+            "Strategy",
+            "SurrogateStrategy",
+            "make_strategy",
+            "point_objectives",
+        ),
+    },
+)

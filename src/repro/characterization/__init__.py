@@ -18,28 +18,15 @@ loop can be exercised:
 * :mod:`repro.characterization.raman` -- Raman D/G defect metric emulation.
 """
 
-from repro.characterization.tlm import TLMExtraction, simulate_tlm_data, extract_tlm
-from repro.characterization.iv import IVSweep, simulate_iv_sweep, doping_comparison_iv
-from repro.characterization.electromigration import (
-    blacks_lifetime,
-    em_stress_test,
-    EMStressResult,
-)
-from repro.characterization.test_layout import TestLayout, generate_test_layout
-from repro.characterization.raman import simulate_raman_spectrum, d_over_g_ratio
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TLMExtraction",
-    "simulate_tlm_data",
-    "extract_tlm",
-    "IVSweep",
-    "simulate_iv_sweep",
-    "doping_comparison_iv",
-    "blacks_lifetime",
-    "em_stress_test",
-    "EMStressResult",
-    "TestLayout",
-    "generate_test_layout",
-    "simulate_raman_spectrum",
-    "d_over_g_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tlm": ("TLMExtraction", "simulate_tlm_data", "extract_tlm"),
+        "iv": ("IVSweep", "simulate_iv_sweep", "doping_comparison_iv"),
+        "electromigration": ("blacks_lifetime", "em_stress_test", "EMStressResult"),
+        "test_layout": ("TestLayout", "generate_test_layout"),
+        "raman": ("simulate_raman_spectrum", "d_over_g_ratio"),
+    },
+)

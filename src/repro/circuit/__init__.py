@@ -31,54 +31,34 @@ solver or Newton argument (the Newton constants live in
 :class:`~repro.circuit.mna.ConvergenceError`.
 """
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    PieceWiseLinear,
-    Pulse,
-    Resistor,
-    Step,
-    VoltageSource,
-)
-from repro.circuit.mna import ConvergenceError
-from repro.circuit.netlist import Circuit
-from repro.circuit.mosfet import MOSFET, MOSFETParameters
-from repro.circuit.technology import TechnologyNode, NODE_45NM, NODE_14NM
-from repro.circuit.inverter import Inverter
-from repro.circuit.dc import dc_operating_point
-from repro.circuit.transient import TransientResult, transient_analysis
-from repro.circuit.rcline import add_rc_ladder
-from repro.circuit.delay import (
-    crossing_time,
-    propagation_delay,
-    rise_time,
-    measure_inverter_line_delay,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Resistor",
-    "Capacitor",
-    "Inductor",
-    "VoltageSource",
-    "CurrentSource",
-    "Step",
-    "Pulse",
-    "PieceWiseLinear",
-    "Circuit",
-    "ConvergenceError",
-    "MOSFET",
-    "MOSFETParameters",
-    "TechnologyNode",
-    "NODE_45NM",
-    "NODE_14NM",
-    "Inverter",
-    "dc_operating_point",
-    "transient_analysis",
-    "TransientResult",
-    "add_rc_ladder",
-    "crossing_time",
-    "propagation_delay",
-    "rise_time",
-    "measure_inverter_line_delay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "elements": (
+            "Capacitor",
+            "CurrentSource",
+            "Inductor",
+            "PieceWiseLinear",
+            "Pulse",
+            "Resistor",
+            "Step",
+            "VoltageSource",
+        ),
+        "mna": ("ConvergenceError",),
+        "netlist": ("Circuit",),
+        "mosfet": ("MOSFET", "MOSFETParameters"),
+        "technology": ("TechnologyNode", "NODE_45NM", "NODE_14NM"),
+        "inverter": ("Inverter",),
+        "dc": ("dc_operating_point",),
+        "transient": ("TransientResult", "transient_analysis"),
+        "rcline": ("add_rc_ladder",),
+        "delay": (
+            "crossing_time",
+            "propagation_delay",
+            "rise_time",
+            "measure_inverter_line_delay",
+        ),
+    },
+)

@@ -21,54 +21,35 @@ models they are benchmarked against:
   RC descriptions for the circuit simulator.
 """
 
-from repro.core.swcnt import SWCNTInterconnect
-from repro.core.mwcnt import MWCNTInterconnect, ShellFillingRule
-from repro.core.doping import DopingProfile, channels_per_shell_from_fermi_shift
-from repro.core.copper import CopperInterconnect, copper_resistivity
-from repro.core.electrostatics import (
-    wire_over_plane_capacitance,
-    wire_between_planes_capacitance,
-    coupled_line_capacitance,
-    parallel_plate_capacitance,
-)
-from repro.core.bundle import SWCNTBundle
-from repro.core.composite import CuCNTComposite
-from repro.core.ampacity import (
-    max_current_cnt,
-    max_current_copper_line,
-    ampacity_comparison,
-)
-from repro.core.kinetic import kinetic_inductance, magnetic_inductance_over_plane
-from repro.core.line import (
-    Conductor,
-    DistributedRC,
-    InterconnectLine,
-    LineMaterial,
-    conductor_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SWCNTInterconnect",
-    "MWCNTInterconnect",
-    "ShellFillingRule",
-    "DopingProfile",
-    "channels_per_shell_from_fermi_shift",
-    "CopperInterconnect",
-    "copper_resistivity",
-    "wire_over_plane_capacitance",
-    "wire_between_planes_capacitance",
-    "coupled_line_capacitance",
-    "parallel_plate_capacitance",
-    "SWCNTBundle",
-    "CuCNTComposite",
-    "max_current_cnt",
-    "max_current_copper_line",
-    "ampacity_comparison",
-    "kinetic_inductance",
-    "magnetic_inductance_over_plane",
-    "Conductor",
-    "LineMaterial",
-    "conductor_record",
-    "InterconnectLine",
-    "DistributedRC",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "swcnt": ("SWCNTInterconnect",),
+        "mwcnt": ("MWCNTInterconnect", "ShellFillingRule"),
+        "doping": ("DopingProfile", "channels_per_shell_from_fermi_shift"),
+        "copper": ("CopperInterconnect", "copper_resistivity"),
+        "electrostatics": (
+            "wire_over_plane_capacitance",
+            "wire_between_planes_capacitance",
+            "coupled_line_capacitance",
+            "parallel_plate_capacitance",
+        ),
+        "bundle": ("SWCNTBundle",),
+        "composite": ("CuCNTComposite",),
+        "ampacity": (
+            "max_current_cnt",
+            "max_current_copper_line",
+            "ampacity_comparison",
+        ),
+        "kinetic": ("kinetic_inductance", "magnetic_inductance_over_plane"),
+        "line": (
+            "Conductor",
+            "DistributedRC",
+            "InterconnectLine",
+            "LineMaterial",
+            "conductor_record",
+        ),
+    },
+)

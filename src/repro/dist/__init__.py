@@ -41,58 +41,30 @@ See ``docs/DISTRIBUTED.md`` for the multi-terminal walkthrough, lease/TTL
 semantics and failure recovery.
 """
 
-from repro.dist.backoff import Backoff
-from repro.dist.shards import ShardPlan, merge_results, point_hash, point_key, shard_of
-from repro.dist.sqlstore import (
-    MigrationReport,
-    SqliteStore,
-    migrate_store,
-    resolve_store,
-)
-from repro.dist.store import (
-    CLAIM_ACQUIRED,
-    CLAIM_BUSY,
-    CLAIM_DONE,
-    CLAIM_SKIPPED,
-    DEFAULT_LEASE_TTL,
-    FAILED_SUFFIX,
-    LEASE_SUFFIX,
-    Lease,
-    LocalStore,
-    ResultStore,
-    SharedStore,
-    StoreLockTimeout,
-    default_worker_id,
-    store_lock,
-)
-from repro.dist.worker import LeaseHeartbeat, WorkerReport, run_worker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backoff",
-    "CLAIM_ACQUIRED",
-    "CLAIM_BUSY",
-    "CLAIM_DONE",
-    "CLAIM_SKIPPED",
-    "DEFAULT_LEASE_TTL",
-    "FAILED_SUFFIX",
-    "LEASE_SUFFIX",
-    "Lease",
-    "LeaseHeartbeat",
-    "LocalStore",
-    "MigrationReport",
-    "ResultStore",
-    "ShardPlan",
-    "SharedStore",
-    "SqliteStore",
-    "StoreLockTimeout",
-    "WorkerReport",
-    "default_worker_id",
-    "merge_results",
-    "migrate_store",
-    "point_hash",
-    "point_key",
-    "resolve_store",
-    "run_worker",
-    "shard_of",
-    "store_lock",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backoff": ("Backoff",),
+        "shards": ("ShardPlan", "merge_results", "point_hash", "point_key", "shard_of"),
+        "sqlstore": ("MigrationReport", "SqliteStore", "migrate_store", "resolve_store"),
+        "store": (
+            "CLAIM_ACQUIRED",
+            "CLAIM_BUSY",
+            "CLAIM_DONE",
+            "CLAIM_SKIPPED",
+            "DEFAULT_LEASE_TTL",
+            "FAILED_SUFFIX",
+            "LEASE_SUFFIX",
+            "Lease",
+            "LocalStore",
+            "ResultStore",
+            "SharedStore",
+            "StoreLockTimeout",
+            "default_worker_id",
+            "store_lock",
+        ),
+        "worker": ("LeaseHeartbeat", "WorkerReport", "run_worker"),
+    },
+)

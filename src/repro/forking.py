@@ -13,22 +13,24 @@ Forking is safe only where :func:`can_fork` says so: on Linux, in a process
 that runs one Python thread (the child gets a copy of only the forking
 thread, and a lock another thread held stays held in it) and that no
 :mod:`multiprocessing` parent started, so a child never forks again.
-Callers run their work in process wherever it refuses.
+Callers run their work in process wherever it refuses.  The module imports
+:mod:`multiprocessing` only inside those two calls, so a process that never
+forks never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
 from contextlib import contextmanager
-from multiprocessing.connection import wait
 from typing import Any, Callable, Iterator, Sequence
 
 
 def can_fork() -> bool:
     """Whether this process may fork: Linux, one Python thread, not a child."""
+    import multiprocessing
+
     return (
         sys.platform.startswith("linux")
         and threading.active_count() == 1
@@ -74,6 +76,8 @@ def _arrivals(children: dict, n_items: int) -> Iterator[tuple[int, Any]]:
     Raises the error a child reports, or if a child exits non-zero, or if
     the pipes all end before every item's result arrived.
     """
+    from multiprocessing.connection import wait
+
     pending = dict(children)
     received = 0
     while pending:
@@ -112,6 +116,8 @@ def forked(
     its pipe early.  Leaving the block, also early, terminates and joins
     every child.  Check :func:`can_fork` first.
     """
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
     claimed = context.Value("q", 0)
     children = {}

@@ -19,33 +19,18 @@ windows, wafer maps):
 * :mod:`repro.process.composite_process` -- ELD/ECD Cu fill of CNT bundles.
 """
 
-from repro.process.growth import GrowthRecipe, GrowthResult, simulate_growth
-from repro.process.catalyst import Catalyst, FE_CATALYST, CO_CATALYST, cmos_compatible
-from repro.process.chirality_dist import ChiralityDistribution, sample_tubes
-from repro.process.defects import defect_density, defect_limited_mfp
-from repro.process.doping_process import DopingStabilityModel, doping_retention
-from repro.process.variability import VariabilityResult, resistance_variability
-from repro.process.wafer import WaferMap, simulate_wafer_growth
-from repro.process.composite_process import FillProcess, simulate_fill
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GrowthRecipe",
-    "GrowthResult",
-    "simulate_growth",
-    "Catalyst",
-    "FE_CATALYST",
-    "CO_CATALYST",
-    "cmos_compatible",
-    "ChiralityDistribution",
-    "sample_tubes",
-    "defect_density",
-    "defect_limited_mfp",
-    "DopingStabilityModel",
-    "doping_retention",
-    "VariabilityResult",
-    "resistance_variability",
-    "WaferMap",
-    "simulate_wafer_growth",
-    "FillProcess",
-    "simulate_fill",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "growth": ("GrowthRecipe", "GrowthResult", "simulate_growth"),
+        "catalyst": ("Catalyst", "FE_CATALYST", "CO_CATALYST", "cmos_compatible"),
+        "chirality_dist": ("ChiralityDistribution", "sample_tubes"),
+        "defects": ("defect_density", "defect_limited_mfp"),
+        "doping_process": ("DopingStabilityModel", "doping_retention"),
+        "variability": ("VariabilityResult", "resistance_variability"),
+        "wafer": ("WaferMap", "simulate_wafer_growth"),
+        "composite_process": ("FillProcess", "simulate_fill"),
+    },
+)

@@ -47,49 +47,23 @@ See ``docs/SERVICE.md`` for the daemon lifecycle, the HTTP endpoint
 contract with curl sessions, and failure semantics.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import (
-    DaemonReport,
-    JobExecutionError,
-    execute_job,
-    serve_queue,
-)
-from repro.service.jobs import (
-    JOB_DONE,
-    JOB_FAILED,
-    JOB_KINDS,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    JOB_STATES,
-    JobSpec,
-)
-from repro.service.queue import SpecQueue, UnknownJobError, new_job_id
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ServiceServer,
-    make_server,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DaemonReport",
-    "JOB_DONE",
-    "JOB_FAILED",
-    "JOB_KINDS",
-    "JOB_QUEUED",
-    "JOB_RUNNING",
-    "JOB_STATES",
-    "JobExecutionError",
-    "JobSpec",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "SpecQueue",
-    "UnknownJobError",
-    "execute_job",
-    "make_server",
-    "new_job_id",
-    "serve_queue",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ServiceClient", "ServiceError"),
+        "daemon": ("DaemonReport", "JobExecutionError", "execute_job", "serve_queue"),
+        "jobs": (
+            "JOB_DONE",
+            "JOB_FAILED",
+            "JOB_KINDS",
+            "JOB_QUEUED",
+            "JOB_RUNNING",
+            "JOB_STATES",
+            "JobSpec",
+        ),
+        "queue": ("SpecQueue", "UnknownJobError", "new_job_id"),
+        "server": ("DEFAULT_HOST", "DEFAULT_PORT", "ServiceServer", "make_server"),
+    },
+)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Mapping
 
 from repro.api.results import ResultSet
@@ -68,6 +66,11 @@ class ServiceClient:
     # --- transport --------------------------------------------------------
 
     def _request(self, method: str, path: str, payload: Any = None) -> str:
+        # Imported here, so a process that never sends a request (the CLI's
+        # other commands) never loads the HTTP stack.
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         # With tracing active, every request carries the open span so the
         # server (and eventually the executing daemon) joins this trace.

@@ -21,31 +21,21 @@ a SPICE-like format.  This subpackage is the reproduction of that flow:
 * :mod:`repro.tcad.netlist_export` -- SPICE-like RC netlist export.
 """
 
-from repro.tcad.grid import StructuredGrid
-from repro.tcad.materials import Material, MATERIALS
-from repro.tcad.laplace import LaplaceSolution, solve_laplace, solve_laplace_many
-from repro.tcad.capacitance import capacitance_matrix, self_and_coupling_capacitance
-from repro.tcad.resistance import extract_resistance, current_density_map
-from repro.tcad.structures import (
-    parallel_lines_structure,
-    m1_m2_crossing_structure,
-    via_structure,
-)
-from repro.tcad.netlist_export import rc_netlist_from_extraction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StructuredGrid",
-    "Material",
-    "MATERIALS",
-    "LaplaceSolution",
-    "solve_laplace",
-    "solve_laplace_many",
-    "capacitance_matrix",
-    "self_and_coupling_capacitance",
-    "extract_resistance",
-    "current_density_map",
-    "parallel_lines_structure",
-    "m1_m2_crossing_structure",
-    "via_structure",
-    "rc_netlist_from_extraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "grid": ("StructuredGrid",),
+        "materials": ("Material", "MATERIALS"),
+        "laplace": ("LaplaceSolution", "solve_laplace", "solve_laplace_many"),
+        "capacitance": ("capacitance_matrix", "self_and_coupling_capacitance"),
+        "resistance": ("extract_resistance", "current_density_map"),
+        "structures": (
+            "parallel_lines_structure",
+            "m1_m2_crossing_structure",
+            "via_structure",
+        ),
+        "netlist_export": ("rc_netlist_from_extraction",),
+    },
+)

@@ -16,27 +16,19 @@ from those measurements.  This subpackage provides:
 * :mod:`repro.thermal.via` -- thermal resistance of Cu versus CNT vias.
 """
 
-from repro.thermal.conductivity import (
-    cnt_thermal_conductivity,
-    copper_thermal_conductivity,
-    bundle_thermal_conductivity,
-)
-from repro.thermal.heat1d import HeatLineProblem, solve_heat_line
-from repro.thermal.selfheating import ElectroThermalResult, self_heating_analysis
-from repro.thermal.sthm import SThMScan, simulate_sthm_scan, extract_thermal_conductivity
-from repro.thermal.via import via_thermal_resistance, via_temperature_rise
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "cnt_thermal_conductivity",
-    "copper_thermal_conductivity",
-    "bundle_thermal_conductivity",
-    "HeatLineProblem",
-    "solve_heat_line",
-    "ElectroThermalResult",
-    "self_heating_analysis",
-    "SThMScan",
-    "simulate_sthm_scan",
-    "extract_thermal_conductivity",
-    "via_thermal_resistance",
-    "via_temperature_rise",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "conductivity": (
+            "cnt_thermal_conductivity",
+            "copper_thermal_conductivity",
+            "bundle_thermal_conductivity",
+        ),
+        "heat1d": ("HeatLineProblem", "solve_heat_line"),
+        "selfheating": ("ElectroThermalResult", "self_heating_analysis"),
+        "sthm": ("SThMScan", "simulate_sthm_scan", "extract_thermal_conductivity"),
+        "via": ("via_thermal_resistance", "via_temperature_rise"),
+    },
+)

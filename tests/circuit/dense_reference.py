@@ -425,13 +425,17 @@ def dense_transient_analysis(
     return TransientResult(times=times, node_voltages=voltages, source_currents=currents)
 
 
-def dense_inverter_line_delay(line: InterconnectLine, n_time_steps: int) -> DelayMeasurement:
+def dense_inverter_line_delay(
+    line: InterconnectLine, n_time_steps: int, run_steps: int | None = None
+) -> DelayMeasurement:
     """:func:`~repro.circuit.delay.measure_inverter_line_delay` at its
     default settings, with the transient run by :func:`dense_transient_analysis`.
 
     The oracle runs the whole window, where the library stops at the far
     end's 50 % crossing, so its delay also checks that the stop changes no
-    bit; its ``result`` is the whole window."""
+    bit; its ``result`` is the whole window.  ``run_steps`` ends the run at
+    that step of the same time grid instead: a benchmark times the oracle
+    over the steps the library ran."""
     defaults = {
         name: parameter.default
         for name, parameter in inspect.signature(measure_inverter_line_delay).parameters.items()
@@ -447,5 +451,7 @@ def dense_inverter_line_delay(line: InterconnectLine, n_time_steps: int) -> Dela
         simulation_margin=defaults["simulation_margin"],
         n_time_steps=n_time_steps,
     )
+    if run_steps is not None:
+        stop_time = run_steps * time_step
     result = dense_transient_analysis(circuit, stop_time, time_step, method=defaults["method"])
     return _measure_from_result(result, v_dd)
