@@ -23,8 +23,8 @@ Subcommands
 ``campaign run NAME --grid ... --objective COL [--mode min|max]``
     Closed-loop adaptive campaign: a seeded strategy (``--strategy
     random|lhs|refine|surrogate``) proposes batches from the grid's
-    candidate pool, the engine executes them (cached, shardable with
-    ``--workers N --store ...``), and the loop stops on ``--budget``,
+    candidate pool, the engine executes them (cached, in up to N forked
+    children with ``--workers N``), and the loop stops on ``--budget``,
     ``--target`` or ``--patience``.  ``--checkpoint PATH`` makes the
     campaign resumable mid-round; ``--report PATH`` exports the report
     (best point, trajectory, points-vs-grid savings).  See
@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="partition each batch across N cooperating workers "
-        "(needs --store)",
+        help="run each batch in up to N forked children (default: 1, serial)",
     )
     campaign_run.add_argument(
         "--report", default=None, metavar="PATH", dest="report_path",
@@ -872,7 +871,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir
     if cache_dir is None and args.store is None:
         cache_dir = DEFAULT_CACHE_DIR
-    engine = Engine(cache_dir=cache_dir, store=_resolved_store(args))
+    engine = Engine(
+        cache_dir=cache_dir,
+        store=_resolved_store(args),
+        executor="process" if args.workers > 1 else "serial",
+        max_workers=args.workers,
+    )
 
     def on_round(n_visited: int, budget: int) -> None:
         if not args.no_progress:
@@ -892,7 +896,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         patience=args.patience,
         tolerance=args.tolerance,
         checkpoint_path=args.checkpoint,
-        workers=args.workers,
         engine=engine,
     )
     print(

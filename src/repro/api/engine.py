@@ -38,11 +38,10 @@ ResultSets, so changing an upstream parameter invalidates exactly the
 dependent downstream entries while downstream-only changes replay every
 upstream stage from cache.  Result I/O goes through a
 pluggable :class:`~repro.dist.store.ResultStore` -- ``cache_dir=`` is
-shorthand for a :class:`~repro.dist.store.LocalStore`, and a
-:class:`~repro.dist.store.SharedStore` makes the same directory safe to
-share between machines (see :mod:`repro.dist`).  All cache I/O happens in
-the coordinating process -- forked children only compute -- which keeps even
-the local store free of write races.  Cache inspection and eviction live in
+shorthand for a :class:`~repro.dist.store.SharedStore`, the directory store
+that is also safe to share between workers and machines (see
+:mod:`repro.dist`).  All cache I/O happens in the coordinating process --
+forked children only compute.  Cache inspection and eviction live in
 :mod:`repro.api.cache` (``python -m repro cache`` on the shell).
 
 Sweeps can additionally be statically partitioned across machines with a
@@ -335,7 +334,8 @@ class Engine:
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
         Created on first write.  Shorthand for
-        ``store=LocalStore(cache_dir)``.
+        ``store=SharedStore(cache_dir)``, the store ``store=cache_dir``
+        builds.
     store:
         A :class:`~repro.dist.store.ResultStore` to memoise through instead
         of ``cache_dir`` (pass one or the other, not both).  A
@@ -388,9 +388,9 @@ class Engine:
 
             store = resolve_store(store)
         if store is None and cache_dir is not None:
-            from repro.dist.store import LocalStore
+            from repro.dist.store import SharedStore
 
-            store = LocalStore(cache_dir)
+            store = SharedStore(cache_dir)
         self.store = store
         self.cache_dir = None if store is None else store.directory
         self.executor = executor

@@ -11,10 +11,8 @@ the standard engine machinery:
 * the engine's store makes re-proposed or replayed points free (a rerun of
   a finished campaign with the same seed executes **zero** new points and
   reproduces the same content hashes);
-* with ``workers > 1`` each batch is partitioned by
-  :class:`~repro.dist.shards.ShardPlan` and executed by cooperating
-  lease-claiming workers against the shared store -- bit-identical to the
-  serial batch;
+* an engine built with ``executor="process"`` forks children for each
+  batch (the engine's one fan-out) -- bit-identical to the serial batch;
 * the history the strategy sees is assembled from the points the batches
   returned (:func:`~repro.api.engine.assemble_sweep`, the assembly of
   ``Engine.sweep``); the store is replayed only when a campaign resumes
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from typing import Any, Mapping
 
 from repro.api.engine import Engine, SweepPoint, assemble_sweep
@@ -99,12 +96,9 @@ class Campaign:
         JSON file for resumable state; if it exists the campaign resumes
         from it (and raises :class:`CampaignError` if it belongs to a
         different campaign configuration).
-    workers:
-        Batch-level parallelism; ``> 1`` requires a store-backed engine
-        (shared directory or sqlite) and partitions each batch by
-        :class:`~repro.dist.shards.ShardPlan`.
     engine / store / cache_dir:
-        Pass a configured :class:`Engine`, or let the campaign build one
+        Pass a configured :class:`Engine` (``executor="process"`` runs each
+        batch in forked children), or let the campaign build a serial one
         over ``store``/``cache_dir``.
     """
 
@@ -125,7 +119,6 @@ class Campaign:
         patience: int | None = None,
         tolerance: float = 0.0,
         checkpoint_path: str | None = None,
-        workers: int = 1,
         engine: Engine | None = None,
         store: Any = None,
         cache_dir: str | None = None,
@@ -134,8 +127,6 @@ class Campaign:
             raise CampaignError(f"unknown mode {mode!r}; use 'min' or 'max'")
         if batch_size < 1:
             raise CampaignError(f"batch_size must be >= 1, got {batch_size}")
-        if workers < 1:
-            raise CampaignError(f"workers must be >= 1, got {workers}")
         if patience is not None and patience < 1:
             raise CampaignError(f"patience must be >= 1, got {patience}")
         if tolerance < 0:
@@ -160,18 +151,12 @@ class Campaign:
         self.patience = patience
         self.tolerance = tolerance
         self.checkpoint_path = checkpoint_path
-        self.workers = workers
 
         if engine is None:
             engine = Engine(store=store, cache_dir=cache_dir)
         elif store is not None or cache_dir is not None:
             raise CampaignError("pass either engine or store/cache_dir, not both")
         self.engine = engine
-        if workers > 1 and engine.store is None:
-            raise CampaignError(
-                "workers > 1 needs a store-backed engine (shared directory "
-                "or sqlite) so workers can cooperate"
-            )
 
         if isinstance(strategy, str):
             strategy = make_strategy(
@@ -302,55 +287,13 @@ class Campaign:
         def keep(sweep_point: SweepPoint) -> None:
             landed[sweep_point.index] = sweep_point
 
-        if self.workers <= 1:
-            self.engine.sweep(
-                self.experiment,
-                spec,
-                base_params=self.base_params,
-                on_result=keep,
-                stage_params=self.stage_params,
-            )
-            return [landed[index] for index in sorted(landed)]
-
-        # Partition the batch across cooperating workers over the shared
-        # store; every point reaches ``keep`` -- executed, or published by
-        # anyone and loaded -- so nothing is read back afterwards.
-        from repro.dist.shards import ShardPlan
-        from repro.dist.worker import run_worker
-
-        reports: list[Any] = [None] * self.workers
-        errors: list[BaseException] = []
-
-        def drive(index: int) -> None:
-            try:
-                reports[index] = run_worker(
-                    self.experiment,
-                    spec,
-                    self.engine.store,
-                    base_params=self.base_params,
-                    worker_id=f"campaign-w{index}",
-                    shard=ShardPlan(self.workers, index),
-                    on_result=keep,
-                    stage_params=self.stage_params,
-                )
-            except BaseException as error:  # surfaced below
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=drive, args=(i,), daemon=True)
-            for i in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        failed = [i for r in reports if r is not None for i in r.failed]
-        if failed:
-            raise CampaignError(
-                f"batch points {sorted(failed)} failed across workers"
-            )
+        self.engine.sweep(
+            self.experiment,
+            spec,
+            base_params=self.base_params,
+            on_result=keep,
+            stage_params=self.stage_params,
+        )
         return [landed[index] for index in sorted(landed)]
 
     def _assemble(self) -> ResultSet:

@@ -4,10 +4,10 @@ The engine's cache key ``(experiment, version, params)`` is fully
 content-addressed, so distributing a sweep across processes or machines
 only needs the three pieces this subpackage provides:
 
-* :mod:`repro.dist.store` -- the :class:`ResultStore` abstraction:
-  :class:`LocalStore` (the classic single-machine cache directory) and
-  :class:`SharedStore` (advisory locking + lease-based claims with
-  stale-lease recovery + atomic publish, safe for N concurrent workers).
+* :mod:`repro.dist.store` -- the :class:`ResultStore` interface and
+  :class:`SharedStore`, the directory store behind ``Engine(cache_dir=...)``
+  (advisory locking + lease-based claims with stale-lease recovery + atomic
+  publish, safe for N concurrent workers).
 * :mod:`repro.dist.shards` -- :class:`ShardPlan`, a deterministic,
   coordination-free partition of any sweep by stable param-hash, and
   :func:`merge_results`, which reassembles partial results bit-identically
@@ -58,7 +58,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "FAILED_SUFFIX",
             "LEASE_SUFFIX",
             "Lease",
-            "LocalStore",
             "ResultStore",
             "SharedStore",
             "StoreLockTimeout",

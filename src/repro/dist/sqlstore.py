@@ -74,6 +74,7 @@ from repro.dist.store import (
     Lease,
     ResultStore,
     SharedStore,
+    _parse_entry,
 )
 
 SCHEMA_VERSION = 1
@@ -253,12 +254,7 @@ class SqliteStore(ResultStore):
         row = self._connect().execute(
             "SELECT payload FROM results WHERE entry = ?", (path,)
         ).fetchone()
-        if row is None:
-            return None
-        try:
-            return ResultSet.from_json(row["payload"])
-        except (ValueError, KeyError, json.JSONDecodeError):
-            return None  # corrupt row: callers recompute and overwrite
+        return None if row is None else _parse_entry(row["payload"])
 
     def publish(
         self, path: str, result: ResultSet, created_at: float | None = None
@@ -354,7 +350,7 @@ class SqliteStore(ResultStore):
                 row = connection.execute(
                     "SELECT payload FROM results WHERE entry = ?", (path,)
                 ).fetchone()
-                if row is not None and _parses(row["payload"]) is None:
+                if row is not None and _parse_entry(row["payload"]) is None:
                     connection.execute(
                         "DELETE FROM results WHERE entry = ?", (path,)
                     )
@@ -437,7 +433,7 @@ class SqliteStore(ResultStore):
                             "SELECT payload FROM results WHERE entry = ?",
                             (paths[index],),
                         ).fetchone()
-                        if row is not None and _parses(row["payload"]) is None:
+                        if row is not None and _parse_entry(row["payload"]) is None:
                             connection.execute(
                                 "DELETE FROM results WHERE entry = ?",
                                 (paths[index],),
@@ -641,13 +637,6 @@ class SqliteStore(ResultStore):
                 )
                 connection.execute(f"DELETE FROM failures WHERE {stale_failures}")
         return stale
-
-
-def _parses(payload: str) -> ResultSet | None:
-    try:
-        return ResultSet.from_json(payload)
-    except (ValueError, KeyError, json.JSONDecodeError):
-        return None
 
 
 def _result_row(path: str, result: ResultSet, created_at: float | None = None) -> tuple:

@@ -1,19 +1,15 @@
-"""Pluggable result stores: one cache layout, local or shared between machines.
+"""The result store: one cache layout, safe to share between processes and machines.
 
 The engine memoises experiment results as ``<experiment>-<key16>.json``
 files (see :mod:`repro.api.cache`).  This module turns that directory into a
-*store* abstraction the execution layer is pointed at:
-
-* :class:`LocalStore` -- the exact single-machine behaviour the engine always
-  had: atomic publish (tmp file + fsync + ``os.replace``), tolerant loads,
-  no coordination.  ``Engine(cache_dir=...)`` is shorthand for
-  ``Engine(store=LocalStore(...))``.
-* :class:`SharedStore` -- the same on-disk format plus the coordination that
-  makes one directory safe to share between independent worker processes or
-  machines (through a shared filesystem): an advisory store lock and
-  lease-based point claims (:meth:`~SharedStore.claim`) with stale-lease
-  recovery, so N workers partition a sweep dynamically without duplicating
-  or clobbering each other's work.
+*store* abstraction the execution layer is pointed at.
+:class:`ResultStore` is the interface every backend implements;
+:class:`SharedStore` is the directory store: atomic publishes, tolerant
+loads, an advisory store lock and lease-based point claims
+(:meth:`~SharedStore.claim`) with stale-lease recovery, so one directory is
+safe to share between a single engine and N independent worker processes or
+machines (through a shared filesystem).  ``Engine(cache_dir=d)`` is
+``Engine(store=SharedStore(d))``.
 
 Claims are leases, not hard locks: ``claim(path, worker_id, ttl)`` grants the
 point to one worker for ``ttl`` seconds.  A worker that dies mid-point simply
@@ -31,10 +27,10 @@ Publishing is batched where results arrive in batches.
 a ``tmp*.tmp`` file beside the store (mode 0600, the UTF-8 bytes of
 ``result.to_json()``), makes them all durable behind one barrier (one
 ``syncfs(2)`` on Linux for two or more entries, else an fsync per file),
-then renames them into place -- for a :class:`SharedStore` under one
-acquisition of the store lock that also clears their leases and
-tombstones.  An entry name therefore only ever points at a fully written,
-synced file; an error before the renames removes every temp file.
+then renames them into place under one acquisition of the store lock
+that also clears their leases and tombstones.  An entry name therefore
+only ever points at a fully written, synced file; an error before the
+renames removes every temp file.
 :class:`CommitGroup` gathers the results of a worker's claimed round or of
 a store-backed engine sweep into such batches (see
 :data:`COMMIT_INTERVAL_S`); a single ``Engine.run`` keeps one fsync per
@@ -61,7 +57,7 @@ import os
 import socket
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, ContextManager, Iterable, Iterator
 
@@ -413,16 +409,29 @@ class Lease:
         return self.path[: -len(LEASE_SUFFIX)]
 
 
-class ResultStore:
-    """A directory of memoised experiment results in the engine's layout.
+def _parse_entry(text: str) -> ResultSet | None:
+    """One entry's text as a ResultSet; ``None`` when it holds no valid one.
 
-    The base class is the single-process contract: tolerant ``load``, atomic
-    ``publish``, and trivial claim semantics (``claim`` only reports whether
-    the entry already exists -- no coordination, no locking).
-    :class:`SharedStore` overrides the coordination methods; execution code
-    (the engine, :func:`repro.dist.worker.run_worker`) talks to the base
-    interface only, which is what lets serial, forked and distributed runs
-    share one dispatch path.
+    A torn write, valid JSON of the wrong shape and a content-hash mismatch
+    all read as a missing entry, which callers recompute and overwrite.  The
+    text is never taken for a file path.
+    """
+    if not text.lstrip().startswith("{"):
+        return None
+    try:
+        return ResultSet.from_json(text)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+class ResultStore:
+    """The interface of a result store, with the directory layout's reads.
+
+    :class:`SharedStore` (a directory) and
+    :class:`~repro.dist.sqlstore.SqliteStore` (one database file) implement
+    it.  Execution code (the engine, :func:`repro.dist.worker.run_worker`)
+    talks to this interface only, which is what lets serial, forked and
+    distributed runs share one dispatch path.
     """
 
     def __init__(self, directory: str) -> None:
@@ -440,53 +449,32 @@ class ResultStore:
     # --- result I/O -------------------------------------------------------
 
     def load(self, path: str) -> ResultSet | None:
-        """Read one entry; ``None`` for missing or corrupt files.
+        """Read one entry; ``None`` for a missing, removed or broken one.
 
         Reads never lock: publishes are atomic renames, so a reader only
-        ever sees a complete entry or none at all.
+        ever sees a complete entry or none at all, and an entry that a
+        ``cache prune`` removes while it is read reads as missing.
         """
-        if not os.path.exists(path):
-            return None
         try:
-            return ResultSet.from_json(path)
-        except (ValueError, KeyError, json.JSONDecodeError):
-            return None  # corrupt entry: callers recompute and overwrite
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, ValueError):  # missing, removed mid-read, not UTF-8
+            return None
+        return _parse_entry(text)
 
     def publish(self, path: str, result: ResultSet) -> None:
         """Atomically write one entry: the one-entry case of :meth:`publish_many`."""
         self.publish_many([(path, result)])
 
     def publish_many(self, entries: Iterable[tuple[str, ResultSet]]) -> None:
-        """Atomically write a batch of ``(path, result)`` entries.
+        """Atomically and durably write a batch of ``(path, result)`` entries.
 
-        Each entry is staged in a temp file beside the store, all of them
-        are made durable behind one barrier (one ``syncfs`` on Linux for two
-        or more entries, else an fsync per file), and only then renamed into
-        place.  A crashed publish never leaves a truncated or corrupt entry
-        behind: an entry name only ever points at a fully written, synced
-        file.  An error before the renames removes every temp file and
-        re-raises; a rename already done stands.
+        Publishing an entry clears its lease and failure tombstone.  A
+        crashed publish never leaves a truncated or corrupt entry behind.
         """
-        entries = list(entries)
-        if not entries:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        staged = _stage_durably(
-            self.directory, [result.to_json() for _, result in entries]
-        )
-        try:
-            self._install(list(zip(staged, [path for path, _ in entries])))
-        except BaseException:
-            for tmp in staged:
-                _unlink_quietly(tmp)  # the renamed ones are gone already
-            raise
+        raise NotImplementedError
 
-    def _install(self, moves: list[tuple[str, str]]) -> None:
-        """Rename staged, durable temp files onto their entry paths."""
-        for tmp, path in moves:
-            os.replace(tmp, path)
-
-    # --- coordination (trivial locally) ------------------------------------
+    # --- coordination -------------------------------------------------------
 
     def claim(self, path: str, worker_id: str, ttl: float = DEFAULT_LEASE_TTL) -> str:
         """Try to claim one pending entry for execution.
@@ -495,10 +483,9 @@ class ResultStore:
         (a corrupt entry counts as absent, so it gets recomputed instead of
         being skipped forever), :data:`CLAIM_ACQUIRED` when the caller
         should execute the point, or :data:`CLAIM_BUSY` when another live
-        worker holds the lease (shared stores only -- a local store has no
-        one to race).
+        worker holds the lease.
         """
-        return CLAIM_DONE if self.load(path) is not None else CLAIM_ACQUIRED
+        raise NotImplementedError
 
     def claim_many(
         self,
@@ -507,53 +494,33 @@ class ResultStore:
         ttl: float = DEFAULT_LEASE_TTL,
         max_acquire: int | None = None,
     ) -> Claims:
-        """Claim a batch of pending entries in (ideally) one store round trip.
+        """Claim a batch of pending entries in one store round trip.
 
         Returns one claim outcome per path, in order, as :class:`Claims`:
         the :meth:`claim` statuses plus :data:`CLAIM_SKIPPED` for paths not
         examined because ``max_acquire`` leases were already granted, and,
         in ``Claims.results``, the ResultSet each :data:`CLAIM_DONE` path
         was validated with.  Workers use this to amortise store locking over
-        whole sweeps -- against a contended :class:`SharedStore` or
-        :class:`~repro.dist.sqlstore.SqliteStore` the per-point
-        lock/transaction round trip dominates cheap points, and those
-        backends override this with a single-lock implementation.  The base
-        class has no coordination cost, so it simply loops.
+        whole sweeps: the per-point lock or transaction round trip would
+        dominate cheap points.
         """
-        statuses: list[str] = []
-        results: list[ResultSet | None] = []
-        acquired = 0
-        for path in paths:
-            result = None
-            if max_acquire is not None and acquired >= max_acquire:
-                status = CLAIM_SKIPPED
-            else:
-                result = self.load(path)
-                status = CLAIM_ACQUIRED if result is None else CLAIM_DONE
-                acquired += result is None
-            statuses.append(status)
-            results.append(result)
-        return Claims(statuses, results)
+        raise NotImplementedError
 
     def release(self, path: str, worker_id: str) -> None:
         """Give up a claim without publishing (failed or abandoned point)."""
+        raise NotImplementedError
 
     def renew(self, path: str, worker_id: str, ttl: float = DEFAULT_LEASE_TTL) -> bool:
-        """Extend one's own lease on a pending entry (heartbeat).
-
-        Returns True when the lease is (still) held after the call.  The
-        local store has no leases to renew, so it always reports success --
-        the heartbeat contract is only meaningful against a
-        :class:`SharedStore`.
-        """
-        return True
+        """Extend one's own lease on a pending entry; False once it is gone."""
+        raise NotImplementedError
 
     def record_failure(self, path: str, worker_id: str, error: str) -> None:
-        """Record a failure tombstone for a pending entry (no-op locally)."""
+        """Record a failure tombstone for a pending entry."""
+        raise NotImplementedError
 
     def lock(self, timeout: float | None = None) -> ContextManager[None]:
-        """Maintenance lock over the whole store (no-op locally)."""
-        return nullcontext()
+        """Maintenance lock over the whole store."""
+        raise NotImplementedError
 
     # --- maintenance / inspection -------------------------------------------
     #
@@ -604,32 +571,23 @@ class ResultStore:
         dry_run: bool = False,
         keep_pending_failures: bool = False,
     ) -> list[str]:
-        """GC claim/tombstone residue; a local store has none to collect."""
-        return []
-
-
-class LocalStore(ResultStore):
-    """The engine's classic single-machine cache directory, unchanged.
-
-    Exists as a named type so ``Engine(store=...)`` reads explicitly; the
-    behaviour is exactly the :class:`ResultStore` base contract (and exactly
-    what ``Engine(cache_dir=...)`` always did).
-    """
+        """Collect crashed-worker residue; returns the disposed paths."""
+        raise NotImplementedError
 
 
 class SharedStore(ResultStore):
-    """A store directory shared by many workers, made race-safe.
+    """The directory store, safe to share between many workers.
 
-    Adds to :class:`LocalStore`:
+    Implements :class:`ResultStore` over a directory with:
 
     * an advisory store lock (:meth:`lock`) serialising all bookkeeping,
     * lease-based claims: :meth:`claim` grants a point to one worker for
       ``ttl`` seconds, recorded in an ``<entry>.json.lease`` file written
       atomically under the lock.  Expired leases (dead workers) are taken
       over transparently; re-claiming one's own lease renews it.
-    * locked publish: the atomic result write and the lease removal happen
-      under the store lock, so maintenance (``cache prune``) never observes
-      half-updated bookkeeping.
+    * locked publish: the renames of a publish and the removal of their
+      leases and tombstones happen under the store lock, so maintenance
+      (``cache prune``) never observes half-updated bookkeeping.
 
     ``poll_interval`` tunes how often blocked lock acquisitions retry.
     """
@@ -798,15 +756,38 @@ class SharedStore(ResultStore):
     # ``SharedStore.__dict__`` (``perfbench/perf_layers.py``) find it.
     publish = ResultStore.publish
 
-    def _install(self, moves: list[tuple[str, str]]) -> None:
-        # Staging and the barrier ran outside the lock; only the renames and
-        # the bookkeeping they settle are serialised.
-        with self.lock():
-            for tmp, path in moves:
-                os.replace(tmp, path)
-                self._unlink_lease(path)
-                # A successful result supersedes any earlier failure of the point.
-                _unlink_quietly(path + FAILED_SUFFIX)
+    def publish_many(self, entries: Iterable[tuple[str, ResultSet]]) -> None:
+        """Atomically write a batch of ``(path, result)`` entries.
+
+        Each entry is staged in a temp file beside the store, all of them
+        are made durable behind one barrier (one ``syncfs`` on Linux for two
+        or more entries, else an fsync per file), and only then renamed into
+        place.  A crashed publish never leaves a truncated or corrupt entry
+        behind: an entry name only ever points at a fully written, synced
+        file.  An error before the renames removes every temp file and
+        re-raises; a rename already done stands.
+        """
+        self._publish_texts([(path, result.to_json()) for path, result in entries])
+
+    def _publish_texts(self, pairs: list[tuple[str, str]]) -> None:
+        """Publish ``(path, text)`` pairs as :meth:`publish_many` does."""
+        if not pairs:
+            return
+        os.makedirs(self.directory, exist_ok=True)
+        staged = _stage_durably(self.directory, [text for _, text in pairs])
+        try:
+            # Staging and the barrier ran outside the lock; only the renames
+            # and the bookkeeping they settle are serialised.
+            with self.lock():
+                for tmp, (path, _) in zip(staged, pairs):
+                    os.replace(tmp, path)
+                    self._unlink_lease(path)
+                    # A successful result supersedes any earlier failure of the point.
+                    _unlink_quietly(path + FAILED_SUFFIX)
+        except BaseException:
+            for tmp in staged:
+                _unlink_quietly(tmp)  # the renamed ones are gone already
+            raise
 
     def release(self, path: str, worker_id: str) -> None:
         with self.lock():

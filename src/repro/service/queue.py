@@ -93,14 +93,7 @@ class _QueueStore(SharedStore):
         return payload if isinstance(payload, dict) else None
 
     def publish(self, path: str, payload: Mapping[str, Any]) -> None:  # type: ignore[override]
-        with self.lock():
-            os.makedirs(self.directory, exist_ok=True)
-            _atomic_write(self.directory, path, json.dumps(payload), fsync=True)
-            self._unlink_lease(path)
-            try:
-                os.unlink(path + FAILED_SUFFIX)
-            except FileNotFoundError:
-                pass
+        self._publish_texts([(path, json.dumps(payload))])
 
 
 def new_job_id() -> str:

@@ -7,6 +7,7 @@ import pytest
 from repro.api import Engine, SweepSpec, register_experiment, unregister_experiment
 from repro.api.engine import _groups, cache_key
 from repro.api.experiment import Experiment, ParamSpec, get_experiment
+from repro.dist.store import LOCK_FILENAME
 from repro.obs import metrics
 
 
@@ -95,8 +96,9 @@ class TestCacheCrashSafety:
         with pytest.raises(OSError):
             engine._cache_store(path, result)
         monkeypatch.undo()
-        # No temp files and no (possibly partial) final entry survive.
-        assert os.listdir(engine.cache_dir) == []
+        # No temp files and no (possibly partial) final entry survive; only
+        # the store's lock file remains.
+        assert os.listdir(engine.cache_dir) == [LOCK_FILENAME]
         assert engine._cache_load(path) is None
 
     def test_crash_never_corrupts_existing_entry(self, tmp_path, monkeypatch):

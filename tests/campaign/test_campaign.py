@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro import forking
 from repro.api import (
     Engine,
     ParamSpec,
@@ -78,10 +79,6 @@ class TestConfigValidation:
     def test_budget_clamped_to_pool(self, quad_experiment):
         campaign = Campaign("campaign_quad", POOL, "loss", budget=10_000)
         assert campaign.budget == len(POOL)
-
-    def test_workers_need_a_store(self, quad_experiment):
-        with pytest.raises(CampaignError, match="store-backed"):
-            Campaign("campaign_quad", POOL, "loss", workers=2)
 
     def test_engine_and_store_are_exclusive(self, quad_experiment, tmp_path):
         with pytest.raises(CampaignError, match="not both"):
@@ -194,10 +191,21 @@ class TestDeterminismAndReplay:
         assert replay.n_cached == replay.n_visited
         assert replay.result.content_hash == first.result.content_hash
 
-    def test_two_workers_match_serial(self, quad_experiment, tmp_path):
+    def test_two_workers_match_serial(self, quad_experiment, tmp_path, monkeypatch):
         serial = run_campaign(tmp_path, label="serial", seed=5)
-        store = SharedStore(str(tmp_path / "store"))
-        sharded = Campaign(
+        ran_in_process = len(CALLS)
+        forks = []
+        forked = forking.forked
+
+        def counted(fn, items, k):
+            forks.append(k)
+            return forked(fn, items, k)
+
+        monkeypatch.setattr(forking, "forked", counted)
+        engine = Engine(
+            store=SharedStore(str(tmp_path / "store")), executor="process", max_workers=2
+        )
+        parallel = Campaign(
             "campaign_quad",
             POOL,
             "loss",
@@ -206,11 +214,13 @@ class TestDeterminismAndReplay:
             batch_size=4,
             budget=12,
             seed=5,
-            workers=2,
-            store=store,
+            engine=engine,
         ).run()
-        assert sharded.result.content_hash == serial.result.content_hash
-        assert sharded.n_visited == serial.n_visited
+        assert parallel.result.content_hash == serial.result.content_hash
+        assert parallel.n_visited == serial.n_visited
+        # Every batch forked two children, and no point ran in this process.
+        assert forks == [2, 2, 2]
+        assert len(CALLS) == ran_in_process
 
 
 class TestCheckpointing:

@@ -16,18 +16,22 @@ crash-injection runs.
 import json
 import os
 
-from repro.dist import FAILED_SUFFIX, LEASE_SUFFIX, LocalStore, SharedStore
+from repro.dist import FAILED_SUFFIX, LEASE_SUFFIX, SharedStore
 from repro.dist.sqlstore import SqliteStore
+
+
+TORN_ENTRY = '{"columns": '
+"""What a write cut short leaves behind."""
+
+BROKEN_ENTRIES = (TORN_ENTRY, "[]", '"abc"', '{"columns": 5}')
+"""Entry texts every backend must load as missing: a torn write and valid
+JSON of three wrong shapes."""
 
 
 class StoreHarness:
     """One backend's adapter for the shared conformance battery."""
 
     name = "base"
-    coordinated = True
-    """Whether the backend has real leases (busy / takeover / renew
-    semantics).  ``LocalStore`` is the trivial single-process contract, so
-    the coordination half of the battery is skipped for it."""
 
     def make(self, root):
         """Build a fresh store rooted under ``root`` (a tmp directory)."""
@@ -38,8 +42,8 @@ class StoreHarness:
         from (crash-injection workers receive the store this way)."""
         raise NotImplementedError
 
-    def corrupt_entry(self, store, path):
-        """Make ``path`` unloadable, as a torn write would."""
+    def corrupt_entry(self, store, path, text=TORN_ENTRY):
+        """Replace the entry at ``path`` with ``text`` (default: a torn write)."""
         raise NotImplementedError
 
     def orphan_lease(self, store, path, worker="orphan"):
@@ -65,10 +69,10 @@ class _DirectoryHarness(StoreHarness):
     def spec(self, root):
         return os.path.join(str(root), f"{self.name}-store")
 
-    def corrupt_entry(self, store, path):
+    def corrupt_entry(self, store, path, text=TORN_ENTRY):
         os.makedirs(store.directory, exist_ok=True)
         with open(path, "w") as handle:
-            handle.write('{"columns": ')  # a torn write
+            handle.write(text)
 
     def orphan_lease(self, store, path, worker="orphan"):
         os.makedirs(store.directory, exist_ok=True)
@@ -88,15 +92,21 @@ class _DirectoryHarness(StoreHarness):
             json.dump(payload, handle)
 
 
-class LocalHarness(_DirectoryHarness):
-    name = "local"
-    coordinated = False
-    cls = LocalStore
-
-
 class SharedHarness(_DirectoryHarness):
     name = "shared"
     cls = SharedStore
+
+
+class CacheDirHarness(_DirectoryHarness):
+    """The store ``Engine(cache_dir=d)`` and ``--cache-dir d`` build: the
+    battery pins that this spelling gets the whole lease-safe contract."""
+
+    name = "cache_dir"
+
+    def make(self, root):
+        from repro.api import Engine
+
+        return Engine(cache_dir=self.spec(root)).store
 
 
 class SqliteHarness(StoreHarness):
@@ -109,20 +119,19 @@ class SqliteHarness(StoreHarness):
         # Absolute path: SQLAlchemy's four-slash spelling.
         return "sqlite:///" + os.path.join(str(root), "store.db")
 
-    def corrupt_entry(self, store, path):
+    def corrupt_entry(self, store, path, text=TORN_ENTRY):
         connection = store._connect()
         cursor = connection.execute(
-            "UPDATE results SET payload = ? WHERE entry = ?",
-            ('{"columns": ', path),
+            "UPDATE results SET payload = ? WHERE entry = ?", (text, path)
         )
         if cursor.rowcount == 0:
             connection.execute(
                 """
                 INSERT INTO results (entry, experiment, key, created_at,
                                      size_bytes, payload)
-                VALUES (?, 'torn', ?, 0.0, 12, '{"columns": ')
+                VALUES (?, 'torn', ?, 0.0, ?, ?)
                 """,
-                (path, "0" * 16),
+                (path, "0" * 16, len(text), text),
             )
 
     def orphan_lease(self, store, path, worker="orphan"):
@@ -145,8 +154,5 @@ class SqliteHarness(StoreHarness):
         )
 
 
-HARNESSES = (LocalHarness(), SharedHarness(), SqliteHarness())
+HARNESSES = (SharedHarness(), CacheDirHarness(), SqliteHarness())
 """Every store backend the conformance battery runs against."""
-
-COORDINATED = tuple(h for h in HARNESSES if h.coordinated)
-"""The backends with real lease semantics (claim/renew/takeover battery)."""

@@ -25,12 +25,17 @@ from repro.api import (
     unregister_experiment,
 )
 from repro.api.engine import cache_key
-from repro.dist import LocalStore, SharedStore, run_worker
+from repro.dist import SharedStore, run_worker
 from repro.dist import store as store_module
 from repro.dist.store import COMMIT_INTERVAL_S, CommitGroup
 from store_contract import HARNESSES
 
-DIRECTORY_STORES = (LocalStore, SharedStore)
+DIRECTORY_STORES = {
+    "SharedStore": SharedStore,
+    "cache_dir": lambda directory: Engine(cache_dir=directory).store,
+}
+"""The two spellings of a directory store: built directly, and built by
+``Engine(cache_dir=)``.  Both must take the same group-commit path."""
 
 
 def _result(x):
@@ -53,9 +58,9 @@ def _temp_files(directory):
     return [name for name in os.listdir(directory) if name.endswith(".tmp")]
 
 
-@pytest.fixture(params=DIRECTORY_STORES, ids=lambda cls: cls.__name__)
+@pytest.fixture(params=sorted(DIRECTORY_STORES))
 def directory_store(request, tmp_path):
-    return request.param(str(tmp_path / "store"))
+    return DIRECTORY_STORES[request.param](str(tmp_path / "store"))
 
 
 @pytest.fixture(params=HARNESSES, ids=lambda h: h.name)

@@ -243,16 +243,16 @@ class TestGcStore:
         assert os.path.exists(live + LEASE_SUFFIX)  # live worker untouched
 
     def test_collects_lease_orphaned_by_published_entry(self, tmp_path):
-        from repro.dist import LocalStore
+        from store_contract import SharedHarness
+
+        from repro.api.results import ResultSet
 
         shared = SharedStore(str(tmp_path))
         path = os.path.join(str(tmp_path), "exp-dddddddddddddddd.json")
-        shared.claim(path, "w1", ttl=120.0)
-        # A LocalStore publish does not clear leases -- exactly the orphan a
-        # crashed SharedStore publish (between rename and unlink) leaves.
-        from repro.api.results import ResultSet
-
-        LocalStore(str(tmp_path)).publish(path, ResultSet({"a": [1]}))
+        shared.publish(path, ResultSet({"a": [1]}))
+        # A live lease beside a published entry: the orphan a publish that
+        # crashed between its rename and the lease's unlink leaves.
+        SharedHarness().orphan_lease(shared, path)
         assert os.path.exists(path + LEASE_SUFFIX)
         collected = gc_store(str(tmp_path))
         assert path + LEASE_SUFFIX in collected

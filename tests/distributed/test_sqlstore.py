@@ -5,7 +5,7 @@ The cross-backend protocol behaviour is covered by the conformance battery
 backend -- ``resolve_store`` spellings, the schema version guard, directory
 -> database migration, and the end-to-end guarantee that a sweep executed
 through a :class:`SqliteStore` produces content-hash-identical results to a
-serial :class:`LocalStore` run.
+serial ``Engine(cache_dir=...)`` run.
 """
 
 import os
@@ -18,7 +18,6 @@ import pytest
 from repro.api import Engine, ParamSpec, register_experiment, unregister_experiment
 from repro.api.results import ResultSet
 from repro.dist import (
-    LocalStore,
     SharedStore,
     SqliteStore,
     migrate_store,
@@ -220,7 +219,7 @@ class TestMigration:
         path = source.entry_path("exp", "a" * 16)
         source.publish(path, _result(experiment="exp"), created_at=1234567890.0)
 
-        destination = LocalStore(str(tmp_path / "cache"))
+        destination = SharedStore(str(tmp_path / "cache"))
         report = migrate_store(source, destination)
         assert report.migrated == 1
         entry = destination.entries()[0]

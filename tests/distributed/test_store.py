@@ -9,12 +9,14 @@ import pytest
 
 from repro.api import Engine, ResultSet
 from repro.api.cache import clear_cache, prune_cache, scan_cache
+from repro.api.engine import cache_key
 from repro.api.experiment import Experiment, ParamSpec
 from repro.dist import (
     CLAIM_ACQUIRED,
     CLAIM_BUSY,
     CLAIM_DONE,
-    LocalStore,
+    FAILED_SUFFIX,
+    LEASE_SUFFIX,
     SharedStore,
     StoreLockTimeout,
     store_lock,
@@ -37,44 +39,50 @@ def _result(x: float = 1.0) -> ResultSet:
     )
 
 
-class TestLocalStore:
+class TestDirectoryStore:
     def test_layout_matches_engine_cache(self, tmp_path):
-        """Engine(store=LocalStore(d)) and Engine(cache_dir=d) are the same store."""
+        """Engine(store=SharedStore(d)) and Engine(cache_dir=d) are the same store."""
+        from repro.dist import resolve_store
+
         directory = str(tmp_path)
         experiment = _experiment()
         Engine(cache_dir=directory).run(experiment, x=3.0)
 
-        engine = Engine(store=LocalStore(directory))
+        engine = Engine(store=SharedStore(directory))
         assert engine.cache_dir == directory
         served = engine.run(experiment, x=3.0)
         assert served.meta.get("cache_hit") is True
+        assert type(Engine(cache_dir=directory).store) is SharedStore
+        assert type(Engine(store=directory).store) is SharedStore
+        assert type(resolve_store(directory)) is SharedStore
 
     def test_cache_dir_and_store_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
-            Engine(cache_dir=str(tmp_path), store=LocalStore(str(tmp_path)))
+            Engine(cache_dir=str(tmp_path), store=SharedStore(str(tmp_path)))
 
-    def test_load_tolerates_missing_and_corrupt(self, tmp_path):
-        store = LocalStore(str(tmp_path))
+    def test_cache_dir_publish_clears_lease_and_tombstone(self, tmp_path):
+        from store_contract import SharedHarness
+
+        directory = str(tmp_path)
+        experiment = _experiment()
+        engine = Engine(cache_dir=directory)
+        path = engine.store.entry_path(
+            experiment.name,
+            cache_key(experiment.name, experiment.version, experiment.resolve_params({})),
+        )
+        SharedHarness().orphan_lease(engine.store, path)
+        SharedHarness().orphan_tombstone(engine.store, path)
+        engine.run(experiment)
+        assert os.path.exists(path)
+        assert not os.path.exists(path + LEASE_SUFFIX)
+        assert not os.path.exists(path + FAILED_SUFFIX)
+
+    def test_load_tolerates_an_entry_removed_mid_read(self, tmp_path, monkeypatch):
+        """A prune may remove an entry between any check and the read."""
+        store = SharedStore(str(tmp_path))
         path = store.entry_path("dist_store_exp", "0" * 16)
+        monkeypatch.setattr(os.path, "exists", lambda _: True)
         assert store.load(path) is None
-        with open(path, "w") as handle:
-            handle.write('{"truncated": ')
-        assert store.load(path) is None
-
-    def test_publish_round_trip(self, tmp_path):
-        store = LocalStore(str(tmp_path))
-        path = store.entry_path("dist_store_exp", "a" * 16)
-        store.publish(path, _result(2.0))
-        assert store.load(path) == _result(2.0)
-
-    def test_claim_is_trivial(self, tmp_path):
-        store = LocalStore(str(tmp_path))
-        path = store.entry_path("dist_store_exp", "b" * 16)
-        assert store.claim(path, "w1") == CLAIM_ACQUIRED
-        # No coordination: a second worker may also "claim" locally.
-        assert store.claim(path, "w2") == CLAIM_ACQUIRED
-        store.publish(path, _result())
-        assert store.claim(path, "w1") == CLAIM_DONE
 
 
 class TestSharedStoreClaims:
@@ -130,12 +138,6 @@ class TestSharedStoreClaims:
         with open(path, "w") as handle:
             handle.write('{"truncated": ')
         assert store.claim(path, "w1", ttl=60.0) == CLAIM_ACQUIRED
-        # Same contract on the local store.
-        local = LocalStore(str(tmp_path))
-        corrupt = local.entry_path("dist_store_exp", "9" * 16)
-        with open(corrupt, "w") as handle:
-            handle.write("garbage")
-        assert local.claim(corrupt, "w1") == CLAIM_ACQUIRED
 
     def test_invalid_ttl_rejected(self, tmp_path):
         store = SharedStore(str(tmp_path))

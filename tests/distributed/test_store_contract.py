@@ -1,11 +1,9 @@
 """The store-conformance battery: one protocol suite, run per backend.
 
 Every test takes the parametrised ``store`` fixture, so each assertion runs
-identically against ``LocalStore``, ``SharedStore`` and ``SqliteStore`` --
-the seam the engine, workers, daemons and HTTP service all execute through.
-Coordination tests (busy claims, stale-lease takeover, renewal, tombstones)
-run only on the coordinated backends; the trivial ``LocalStore`` contract is
-covered by the shared half.
+identically against ``SharedStore`` (built directly and through
+``Engine(cache_dir=)``) and ``SqliteStore`` -- the seam the engine, workers,
+daemons and HTTP service all execute through.
 """
 
 import pickle
@@ -24,7 +22,7 @@ from repro.dist import (
     LEASE_SUFFIX,
     run_worker,
 )
-from store_contract import COORDINATED, HARNESSES
+from store_contract import BROKEN_ENTRIES, HARNESSES
 
 from repro.api import SweepSpec
 
@@ -41,19 +39,9 @@ def harness(request):
     return request.param
 
 
-@pytest.fixture(params=COORDINATED, ids=lambda h: h.name)
-def coordinated(request):
-    return request.param
-
-
 @pytest.fixture
 def store(harness, tmp_path):
     return harness.make(tmp_path)
-
-
-@pytest.fixture
-def coord_store(coordinated, tmp_path):
-    return coordinated.make(tmp_path)
 
 
 @pytest.fixture
@@ -86,10 +74,17 @@ class TestResultIO:
     def test_load_missing_is_none(self, store):
         assert store.load(_path(store)) is None
 
-    def test_load_corrupt_is_none(self, harness, store):
+    def test_load_corrupt_is_none(self, harness, store, tmp_path):
         path = _path(store)
         store.publish(path, _result())
-        harness.corrupt_entry(store, path)
+        for text in BROKEN_ENTRIES:
+            harness.corrupt_entry(store, path, text)
+            assert store.load(path) is None, text
+        # An entry's text is never opened as a file path, even one that names
+        # a valid entry.
+        valid = tmp_path / "valid.json"
+        valid.write_text(_result().to_json())
+        harness.corrupt_entry(store, path, str(valid))
         assert store.load(path) is None
 
     def test_publish_overwrites(self, store):
@@ -119,62 +114,63 @@ class TestClaimLifecycle:
 
     def test_claim_recomputes_corrupt_entry(self, harness, store):
         path = _path(store)
-        store.publish(path, _result())
-        harness.corrupt_entry(store, path)
-        # A torn entry must be re-executed, never skipped forever.
-        assert store.claim(path, "w1") == CLAIM_ACQUIRED
+        # A broken entry must be re-executed, never skipped forever.
+        for worker, text in enumerate(BROKEN_ENTRIES):
+            store.publish(path, _result())
+            harness.corrupt_entry(store, path, text)
+            assert store.claim(path, f"w{worker}") == CLAIM_ACQUIRED, text
 
-    def test_claim_rejects_nonpositive_ttl(self, coord_store):
+    def test_claim_rejects_nonpositive_ttl(self, store):
         with pytest.raises(ValueError):
-            coord_store.claim(_path(coord_store), "w1", ttl=0.0)
+            store.claim(_path(store), "w1", ttl=0.0)
 
-    def test_second_worker_is_busy(self, coord_store):
-        path = _path(coord_store)
-        assert coord_store.claim(path, "w1", ttl=60.0) == CLAIM_ACQUIRED
-        assert coord_store.claim(path, "w2", ttl=60.0) == CLAIM_BUSY
+    def test_second_worker_is_busy(self, store):
+        path = _path(store)
+        assert store.claim(path, "w1", ttl=60.0) == CLAIM_ACQUIRED
+        assert store.claim(path, "w2", ttl=60.0) == CLAIM_BUSY
 
-    def test_own_reclaim_renews(self, coord_store):
-        path = _path(coord_store)
-        coord_store.claim(path, "w1", ttl=60.0)
-        before = coord_store.read_lease(path)
+    def test_own_reclaim_renews(self, store):
+        path = _path(store)
+        store.claim(path, "w1", ttl=60.0)
+        before = store.read_lease(path)
         time.sleep(0.01)
-        assert coord_store.claim(path, "w1", ttl=120.0) == CLAIM_ACQUIRED
-        after = coord_store.read_lease(path)
+        assert store.claim(path, "w1", ttl=120.0) == CLAIM_ACQUIRED
+        after = store.read_lease(path)
         assert after.worker == "w1"
         assert after.expires_at > before.expires_at
 
-    def test_stale_lease_takeover(self, coord_store):
-        path = _path(coord_store)
-        assert coord_store.claim(path, "dead", ttl=0.05) == CLAIM_ACQUIRED
+    def test_stale_lease_takeover(self, store):
+        path = _path(store)
+        assert store.claim(path, "dead", ttl=0.05) == CLAIM_ACQUIRED
         time.sleep(0.1)
-        assert coord_store.claim(path, "w2", ttl=60.0) == CLAIM_ACQUIRED
-        assert coord_store.read_lease(path).worker == "w2"
+        assert store.claim(path, "w2", ttl=60.0) == CLAIM_ACQUIRED
+        assert store.read_lease(path).worker == "w2"
 
-    def test_release_is_owner_only(self, coord_store):
-        path = _path(coord_store)
-        coord_store.claim(path, "w1", ttl=60.0)
-        coord_store.release(path, "w2")  # foreign release: must not drop it
-        assert coord_store.claim(path, "w3", ttl=60.0) == CLAIM_BUSY
-        coord_store.release(path, "w1")
-        assert coord_store.claim(path, "w3", ttl=60.0) == CLAIM_ACQUIRED
+    def test_release_is_owner_only(self, store):
+        path = _path(store)
+        store.claim(path, "w1", ttl=60.0)
+        store.release(path, "w2")  # foreign release: must not drop it
+        assert store.claim(path, "w3", ttl=60.0) == CLAIM_BUSY
+        store.release(path, "w1")
+        assert store.claim(path, "w3", ttl=60.0) == CLAIM_ACQUIRED
 
-    def test_publish_clears_lease(self, coord_store):
-        path = _path(coord_store)
-        coord_store.claim(path, "w1", ttl=60.0)
-        coord_store.publish(path, _result())
-        assert coord_store.read_lease(path) is None
-        assert coord_store.claim(path, "w2") == CLAIM_DONE
+    def test_publish_clears_lease(self, store):
+        path = _path(store)
+        store.claim(path, "w1", ttl=60.0)
+        store.publish(path, _result())
+        assert store.read_lease(path) is None
+        assert store.claim(path, "w2") == CLAIM_DONE
 
-    def test_concurrent_claims_acquire_exactly_once(self, coord_store):
+    def test_concurrent_claims_acquire_exactly_once(self, store):
         """N workers racing one point: exactly one wins, the rest see busy."""
-        path = _path(coord_store)
+        path = _path(store)
         n = 8
         barrier = threading.Barrier(n)
         outcomes = [None] * n
 
         def contend(index):
             barrier.wait()
-            outcomes[index] = coord_store.claim(path, f"w{index}", ttl=60.0)
+            outcomes[index] = store.claim(path, f"w{index}", ttl=60.0)
 
         threads = [
             threading.Thread(target=contend, args=(index,)) for index in range(n)
@@ -224,41 +220,41 @@ class TestClaimMany:
 
 
 class TestRenewal:
-    def test_renew_extends_own_lease_only(self, coord_store):
-        path = _path(coord_store)
-        assert coord_store.renew(path, "w1", ttl=60.0) is False  # nothing leased
-        coord_store.claim(path, "w1", ttl=1.0)
-        before = coord_store.read_lease(path)
-        assert coord_store.renew(path, "w1", ttl=60.0) is True
-        assert coord_store.read_lease(path).expires_at > before.expires_at
-        assert coord_store.renew(path, "w2", ttl=60.0) is False
-        assert coord_store.read_lease(path).worker == "w1"
+    def test_renew_extends_own_lease_only(self, store):
+        path = _path(store)
+        assert store.renew(path, "w1", ttl=60.0) is False  # nothing leased
+        store.claim(path, "w1", ttl=1.0)
+        before = store.read_lease(path)
+        assert store.renew(path, "w1", ttl=60.0) is True
+        assert store.read_lease(path).expires_at > before.expires_at
+        assert store.renew(path, "w2", ttl=60.0) is False
+        assert store.read_lease(path).worker == "w1"
 
-    def test_renew_false_once_published(self, coord_store):
-        path = _path(coord_store)
-        coord_store.claim(path, "w1", ttl=60.0)
-        coord_store.publish(path, _result())
-        assert coord_store.renew(path, "w1", ttl=60.0) is False
+    def test_renew_false_once_published(self, store):
+        path = _path(store)
+        store.claim(path, "w1", ttl=60.0)
+        store.publish(path, _result())
+        assert store.renew(path, "w1", ttl=60.0) is False
 
 
 class TestTombstones:
-    def test_tombstone_lifecycle(self, coord_store):
-        path = _path(coord_store)
-        coord_store.record_failure(path, "w1", "boom at x=1")
-        failures = coord_store.failures()
+    def test_tombstone_lifecycle(self, store):
+        path = _path(store)
+        store.record_failure(path, "w1", "boom at x=1")
+        failures = store.failures()
         assert len(failures) == 1
         assert failures[0]["worker"] == "w1"
         assert "boom" in failures[0]["error"]
         assert failures[0]["path"] == path + FAILED_SUFFIX
         # A successful publish supersedes the recorded failure.
-        coord_store.publish(path, _result())
-        assert coord_store.failures() == []
+        store.publish(path, _result())
+        assert store.failures() == []
 
-    def test_record_failure_noop_when_entry_exists(self, coord_store):
-        path = _path(coord_store)
-        coord_store.publish(path, _result())
-        coord_store.record_failure(path, "w1", "late report")
-        assert coord_store.failures() == []
+    def test_record_failure_noop_when_entry_exists(self, store):
+        path = _path(store)
+        store.publish(path, _result())
+        store.record_failure(path, "w1", "late report")
+        assert store.failures() == []
 
 
 class TestMaintenance:
@@ -273,27 +269,27 @@ class TestMaintenance:
         assert all(str(entry.version) == "1" for entry in entries)
         assert all(entry.size_bytes > 0 for entry in entries)
 
-    def test_exists_covers_bookkeeping(self, coordinated, coord_store):
-        path = _path(coord_store)
-        assert coord_store.exists(path) is False
-        coord_store.claim(path, "w1", ttl=60.0)
-        assert coord_store.exists(path + LEASE_SUFFIX) is True
-        coord_store.record_failure(path, "w1", "boom")
-        assert coord_store.exists(path + FAILED_SUFFIX) is True
-        coord_store.publish(path, _result())
-        assert coord_store.exists(path) is True
-        assert coord_store.exists(path + LEASE_SUFFIX) is False
-        assert coord_store.exists(path + FAILED_SUFFIX) is False
+    def test_exists_covers_bookkeeping(self, harness, store):
+        path = _path(store)
+        assert store.exists(path) is False
+        store.claim(path, "w1", ttl=60.0)
+        assert store.exists(path + LEASE_SUFFIX) is True
+        store.record_failure(path, "w1", "boom")
+        assert store.exists(path + FAILED_SUFFIX) is True
+        store.publish(path, _result())
+        assert store.exists(path) is True
+        assert store.exists(path + LEASE_SUFFIX) is False
+        assert store.exists(path + FAILED_SUFFIX) is False
 
-    def test_remove_entries_takes_bookkeeping_along(self, coordinated, coord_store):
-        done = _path(coord_store, "a")
-        coord_store.publish(done, _result())
-        coordinated.orphan_lease(coord_store, done)
-        coordinated.orphan_tombstone(coord_store, done)
-        assert coord_store.remove_entries([done]) == 1
-        assert coord_store.load(done) is None
-        assert not coord_store.exists(done + LEASE_SUFFIX)
-        assert not coord_store.exists(done + FAILED_SUFFIX)
+    def test_remove_entries_takes_bookkeeping_along(self, harness, store):
+        done = _path(store, "a")
+        store.publish(done, _result())
+        harness.orphan_lease(store, done)
+        harness.orphan_tombstone(store, done)
+        assert store.remove_entries([done]) == 1
+        assert store.load(done) is None
+        assert not store.exists(done + LEASE_SUFFIX)
+        assert not store.exists(done + FAILED_SUFFIX)
 
     def test_clear_and_prune_through_cache_seam(self, store):
         store.publish(_path(store, "a"), _result(1.0))
@@ -305,41 +301,41 @@ class TestMaintenance:
         assert clear_cache(store) == 2
         assert scan_cache(store) == []
 
-    def test_collect_garbage_policy(self, coordinated, coord_store):
-        expired = _path(coord_store, "a")
-        coord_store.claim(expired, "dead", ttl=0.05)
-        live = _path(coord_store, "b")
-        coord_store.claim(live, "alive", ttl=120.0)
-        failed = _path(coord_store, "c")
-        coord_store.record_failure(failed, "dead", "boom")
-        orphaned = _path(coord_store, "d")
-        coord_store.publish(orphaned, _result())
-        coordinated.orphan_lease(coord_store, orphaned)
+    def test_collect_garbage_policy(self, harness, store):
+        expired = _path(store, "a")
+        store.claim(expired, "dead", ttl=0.05)
+        live = _path(store, "b")
+        store.claim(live, "alive", ttl=120.0)
+        failed = _path(store, "c")
+        store.record_failure(failed, "dead", "boom")
+        orphaned = _path(store, "d")
+        store.publish(orphaned, _result())
+        harness.orphan_lease(store, orphaned)
         time.sleep(0.1)  # let the short lease lapse
 
-        preview = gc_store(coord_store, dry_run=True)
+        preview = gc_store(store, dry_run=True)
         assert expired + LEASE_SUFFIX in preview
         assert failed + FAILED_SUFFIX in preview
         assert orphaned + LEASE_SUFFIX in preview
         assert live + LEASE_SUFFIX not in preview
 
-        collected = gc_store(coord_store)
+        collected = gc_store(store)
         assert sorted(collected) == sorted(preview)
-        assert not coord_store.exists(expired + LEASE_SUFFIX)
-        assert coord_store.exists(live + LEASE_SUFFIX)
-        assert coord_store.load(orphaned) is not None  # entries never GC'd
+        assert not store.exists(expired + LEASE_SUFFIX)
+        assert store.exists(live + LEASE_SUFFIX)
+        assert store.load(orphaned) is not None  # entries never GC'd
 
-    def test_collect_garbage_keep_pending_failures(self, coordinated, coord_store):
-        pending = _path(coord_store, "a")
-        coord_store.record_failure(pending, "w1", "still failed")
-        superseded = _path(coord_store, "b")
-        coord_store.publish(superseded, _result())
-        coordinated.orphan_tombstone(coord_store, superseded)
+    def test_collect_garbage_keep_pending_failures(self, harness, store):
+        pending = _path(store, "a")
+        store.record_failure(pending, "w1", "still failed")
+        superseded = _path(store, "b")
+        store.publish(superseded, _result())
+        harness.orphan_tombstone(store, superseded)
 
-        collected = coord_store.collect_garbage(keep_pending_failures=True)
+        collected = store.collect_garbage(keep_pending_failures=True)
         assert superseded + FAILED_SUFFIX in collected
         assert pending + FAILED_SUFFIX not in collected
-        assert coord_store.failures()  # the pending failure is still reported
+        assert store.failures()  # the pending failure is still reported
 
     def test_prune_during_concurrent_publish(self, store):
         """Maintenance racing live publishes never tears an entry: whatever

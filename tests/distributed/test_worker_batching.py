@@ -31,7 +31,7 @@ from repro.dist import (
 )
 from repro.dist.worker import WorkerReport
 
-from store_contract import COORDINATED, HARNESSES
+from store_contract import HARNESSES
 
 SPEC = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
@@ -87,7 +87,7 @@ class TestClaimManyContract:
         assert harness.make(tmp_path).claim_many([], "w1") == []
 
 
-@pytest.mark.parametrize("harness", COORDINATED, ids=lambda h: h.name)
+@pytest.mark.parametrize("harness", HARNESSES, ids=lambda h: h.name)
 class TestClaimManyCoordination:
     def test_foreign_leases_are_busy(self, harness, tmp_path):
         store = harness.make(tmp_path)
@@ -124,7 +124,7 @@ class TestClaimManyCoordination:
         assert len(acquired[0] | acquired[1]) == 12
 
 
-@pytest.mark.parametrize("harness", COORDINATED, ids=lambda h: h.name)
+@pytest.mark.parametrize("harness", HARNESSES, ids=lambda h: h.name)
 class TestWorkerClaimBudget:
     def test_lone_worker_claims_logarithmically(self, harness, tmp_path, batched_experiment):
         """Satellite regression: claims per sweep stay within a fixed
@@ -164,7 +164,7 @@ class TestWorkerClaimBudget:
         assert len(rejoin.already_done) == len(SPEC)
 
 
-@pytest.mark.parametrize("harness", COORDINATED, ids=lambda h: h.name)
+@pytest.mark.parametrize("harness", HARNESSES, ids=lambda h: h.name)
 class TestBatchedWorkerParity:
     def test_batched_worker_matches_serial_engine(self, harness, tmp_path, batched_experiment):
         serial = Engine().sweep(batched_experiment, SPEC)

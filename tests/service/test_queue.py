@@ -229,6 +229,9 @@ class TestLifecycleStatus:
         assert done["state"] == JOB_DONE
         assert done["n_records"] == 8
         assert "completed_at" in done
+        # Publishing the record removed the lease and left no temp file.
+        assert not os.path.exists(queue.done_path(job_id) + ".lease")
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
     def test_failed_state_carries_the_error(self, tmp_path):
         queue = SpecQueue(str(tmp_path))

@@ -3,9 +3,9 @@
 The acceptance bar for the sqlite backend: a sweep submitted over HTTP,
 executed by a daemon whose result store is a ``SqliteStore`` (resolved from
 the ``sqlite:///`` CLI spelling), fetched back through the client, is
-content-hash identical to a serial ``LocalStore`` run of the same spec --
-and the sqlite catalog afterwards answers ``repro query`` over the sweep's
-stored parameters.
+content-hash identical to a serial ``Engine(cache_dir=...)`` run of the same
+spec -- and the sqlite catalog afterwards answers ``repro query`` over the
+sweep's stored parameters.
 """
 
 import threading
