@@ -36,11 +36,11 @@ Subcommands
     executed exactly once.  See docs/DISTRIBUTED.md.
 ``worker --watch QUEUE_DIR [--store DIR] [--drain]``
     Daemon mode: serve a spec queue instead of one fixed sweep -- claim
-    submitted jobs as they arrive (exactly once across N daemons), execute
-    them through the same claim/execute/publish loop, record per-job
-    status/progress back into the queue, and keep serving until SIGTERM
-    (the in-flight job completes and publishes) or, with ``--drain``, until
-    the queue is empty.  See docs/SERVICE.md.
+    submitted jobs as they arrive (exactly once across N daemons), run
+    each on the store-backed engine (published points are cache hits),
+    record per-job status/progress back into the queue, and keep serving
+    until SIGTERM (the in-flight job completes and publishes) or, with
+    ``--drain``, until the queue is empty.  See docs/SERVICE.md.
 ``merge PART.json ...``
     Reassemble partial sweep exports (shard or worker runs) into the full
     sweep ResultSet, bit-identical to a serial run.

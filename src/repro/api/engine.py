@@ -288,10 +288,9 @@ def assemble_sweep(
     are tagged with its sweep values (see :func:`_tag_record`); the meta
     records the run (:func:`_meta` over ``base_params``), the sweep
     descriptor under ``meta["sweep"]`` and, for a shard, the slice under
-    ``meta["shard"]``.  :meth:`Engine.sweep`, the service daemon and the
-    campaign runner all build merged results here, so a result assembled
-    from points already in memory is record for record the one a serial
-    sweep returns.
+    ``meta["shard"]``.  :meth:`Engine.sweep` and the campaign runner both
+    build merged results here, so a result assembled from points already in
+    memory is record for record the one a serial sweep returns.
 
     Raises :class:`SweepError`, carrying the ResultSet of the completed
     points, when any point failed.

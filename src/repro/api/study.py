@@ -272,8 +272,8 @@ class Study:
         Resolving the pipeline with the *merged* overrides validates both the
         stage names and every override's parameter name up front, so a typo
         fails here instead of failing every sweep point downstream.
-        :meth:`~repro.api.engine.Engine.run_study` and the service daemon
-        both take a study's provenance from here.
+        :meth:`~repro.api.engine.Engine.run_study` takes a study's
+        provenance from here.
         """
         merged = self.merged_params(overrides)
         pipeline = resolve_pipeline(self.target, merged)

@@ -58,7 +58,6 @@ from typing import Any, Callable, Mapping
 
 from repro.api.engine import (
     Engine,
-    StageParams,
     SweepPoint,
     _groups,
     _meta,
@@ -201,7 +200,6 @@ def run_worker(
     wait: bool = True,
     poll_interval: float = 0.2,
     max_wait: float | None = None,
-    stage_params: StageParams | None = None,
 ) -> WorkerReport:
     """Attach to a store and drive a sweep's pending points to completion.
 
@@ -249,10 +247,6 @@ def run_worker(
     max_wait:
         Upper bound in seconds on waiting for other workers (``None``:
         unbounded).  On expiry the still-leased points are ``abandoned``.
-    stage_params:
-        Per-experiment parameter overrides for upstream pipeline stages of a
-        composite experiment (a study's ``params``); every cooperating
-        worker must agree on them, like on ``spec``.
     """
     experiment = name if isinstance(name, Experiment) else get_experiment(name)
     worker = worker_id if worker_id is not None else default_worker_id()
@@ -299,7 +293,7 @@ def run_worker(
     for index in indices:
         try:
             inputs, upstream_hashes[index] = upstream_engine.resolve_inputs(
-                experiment, resolved[index], stage_params, memo=memo
+                experiment, resolved[index], memo=memo
             )
         except Exception as error:
             failed.append(index)

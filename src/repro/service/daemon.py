@@ -10,19 +10,17 @@ point results live) and serves until stopped:
   daemon owns a job, and a crashed daemon's lease expires within one ttl so
   a sibling takes the job over (the points it already published are served
   from the store, not recomputed);
-* **execute**: sweep jobs run through
-  :func:`repro.dist.worker.run_worker` -- the same claim/execute/publish
-  loop, heartbeats and shard-aware claiming a shell worker uses -- and
-  study jobs resolve their pipeline stage-aware first, so N daemons on one
-  store cooperate point by point even *within* one job; campaign jobs run
-  the closed-loop :class:`~repro.campaign.Campaign` runner against the
-  store, publishing every visited point; a background heartbeat renews the
-  job lease the whole time;
-* **publish**: the merged ResultSet (assembled from the points the job
-  already holds, exactly as ``Engine.sweep`` assembles them, hence
-  bit-identical to a serial run) is exported next to the queue entry and
-  the completion record is published atomically.  A job that raises gets a
-  failure tombstone instead and is not retried (see
+* **execute**: every job kind runs on one store-backed
+  :class:`~repro.api.engine.Engine` -- sweep jobs as ``Engine.sweep``,
+  study jobs as ``Engine.run_study``, campaign jobs through the
+  closed-loop :class:`~repro.campaign.Campaign` runner -- so every point
+  publishes into the store and a point already there is a cache hit; a
+  background heartbeat renews the job lease the whole time;
+* **publish**: the engine's merged ResultSet (bit-identical to a serial
+  run) is exported next to the queue entry and the completion record is
+  published atomically.  A job that raises gets a failure tombstone
+  instead, carrying the error text (for a sweep, the ``SweepError``
+  naming how many points failed), and is not retried (see
   :meth:`~repro.service.queue.SpecQueue.requeue`);
 * **idle**: between jobs the daemon polls with jittered exponential
   backoff (:class:`~repro.dist.backoff.Backoff`), so a fleet of daemons on
@@ -57,18 +55,17 @@ Quick start::
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.api.engine import Engine, SweepPoint, assemble_sweep
-from repro.api.experiment import get_experiment
+from repro.api.engine import Engine, SweepPoint
 from repro.api.study import get_study
 from repro.dist.backoff import Backoff
 from repro.dist.store import DEFAULT_LEASE_TTL, ResultStore, default_worker_id
-from repro.dist.worker import run_worker
 from repro.obs import metrics
 from repro.obs.trace import activate_carrier, trace_span
 from repro.service.jobs import JobSpec
@@ -83,7 +80,7 @@ PROGRESS_INTERVAL_S = 0.5
 
 
 class JobExecutionError(RuntimeError):
-    """A job's execution failed (some points raised, or a stage blew up)."""
+    """A campaign job failed or stopped before visiting any point."""
 
 
 @dataclass(frozen=True)
@@ -115,28 +112,26 @@ class DaemonReport:
 def execute_job(
     job: JobSpec,
     store: ResultStore,
-    worker_id: str,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     on_progress: Callable[[int, int], None] | None = None,
 ) -> Any:
     """Execute one claimed job against the result store; returns the ResultSet.
 
-    Swept work flows through :func:`repro.dist.worker.run_worker` (lease
-    claims, heartbeats, stage-aware upstream resolution), so cooperating
-    daemons share points through the store.  The merged ResultSet is then
-    assembled by :func:`~repro.api.engine.assemble_sweep` from the points
-    ``run_worker`` handed over -- the assembly ``Engine.sweep`` uses, which
-    is what makes the fetched result bit-identical (content hash and all)
-    to the same sweep run serially, without reading any point back.
+    Every job kind runs on one store-backed :class:`~repro.api.engine.Engine`:
+    points already in the store (published by a crashed daemon that held
+    this job before, or by any earlier run) are cache hits, the rest execute
+    and publish, and the merged ResultSet is the engine's own -- bit-identical
+    (content hash and all) to the same work run serially.  The job lease
+    makes this daemon the job's only owner, so no point is leased.
     ``on_progress`` receives ``(points_done, points_total)`` as points land.
 
-    Raises :class:`JobExecutionError` when any point fails; the caller
-    records the job tombstone.
+    Raises :class:`~repro.api.engine.SweepError` when some points fail (the
+    completed ones stay published) and :class:`JobExecutionError` when a
+    campaign stops; the caller records the job tombstone.
     """
+    engine = Engine(store=store)
     stage_params = dict(job.stage_params) or None
     if job.kind == "campaign":
-        # The campaign runner drives the store-backed engine itself: every
-        # visited point publishes into the shared store, so a re-submitted
+        # Every visited point publishes into the store, so a re-submitted
         # or resumed campaign replays from cache like any sweep.
         from repro.campaign import Campaign, CampaignError
 
@@ -156,9 +151,9 @@ def execute_job(
                 target=settings.get("target"),
                 patience=settings.get("patience"),
                 tolerance=settings["tolerance"],
-                engine=Engine(store=store),
+                engine=engine,
             )
-            report = campaign.run(on_progress if on_progress is not None else None)
+            report = campaign.run(on_progress)
         except CampaignError as error:
             raise JobExecutionError(str(error))
         if report.result is None:
@@ -171,58 +166,26 @@ def execute_job(
     if job.kind == "study":
         study = get_study(job.name)
         spec = job.sweep if job.sweep is not None else study.sweep
-        if spec is None:
-            # An unswept study is one invocation of its target: nothing to
-            # claim point by point, so the store-backed engine runs it.
-            return Engine(store=store).run_study(study, stage_params=stage_params)
-        worker_stage_params, study_meta = study.plan(job.stage_params)
-        target = study.target
-        base_params = worker_stage_params.get(target, {})
     else:
-        target = job.name
-        base_params = dict(job.params)
         spec = job.sweep
-        worker_stage_params = stage_params
-
-    total = len(spec)
-    landed: dict[int, SweepPoint] = {}
+    total = 0 if spec is None else len(spec)
+    landed = itertools.count(1)
 
     def on_result(point: SweepPoint) -> None:
-        landed[point.index] = point
         if on_progress is not None:
-            on_progress(len(landed), total)
+            on_progress(next(landed), total)
 
-    start = time.perf_counter()
-    report = run_worker(
-        target,
-        spec,
-        store,
-        base_params=base_params,
-        worker_id=worker_id,
-        lease_ttl=lease_ttl,
-        on_result=on_result,
-        stage_params=worker_stage_params,
-    )
-    if report.failed:
-        raise JobExecutionError(
-            f"{len(report.failed)} of {report.n_points} points failed "
-            f"(point indices {sorted(report.failed)}); completed points "
-            "stay published -- requeue the job after fixing the cause"
-        )
-    # Every point reached on_result -- executed here, or published by anyone
-    # and loaded by run_worker -- so the merged result is assembled from
-    # memory, record for record the serial sweep's.
-    result = assemble_sweep(
-        get_experiment(target),
-        spec,
-        [landed[index] for index in sorted(landed)],
-        base_params,
-        time.perf_counter() - start,
-        "worker",
-    )
     if job.kind == "study":
-        result.meta["study"] = study_meta
-    return result
+        return engine.run_study(
+            study, stage_params=stage_params, sweep=job.sweep, on_result=on_result
+        )
+    return engine.sweep(
+        job.name,
+        spec,
+        base_params=dict(job.params),
+        on_result=on_result,
+        stage_params=stage_params,
+    )
 
 
 def _progress_recorder(queue: SpecQueue, job_id: str) -> Callable[[int, int], None]:
@@ -266,11 +229,10 @@ def serve_queue(
         Result store the job's points execute against (a
         :class:`~repro.dist.store.SharedStore` when daemons cooperate).
     worker_id:
-        Lease identity for both job and point claims; defaults to
-        ``<hostname>-<pid>``.
+        Job lease identity; defaults to ``<hostname>-<pid>``.
     lease_ttl:
-        Job/point lease duration; renewed by heartbeat while work runs, so
-        it only bounds how long a *crashed* daemon blocks a job.
+        Job lease duration; renewed by heartbeat while the job runs, so it
+        only bounds how long a *crashed* daemon blocks a job.
     poll_interval:
         Initial idle-poll sleep; idle polls back off geometrically with
         jitter (capped) and snap back on any claimed job.
@@ -311,10 +273,10 @@ def serve_queue(
         backoff.reset()
         job_id, payload = claimed
         # The heartbeat keeps the job lease alive for as long as execution
-        # takes; the per-point leases inside run_worker have their own.
-        # A job submitted under tracing carries its submitter's carrier:
-        # adopt it so every span this execution produces (worker points,
-        # solver spans, forked children) joins the submitting client's trace.
+        # takes.  A job submitted under tracing carries its submitter's
+        # carrier: adopt it so every span this execution produces (the
+        # engine's sweep and points, solver spans) joins the submitting
+        # client's trace.
         with queue.heartbeat(job_id, worker, lease_ttl), activate_carrier(
             queue.read_trace(job_id)
         ), trace_span("daemon.job", job_id=job_id, worker=worker):
@@ -323,11 +285,7 @@ def serve_queue(
                 job = JobSpec.from_payload(payload).validate()
                 emit(f"daemon {worker}: claimed {job_id} ({job.describe()})")
                 result = execute_job(
-                    job,
-                    store,
-                    worker_id=worker,
-                    lease_ttl=lease_ttl,
-                    on_progress=_progress_recorder(queue, job_id),
+                    job, store, on_progress=_progress_recorder(queue, job_id)
                 )
             except Exception as error:
                 message = f"{type(error).__name__}: {error}"

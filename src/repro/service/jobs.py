@@ -27,9 +27,9 @@ and malformed stage overrides all fail *at submit time*, HTTP 400, instead
 of poisoning a daemon later).
 
 The executed results are bit-identical to a local run: a job carries only
-names and parameters, and execution flows through the exact
-claim/execute/publish machinery of :mod:`repro.dist` -- so a result fetched
-through the service API content-hash-matches the same sweep run serially.
+names and parameters, and a daemon executes it on the store-backed
+:class:`~repro.api.engine.Engine` -- so a result fetched through the
+service API content-hash-matches the same sweep run serially.
 """
 
 from __future__ import annotations

@@ -159,9 +159,13 @@ class SpecQueue:
         return job_id
 
     def _read_document(self, job_id: str) -> dict[str, Any]:
-        path = self._path(job_id, JOB_SUFFIX)
+        # Every lookup by id (status, results, spec) starts here, so an id
+        # that is not a single path component -- "../elsewhere" from an HTTP
+        # route -- never reaches a file outside the queue directory.
         try:
-            with open(path) as handle:
+            if os.path.basename(job_id) != job_id:
+                raise FileNotFoundError(job_id)
+            with open(self._path(job_id, JOB_SUFFIX)) as handle:
                 document = json.load(handle)
         except FileNotFoundError:
             raise UnknownJobError(

@@ -154,8 +154,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry another
+            # request.
+            self.close_connection = True
+            if length < 0:
+                raise _HttpFault(400, "Content-Length must be a non-negative integer")
             raise _HttpFault(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:

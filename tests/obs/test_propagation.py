@@ -164,13 +164,17 @@ class TestServicePropagation:
             names = {span["name"] for span in _ancestors(job_span, by_id)}
             assert "client.submit_sweep" in names
             assert "test.submit" in names
-        # Each point the daemons' workers ran is an engine.point span that
-        # descends from its daemon.job span.
+        # Each job runs as an engine.sweep under its daemon.job span (the
+        # span list CI's obs-smoke step requires), and each point the
+        # daemons ran is an engine.point span that descends from it.
+        sweeps = [s for s in spans if s["name"] == "engine.sweep"]
+        for job_span in daemon_jobs:
+            assert any(job_span in _ancestors(sweep, by_id) for sweep in sweeps)
         points = [s for s in spans if s["name"] == "engine.point"]
         assert points
         for point in points:
             names = {span["name"] for span in _ancestors(point, by_id)}
-            assert "daemon.job" in names
+            assert {"daemon.job", "engine.sweep"} <= names
 
     def test_service_job_hashes_match_serial_run(self, tmp_path):
         server = make_server(str(tmp_path / "queue"), port=0)

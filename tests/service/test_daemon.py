@@ -7,6 +7,7 @@ points it already published, and every fetched result must content-hash
 match the serial run.
 """
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -244,3 +245,51 @@ class TestFailureSemantics:
         other = queue.submit(_sweep_job())
         report2 = serve_queue(queue, store, drain=True)
         assert report2.executed == [other]
+
+    def test_raising_point_fails_the_job_and_requeue_runs_only_it(self, tmp_path):
+        """The other points stay published; after requeue only the failed
+        point executes."""
+        queue = SpecQueue(str(tmp_path / "queue"))
+        store = SharedStore(str(tmp_path / "store"))
+        executed: list[float] = []
+        broken = {2.0}
+
+        @register_experiment(
+            "service_flaky",
+            params=(ParamSpec("x", "float", 0.0, "input"),),
+            replace=True,
+        )
+        def flaky(x: float):
+            executed.append(x)
+            if x in broken:
+                raise ValueError(f"bad point x={x}")
+            return [{"x": x, "y": 2.0 * x}]
+
+        spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
+        try:
+            job_id = queue.submit(
+                JobSpec(kind="sweep", name="service_flaky", sweep=spec)
+            )
+            report = serve_queue(queue, store, drain=True)
+            assert report.failed == [job_id]
+            status = queue.status(job_id)
+            assert status["state"] == JOB_FAILED
+            assert "1 of 3" in status["error"]
+            assert "bad point x=2.0" in status["error"]
+            assert sorted(executed) == [1.0, 2.0, 3.0]
+            published = [
+                name for name in os.listdir(store.directory)
+                if name.startswith("service_flaky-") and name.endswith(".json")
+            ]
+            assert len(published) == 2
+
+            broken.clear()  # the experiment is fixed
+            executed.clear()
+            assert queue.requeue(job_id)
+            report = serve_queue(queue, store, drain=True)
+            assert report.ok and report.executed == [job_id]
+            assert executed == [2.0]
+            serial = Engine().sweep("service_flaky", spec)
+            assert queue.load_result(job_id).content_hash == serial.content_hash
+        finally:
+            unregister_experiment("service_flaky")

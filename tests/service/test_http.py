@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -153,12 +154,54 @@ class TestSubmit:
         )
         assert _http_error(request).code == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, length):
+        """Sent over a raw socket with a timeout: a handler that waits for a
+        body that never ends fails the test instead of hanging it."""
+        host, port = service["server"].server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /submit_sweep HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert service["client"].list_jobs() == []
+
 
 class TestErrorRoutes:
     def test_unknown_job_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service["client"].status("j-nope")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("route", ["status", "fetch_results"])
+    def test_job_id_cannot_leave_the_queue_directory(self, service, tmp_path, route):
+        # A finished job in a queue beside the served one (which holds a job
+        # of its own, so its directory exists): a "../" id must not reach
+        # the other queue's files.
+        service["client"].submit_sweep("table_density", SPEC)
+        outside = SpecQueue(str(tmp_path / "outside"))
+        job_id = outside.submit(
+            JobSpec(kind="sweep", name="table_density", sweep=SPEC)
+        )
+        serve_queue(outside, service["store"], drain=True)
+        assert outside.status(job_id)["state"] == "done"
+
+        host, port = service["server"].server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.request("GET", f"/{route}/../outside/{job_id}")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 404
+        assert "error" in body
 
     def test_unknown_route_is_404(self, service):
         assert _get_status_code(service["server"].url + "/nope") == 404

@@ -1,10 +1,11 @@
 """Service jobs assemble their merged result from the points they hold.
 
-A job's points are executed (or loaded, when a sibling published them) once
-by ``run_worker``; the merged ResultSet is built from those in-memory points
-through the engine's own assembly, so nothing is read back from the store
-and the result still equals a store-less serial run.  Progress documents are
-coalesced rather than written per point.
+A job runs on the store-backed engine: each point is looked up in the store
+once (a cache hit when anyone published it before), the misses execute and
+publish, and the merged ResultSet is built from those in-memory points, so
+no point is read back after it is published and the result still equals a
+store-less serial run.  Progress documents are coalesced rather than
+written per point.
 """
 
 import json
@@ -28,15 +29,19 @@ from repro.service import (
 
 
 class CountingStore(SharedStore):
-    """A shared store that counts the entries it loads."""
+    """A shared store that logs its loads and batch publishes in call order."""
 
     def __init__(self, directory: str) -> None:
         super().__init__(directory)
-        self.loads = 0
+        self.calls: list[str] = []
 
     def load(self, path):
-        self.loads += 1
+        self.calls.append("load")
         return super().load(path)
+
+    def publish_many(self, entries):
+        self.calls.append("publish_many")
+        return super().publish_many(entries)
 
 
 class CountingQueue(SpecQueue):
@@ -59,7 +64,11 @@ class TestSweepJobAssembly:
         job_id = queue.submit(JobSpec(kind="sweep", name="table_density", sweep=spec))
 
         assert serve_queue(queue, store, drain=True).executed == [job_id]
-        assert store.loads == 0
+        # One cache lookup per point, all of them before the job's first
+        # publish: nothing the job published is read back.
+        assert store.calls.count("load") == len(spec)
+        first_publish = store.calls.index("publish_many")
+        assert "load" not in store.calls[first_publish:]
 
         serial = Engine().sweep("table_density", spec)
         fetched = queue.load_result(job_id)
